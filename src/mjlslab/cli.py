@@ -109,17 +109,21 @@ def cmd_jsr(cfg: SystemConfig):
     except BudgetExceededError as exc:
         results["jsr"] = None
         warns.append(f"budget: {exc}")
-    probe = boundedness_probe(s, a["boundedness_depth"], a["budget"])
-    results["boundedness"] = jsonable(probe)
-    if probe.truncated:
-        warns.append(
-            f"budget: boundedness probe truncated at depth {probe.depth_probed}"
-        )
-    if probe.verdict == "bounded-so-far":
-        warns.append(
-            f"note: boundedness verdict holds so far (depth {probe.depth_probed}); "
-            "deeper products are unexplored"
-        )
+    try:
+        probe = boundedness_probe(s, a["boundedness_depth"], a["budget"])
+        results["boundedness"] = jsonable(probe)
+        if probe.truncated:
+            warns.append(
+                f"budget: boundedness probe truncated at depth {probe.depth_probed}"
+            )
+        if probe.verdict == "bounded-so-far":
+            warns.append(
+                f"note: boundedness verdict holds so far (depth {probe.depth_probed}); "
+                "deeper products are unexplored"
+            )
+    except BudgetExceededError as exc:
+        results["boundedness"] = None
+        warns.append(f"budget: {exc}")
     try:
         results["finiteness"] = jsonable(
             spectral_finiteness_probe(s, a["depth"], a["jsr_depth"], a["budget"])
@@ -253,25 +257,39 @@ def cmd_classify(cfg: SystemConfig):
         results["consistent_probe"] = None
         warns.append(f"budget: {exc}")
 
-    harness = pointwise_equivalence_harness(
-        m,
-        trials,
-        horizon,
-        a["num_initials"],
-        seed,
-        eps=eps,
-        delta=delta,
-        gate_depth=a["boundedness_depth"],
-        budget=a["budget"],
-    )
-    results["equivalence"] = jsonable(harness)
-    warns.extend("gate: " + msg for msg in harness.warnings)
+    try:
+        harness = pointwise_equivalence_harness(
+            m,
+            trials,
+            horizon,
+            a["num_initials"],
+            seed,
+            eps=eps,
+            delta=delta,
+            gate_depth=a["boundedness_depth"],
+            budget=a["budget"],
+        )
+        results["equivalence"] = jsonable(harness)
+        warns.extend("gate: " + msg for msg in harness.warnings)
+    except BudgetExceededError as exc:
+        results["equivalence"] = None
+        warns.append(f"budget: {exc}")
 
-    almost = almost_sure_exponential_estimate(
-        m, trials, horizon, seed, delta=delta, probe_len=a["depth"], budget=a["budget"]
-    )
-    results["almost_sure"] = jsonable(almost)
-    warns.extend("gate: " + msg for msg in almost.warnings)
+    try:
+        almost = almost_sure_exponential_estimate(
+            m,
+            trials,
+            horizon,
+            seed,
+            delta=delta,
+            probe_len=a["depth"],
+            budget=a["budget"],
+        )
+        results["almost_sure"] = jsonable(almost)
+        warns.extend("gate: " + msg for msg in almost.warnings)
+    except BudgetExceededError as exc:
+        results["almost_sure"] = None
+        warns.append(f"budget: {exc}")
 
     off_diagonal = s.matrices * (1.0 - np.eye(s.dim))
     if np.abs(off_diagonal).max() == 0.0:

@@ -52,15 +52,6 @@ def as_row_vector(x, dim: int | None = None) -> np.ndarray:
     return x
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
 def induced_norm2(a) -> float:
     """Operator norm for the Euclidean vector norm: the largest singular value."""
     a = as_matrix(a)

@@ -266,6 +266,37 @@ def jsr_bounds(s: MatrixSet, depth: int, budget: int = ENUM_BUDGET) -> JsrBounds
     )
 
 
+def rho_extremes(s: MatrixSet, max_len: int, budget: int = ENUM_BUDGET):
+    """Min and max of rho(S_w)^(1/|w|) over 1 <= |w| <= max_len, one pass.
+
+    Returns (min_value, min_word, max_value, max_word, completed_length,
+    truncated). Ties keep the earliest find, so shorter words win and within
+    a length the lexicographically smallest word wins. Raises
+    BudgetExceededError when not even length 1 fits the budget.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    min_val, max_val = np.inf, -np.inf
+    min_word = max_word = None
+    completed = 0
+    for length, arr in _level_products(s, max_len, budget):
+        vals = _batch_rho(arr) ** (1.0 / length)
+        j = int(np.argmin(vals))
+        if vals[j] < min_val:
+            min_val = float(vals[j])
+            min_word = word_from_index(j, length, s.num_matrices)
+        j = int(np.argmax(vals))
+        if vals[j] > max_val:
+            max_val = float(vals[j])
+            max_word = word_from_index(j, length, s.num_matrices)
+        completed = length
+    if completed == 0:
+        raise BudgetExceededError(
+            f"word enumeration at length 1 already exceeds the budget {budget}"
+        )
+    return min_val, min_word, max_val, max_word, completed, completed < max_len
+
+
 def _preextremal_batch(
     s: MatrixSet, xs: np.ndarray, depth: int, budget: int
 ) -> np.ndarray:

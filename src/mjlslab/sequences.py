@@ -24,8 +24,6 @@ QUADRATIC_GAP_KIND = "example46"  # serialization tag, fixed by the CLI format
 FREQ_THRESHOLD = 1e-3
 _GAP_WORD_CAP = 10**7
 
-KINDS = ("periodic", "explicit", QUADRATIC_GAP_KIND, "markov_sample")
-
 
 def quadratic_gap_lengths(levels: int) -> list[int]:
     """Word lengths at each construction level: 1, 3, 15, 255, 65535, ..."""

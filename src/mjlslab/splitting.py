@@ -22,7 +22,6 @@ from .linalg import (
     AmbiguousRankError,
     Subspace,
     as_matrix,
-    as_row_vector,
     idempotency_defect,
     induced_norm2,
     spectral_split,
@@ -82,67 +81,95 @@ def cocycle_products_at(s: MatrixSet, symbols: np.ndarray, times) -> np.ndarray:
     return out
 
 
-def vector_log_norm_history(
-    s: MatrixSet, symbols: np.ndarray, x, renorm_every: int = RENORM_EVERY
-) -> np.ndarray:
+def log_norm_histories(s: MatrixSet, paths, start=None) -> np.ndarray:
+    """Log-norm histories of the cocycle along each row of `paths`.
+
+    paths has shape (rows, n) and holds 1-indexed symbols. With start, a
+    (rows, d) stack of row vectors, entry [r, t] is log ||start[r] A_r(t+1)||
+    in the Euclidean norm; without it the products themselves are tracked
+    from the identity and the entry is log ||A_r(t+1)||_2. The running state
+    is renormalized every RENORM_EVERY steps against under- and overflow. An
+    exactly zero product sends the rest of its row to -inf. Returns an array
+    of shape (rows, n).
+    """
+    idx = _indices(paths, s.num_matrices)
+    if idx.ndim != 2:
+        raise ValueError(f"paths must have shape (rows, n), got {idx.shape}")
+    rows, horizon = idx.shape
+    if start is None:
+        state = np.tile(np.eye(s.dim), (rows, 1, 1))
+    else:
+        state = np.array(start, dtype=float)
+        if state.shape != (rows, s.dim):
+            raise ValueError(
+                f"start must hold {rows} rows of length {s.dim}, "
+                f"got shape {state.shape}"
+            )
+        if not np.all(np.isfinite(state)):
+            raise ValueError("start vector entries must be finite")
+    scale = (-1,) + (1,) * (state.ndim - 1)
+    hist = np.full((rows, horizon), -np.inf)
+    acc = np.zeros(rows)
+    alive = np.ones(rows, dtype=bool)
+    for n in range(horizon):
+        sym = idx[:, n]
+        for k in range(s.num_matrices):
+            sel = alive & (sym == k)
+            if sel.any():
+                state[sel] = state[sel] @ s.matrices[k]
+        if start is None:
+            nrm = np.linalg.svd(state, compute_uv=False)[:, 0]
+        else:
+            nrm = np.linalg.norm(state, axis=1)
+        alive &= nrm > 0.0
+        hist[alive, n] = acc[alive] + np.log(nrm[alive])
+        if (n + 1) % RENORM_EVERY == 0:
+            if not alive.any():
+                break  # every row has hit an exact zero product
+            acc[alive] += np.log(nrm[alive])
+            state[alive] /= nrm[alive].reshape(scale)
+    return hist
+
+
+def vector_log_norm_history(s: MatrixSet, symbols: np.ndarray, x) -> np.ndarray:
     """log ||x A(n)|| for n = 1..len(symbols), renormalized against underflow.
 
-    An exactly zero product sends the rest of the history to -inf.
+    x is one row vector of length d (returns shape (n,)) or a (m, d) stack of
+    rows driven by the same symbols (returns shape (m, n)). An exactly zero
+    product sends the rest of the history to -inf.
     """
-    idx = _indices(symbols, s.num_matrices)
-    v = as_row_vector(x, s.dim).copy()
-    out = np.empty(idx.size)
-    acc = 0.0
-    for n, k in enumerate(idx):
-        v = v @ s.matrices[k]
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            out[n:] = -np.inf
-            return out
-        out[n] = acc + np.log(nrm)
-        if (n + 1) % renorm_every == 0:
-            acc += np.log(nrm)
-            v /= nrm
-    return out
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    paths = np.broadcast_to(symbols, (len(xs), len(symbols)))
+    hist = log_norm_histories(s, paths, xs)
+    return hist[0] if np.ndim(x) == 1 else hist
 
 
-def matrix_log_norm_history(
-    s: MatrixSet, symbols: np.ndarray, renorm_every: int = RENORM_EVERY
-) -> np.ndarray:
-    """log ||A(n)||_2 for n = 1..len(symbols), renormalized against overflow."""
-    idx = _indices(symbols, s.num_matrices)
-    a = np.eye(s.dim)
-    out = np.empty(idx.size)
-    acc = 0.0
-    for n, k in enumerate(idx):
-        a = a @ s.matrices[k]
-        nrm = induced_norm2(a)
-        if nrm == 0.0:
-            out[n:] = -np.inf
-            return out
-        out[n] = acc + np.log(nrm)
-        if (n + 1) % renorm_every == 0:
-            acc += np.log(nrm)
-            a /= nrm
-    return out
+def matrix_log_norm_history(s: MatrixSet, symbols: np.ndarray) -> np.ndarray:
+    """log ||A(n)||_2 for n = 1..len(symbols), shape (n,); see log_norm_histories."""
+    return log_norm_histories(s, np.asarray(symbols)[None])[0]
 
 
-def tail_slope(log_norms: np.ndarray, tail_fraction: float = 0.5) -> float:
-    """Least-squares slope of log-norm against n over the trailing window.
+def tail_slope(log_norms: np.ndarray) -> float | np.ndarray:
+    """Least-squares slope of log-norm against n over the trailing half.
 
-    Exact zeros inside the window (log -inf) make the slope -inf.
+    log_norms is one history of shape (n,) (returns a float) or a stack of
+    shape (rows, n) (returns one slope per row). A row with an exact zero
+    (log -inf) inside the window gets slope -inf.
     """
-    log_norms = np.asarray(log_norms, dtype=float)
-    n = log_norms.size
+    hist = np.asarray(log_norms, dtype=float)
+    n = hist.shape[-1]
     if n < 2:
         raise ValueError("need at least two history points for a slope")
-    start = min(n - 2, int(n * (1.0 - tail_fraction)))
-    ys = log_norms[start:]
-    if np.isneginf(ys).any():
-        return -np.inf
+    start = min(n - 2, n // 2)
+    ys = np.atleast_2d(hist)[:, start:]
     ns = np.arange(start + 1, n + 1, dtype=float)
-    ns = ns - ns.mean()
-    return float((ns * (ys - ys.mean())).sum() / (ns * ns).sum())
+    ns -= ns.mean()
+    denom = float((ns * ns).sum())
+    bad = np.isneginf(ys).any(axis=1)
+    safe = np.where(np.isneginf(ys), 0.0, ys)
+    slopes = ((safe - safe.mean(axis=1, keepdims=True)) * ns).sum(axis=1) / denom
+    slopes[bad] = -np.inf
+    return float(slopes[0]) if hist.ndim == 1 else slopes
 
 
 @dataclass
@@ -472,15 +499,8 @@ def verify_splitting(
         float(min(induced_norm2(a - eye) for a in snaps)) if snaps.size else np.inf
     )
 
-    stable_init = []
-    stable_final = []
-    stable_fits = []
-    for row in split.stable.basis:
-        hist = vector_log_norm_history(s, symbols, row)
-        stable_init.append(1.0)
-        final = hist[int(rt.times[-1]) - 1] if rt.times.size else hist[-1]
-        stable_final.append(float(np.exp(final)))
-        stable_fits.append(tail_slope(hist))
+    stable_hist = vector_log_norm_history(s, symbols, split.stable.basis)
+    last = int(rt.times[-1]) - 1 if rt.times.size else -1
 
     center_dev_min = []
     center_dev_final = []
@@ -503,28 +523,27 @@ def verify_splitting(
             center_dev_final.append(np.inf)
             center_pre_dev.append(np.inf)
 
-    mins = []
+    offs = []
     for x in unit_vectors(d, samples, seed, stream_offset=1):
         off = x - split.stable.project(x)
         nrm = float(np.linalg.norm(off))
-        if nrm < 1e-9:
-            continue  # sample fell inside the stable part, skip it
-        hist = vector_log_norm_history(s, symbols, off / nrm)
-        mins.append(float(np.exp(hist.min())))
+        if nrm >= 1e-9:  # a sample inside the stable part is skipped
+            offs.append(off / nrm)
+    off_hist = vector_log_norm_history(s, symbols, np.reshape(offs, (-1, d)))
 
     return SplittingEvidence(
         horizon=horizon,
         cylinder_len=cylinder_len,
         preextremal_depth=preextremal_depth,
         return_count=int(rt.times.size),
-        stable_initial_norms=np.array(stable_init),
-        stable_final_norms=np.array(stable_final),
-        stable_tail_fits=np.array(stable_fits),
+        stable_initial_norms=np.ones(split.stable.dim),
+        stable_final_norms=np.exp(stable_hist[:, last]),
+        stable_tail_fits=tail_slope(stable_hist),
         center_return_deviation_min=np.array(center_dev_min),
         center_return_deviation_final=np.array(center_dev_final),
         center_preextremal_deviation_max=np.array(center_pre_dev),
         identity_return_min=identity_return_min,
-        off_stable_min_norms=np.array(mins),
+        off_stable_min_norms=np.exp(off_hist.min(axis=1)),
     )
 
 

@@ -24,14 +24,13 @@ from .products import (
     BoundednessReport,
     BudgetExceededError,
     MatrixSet,
-    _batch_rho,
-    _level_products,
     boundedness_probe,
     jsr_bounds,
+    rho_extremes,
     word_from_index,
 )
 from .rng import unit_vectors
-from .splitting import RENORM_EVERY
+from .splitting import log_norm_histories, tail_slope
 
 # horizon * delta should cover |log eps| so that an exponential trial can
 # actually reach eps by the end of the run; reports flag the pairing
@@ -74,68 +73,14 @@ def _symbol_paths(m: MJLS, trials: int, horizon: int, seed: int) -> np.ndarray:
 
 
 def _vector_histories(s: MatrixSet, trajs: np.ndarray, x) -> np.ndarray:
-    """log ||x A(n)|| per trial and step; -inf after an exact zero product."""
-    trials, horizon = trajs.shape
-    v = np.tile(as_row_vector(x, s.dim), (trials, 1))
-    hist = np.full((trials, horizon), -np.inf)
-    acc = np.zeros(trials)
-    alive = np.ones(trials, dtype=bool)
-    for n in range(horizon):
-        sym = trajs[:, n]
-        for k in range(s.num_matrices):
-            rows = alive & (sym == k + 1)
-            if rows.any():
-                v[rows] = v[rows] @ s.matrices[k]
-        nrm = np.linalg.norm(v, axis=1)
-        alive &= nrm > 0.0
-        hist[alive, n] = acc[alive] + np.log(nrm[alive])
-        if (n + 1) % RENORM_EVERY == 0 and alive.any():
-            acc[alive] += np.log(nrm[alive])
-            v[alive] /= nrm[alive, None]
-    return hist
+    """log ||x A(n)|| per trial and step; trajs is (trials, n), x one row vector."""
+    starts = np.tile(as_row_vector(x, s.dim), (len(trajs), 1))
+    return log_norm_histories(s, trajs, starts)
 
 
 def _matrix_histories(s: MatrixSet, trajs: np.ndarray) -> np.ndarray:
-    """log ||A(n)||_2 per trial and step, renormalized like the vector case."""
-    trials, horizon = trajs.shape
-    a = np.tile(np.eye(s.dim), (trials, 1, 1))
-    hist = np.full((trials, horizon), -np.inf)
-    acc = np.zeros(trials)
-    alive = np.ones(trials, dtype=bool)
-    for n in range(horizon):
-        sym = trajs[:, n]
-        for k in range(s.num_matrices):
-            rows = alive & (sym == k + 1)
-            if rows.any():
-                a[rows] = a[rows] @ s.matrices[k]
-        nrm = np.linalg.svd(a, compute_uv=False)[:, 0]
-        alive &= nrm > 0.0
-        hist[alive, n] = acc[alive] + np.log(nrm[alive])
-        if (n + 1) % RENORM_EVERY == 0 and alive.any():
-            acc[alive] += np.log(nrm[alive])
-            a[alive] /= nrm[alive, None, None]
-    return hist
-
-
-def _tail_slopes(hist: np.ndarray) -> np.ndarray:
-    """Least-squares slope of each row over its trailing half.
-
-    Rows containing -inf inside the window get slope -inf, matching the
-    scalar tail_slope convention.
-    """
-    trials, n = hist.shape
-    if n < 2:
-        raise ValueError("need at least two history points for a slope")
-    start = min(n - 2, n // 2)
-    ys = hist[:, start:]
-    ns = np.arange(start + 1, n + 1, dtype=float)
-    ns -= ns.mean()
-    denom = float((ns * ns).sum())
-    bad = np.isneginf(ys).any(axis=1)
-    safe = np.where(np.isneginf(ys), 0.0, ys)
-    slopes = ((safe - safe.mean(axis=1, keepdims=True)) * ns).sum(axis=1) / denom
-    slopes[bad] = -np.inf
-    return slopes
+    """log ||A(n)||_2 per trial and step; trajs is (trials, n)."""
+    return log_norm_histories(s, trajs)
 
 
 @dataclass
@@ -184,7 +129,7 @@ def _build_report(
 ) -> ConvergenceReport:
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
-    fits = _tail_slopes(hist)
+    fits = tail_slope(hist)
     finals = hist[:, -1].copy()
     converged = finals < np.log(eps)
     exponential = converged & (fits < -delta)
@@ -277,35 +222,6 @@ class WordProbeResult:
     truncated: bool
 
 
-def _rho_extremes(s: MatrixSet, max_len: int, budget: int):
-    """Min and max of rho(S_w)^(1/|w|) over 1 <= |w| <= max_len, one pass.
-
-    Ties keep the earliest find, so shorter words win and within a length the
-    lexicographically smallest word wins.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    min_val, max_val = np.inf, -np.inf
-    min_word = max_word = None
-    completed = 0
-    for length, arr in _level_products(s, max_len, budget):
-        vals = _batch_rho(arr) ** (1.0 / length)
-        j = int(np.argmin(vals))
-        if vals[j] < min_val:
-            min_val = float(vals[j])
-            min_word = word_from_index(j, length, s.num_matrices)
-        j = int(np.argmax(vals))
-        if vals[j] > max_val:
-            max_val = float(vals[j])
-            max_word = word_from_index(j, length, s.num_matrices)
-        completed = length
-    if completed == 0:
-        raise BudgetExceededError(
-            f"word enumeration at length 1 already exceeds the budget {budget}"
-        )
-    return min_val, min_word, max_val, max_word, completed, completed < max_len
-
-
 def periodic_stability_probe(
     s: MatrixSet, max_len: int, budget: int = ENUM_BUDGET
 ) -> WordProbeResult:
@@ -315,7 +231,7 @@ def periodic_stability_probe(
     this maximum is below 1; the verdict keeps the so-far qualifier since
     longer words are unexplored.
     """
-    _, _, max_val, max_word, completed, truncated = _rho_extremes(s, max_len, budget)
+    _, _, max_val, max_word, completed, truncated = rho_extremes(s, max_len, budget)
     stable = max_val < 1.0 - PROBE_MARGIN
     return WordProbeResult(
         objective="max-over-words",
@@ -336,7 +252,7 @@ def consistent_convergence_probe(
     every initial vector to zero, so finding one certifies consistent
     convergence; not finding one within max_len proves nothing.
     """
-    min_val, min_word, _, _, completed, truncated = _rho_extremes(s, max_len, budget)
+    min_val, min_word, _, _, completed, truncated = rho_extremes(s, max_len, budget)
     found = min_val < 1.0 - PROBE_MARGIN
     return WordProbeResult(
         objective="min-over-words",
@@ -588,7 +504,7 @@ def almost_sure_exponential_estimate(
             "almost-sure decay hypothesis is not established"
         )
     trajs = _symbol_paths(m, trials, horizon, seed)
-    fits = _tail_slopes(_matrix_histories(m.system, trajs))
+    fits = tail_slope(_matrix_histories(m.system, trajs))
     max_fit = float(fits.max())
     return AlmostSureReport(
         trials=trials,

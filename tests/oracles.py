@@ -132,6 +132,21 @@ def oracle_word_product(mats, word) -> np.ndarray:
     return out
 
 
+def oracle_log_norm_history(mats, symbols, x=None) -> np.ndarray:
+    """log ||x A(n)||_2, or log ||A(n)||_2 when x is None, for n = 1..len(symbols).
+
+    Plain product loop without renormalization, so keep the histories short
+    enough not to underflow; an exactly zero product gives -inf.
+    """
+    a = np.eye(mats[0].shape[0]) if x is None else np.asarray(x, dtype=float)
+    out = []
+    for s in symbols:
+        a = a @ mats[s - 1]
+        nrm = oracle_norm2(a) if x is None else float(np.sqrt((a * a).sum()))
+        out.append(np.log(nrm) if nrm > 0.0 else -np.inf)
+    return np.array(out)
+
+
 def oracle_jsr_bounds(mats, depth):
     """(lower, upper) by plain loops: lower over all words up to depth, upper
     over words of exactly that depth."""

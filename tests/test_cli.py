@@ -30,6 +30,16 @@ SPLIT_NO_RETURN_CFG = """{
 }
 """
 
+# budget 1 is below the two depth-1 products; the shear's norm is above 1, so
+# even the pruned boundedness gate has to enumerate
+BUDGET_BELOW_K_CFG = """{
+  "dimension": 2,
+  "matrices": [[[1.0, 0.0], [1.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]],
+  "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+  "analysis": {"budget": 1, "trials": 4, "horizon": 50, "num_initials": 2}
+}
+"""
+
 
 def write(tmp_path, text, name="cfg.json"):
     path = tmp_path / name
@@ -143,6 +153,25 @@ def test_split_gate_warning_escalates_under_strict(tmp_path, capsys):
     assert any(w.startswith("gate:") for w in doc["warnings"])
 
     code, _, _ = run(capsys, "split", "--config", cfg, "--strict")
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, nulled",
+    [
+        ("jsr", ["jsr", "boundedness", "finiteness"]),
+        ("classify", ["periodic_probe", "consistent_probe", "equivalence", "almost_sure"]),
+    ],
+)
+def test_budget_below_family_size_nulls_fields(tmp_path, capsys, command, nulled):
+    cfg = write(tmp_path, BUDGET_BELOW_K_CFG)
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert [doc["results"][key] for key in nulled] == [None] * len(nulled)
+    assert any(w.startswith("budget:") for w in doc["warnings"])
+
+    code, _, _ = run(capsys, command, "--config", cfg, "--strict")
     assert code == 3
 
 

@@ -6,6 +6,7 @@ import pytest
 from mjlslab import (
     AmbiguousRankError,
     IdempotentNotFoundError,
+    MarkovChain,
     MatrixSet,
     Subspace,
     SwitchingSequence,
@@ -14,8 +15,10 @@ from mjlslab import (
     grassmann_distance,
     idempotency_defect,
     limit_points,
+    log_norm_histories,
     matrix_log_norm_history,
     periodic_split,
+    sample_trajectory,
     sequence_split,
     split_from_idempotent,
     tail_slope,
@@ -24,11 +27,34 @@ from mjlslab import (
     vector_lyapunov_exponent,
     verify_splitting,
 )
-from oracles import oracle_word_product, rotation
+from oracles import oracle_log_norm_history, oracle_word_product, rotation
 
 HALF_SHEAR = MatrixSet.from_list([[[0.5, 1.0], [0.0, 1.0]]])
 SHRINK = MatrixSet.from_list([np.diag([0.5, 1.0])])
 ROT = MatrixSet.from_list([rotation(np.pi / 6)])
+NILPOTENT_PAIR = MatrixSet.from_list([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+FAMILY3 = MatrixSet.from_list(
+    [0.99 * rotation(np.pi / 6), np.diag([0.9, 0.95]), [[1.0, 0.5], [0.0, 0.8]]]
+)
+
+
+def _reducible_paths(trials: int, horizon: int) -> np.ndarray:
+    # a 2-cycle plus an absorbing state: most transitions have zero mass
+    chain = MarkovChain(
+        [0.4, 0.4, 0.2], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    )
+    return np.stack(
+        [sample_trajectory(chain, horizon, 7, stream=t) for t in range(trials)]
+    )
+
+
+def _nilpotent_paths(horizon: int) -> np.ndarray:
+    # alternating rows never meet the nilpotent word (1, 1); random rows do
+    rng = np.random.default_rng(32)
+    alternating = np.resize([1, 2], horizon)
+    return np.stack(
+        [alternating, 3 - alternating, *rng.integers(1, 3, size=(4, horizon))]
+    )
 
 
 def test_cocycle_products_match_direct_products():
@@ -58,6 +84,33 @@ def test_vector_log_norm_history_exact_zero_gives_neginf():
     assert np.isneginf(hist[1]) and np.isneginf(hist[2])
 
 
+@pytest.mark.parametrize(
+    "family, paths",
+    [(FAMILY3, _reducible_paths(6, 120)), (NILPOTENT_PAIR, _nilpotent_paths(120))],
+    ids=["reducible-k3", "nilpotent-pair"],
+)
+def test_log_norm_histories_stack_equals_row_calls(family, paths):
+    mats = list(family.matrices)
+    starts = np.random.default_rng(33).standard_normal((len(paths), family.dim))
+    vec = log_norm_histories(family, paths, starts)
+    mat = log_norm_histories(family, paths)
+    shared = vector_log_norm_history(family, paths[2], starts)
+    for r, (path, x) in enumerate(zip(paths, starts)):
+        np.testing.assert_array_equal(vec[r], vector_log_norm_history(family, path, x))
+        np.testing.assert_array_equal(mat[r], matrix_log_norm_history(family, path))
+        np.testing.assert_array_equal(
+            shared[r], vector_log_norm_history(family, paths[2], x)
+        )
+        np.testing.assert_allclose(
+            vec[r], oracle_log_norm_history(mats, path, x), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            mat[r], oracle_log_norm_history(mats, path), rtol=0, atol=1e-12
+        )
+    if family is NILPOTENT_PAIR:
+        assert np.isfinite(mat[:2]).all() and np.isneginf(mat[2:, -1]).all()
+
+
 def test_matrix_log_norm_history_shear_growth():
     shear = MatrixSet.from_list([[[1.0, 0.0], [1.0, 1.0]]])
     hist = matrix_log_norm_history(shear, np.ones(50, dtype=np.int64))
@@ -72,6 +125,13 @@ def test_tail_slope_on_linear_history():
     hist = -0.25 * np.arange(1, 101)
     assert tail_slope(hist) == pytest.approx(-0.25, abs=1e-12)
     assert np.isneginf(tail_slope(np.array([0.0, -1.0, -np.inf, -np.inf])))
+    rng = np.random.default_rng(34)
+    stack = np.cumsum(rng.standard_normal((5, 101)), axis=1)
+    stack[1, 70:] = -np.inf
+    stack[3, 20:] = -np.inf
+    slopes = tail_slope(stack)
+    assert slopes.shape == (5,) and np.isneginf(slopes[[1, 3]]).all()
+    np.testing.assert_array_equal(slopes, [tail_slope(row) for row in stack])
 
 
 def test_limit_points_rotation_clusters():
