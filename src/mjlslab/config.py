@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .markov import MarkovChain
+from .markov import MarkovChain, structural_issues
 from .products import MatrixSet
 from .sequences import QUADRATIC_GAP_KIND, SwitchingSequence
 from .stability import MJLS
@@ -326,6 +326,18 @@ def load_config(path) -> tuple[SystemConfig, bytes]:
     return parse_config(data), raw
 
 
+def check_chain(chain: MarkovChain) -> MarkovChain:
+    """The chain itself, or ConfigError naming its first structural defect.
+
+    A non-stationary initial distribution passes; row sums, negative entries
+    and the initial mass do not, since sampling from such a pair is undefined.
+    """
+    issues = structural_issues(chain)
+    if issues:
+        raise ConfigError("markov: " + issues[0])
+    return chain
+
+
 def build_sequence(cfg: SystemConfig) -> SwitchingSequence:
     """Materialize the configured switching sequence."""
     spec = cfg.sequence_spec
@@ -336,7 +348,7 @@ def build_sequence(cfg: SystemConfig) -> SwitchingSequence:
     if spec["kind"] == "explicit":
         return SwitchingSequence.explicit(spec["symbols"])
     if spec["kind"] == "markov":
-        return SwitchingSequence.markov(cfg.chain, cfg.analysis["seed"])
+        return SwitchingSequence.markov(check_chain(cfg.chain), cfg.analysis["seed"])
     levels = spec.get("levels", cfg.analysis["levels"])
     # symbol 1 drives the gap steps, symbol 2 the rare steps
     return SwitchingSequence.quadratic_gap(levels, zero_symbol=1, one_symbol=2)
@@ -347,4 +359,4 @@ def build_mjls(cfg: SystemConfig) -> MJLS:
         raise ConfigError("matrices: this command needs a matrices block")
     if cfg.chain is None:
         raise ConfigError("markov: this command needs a markov block")
-    return MJLS(cfg.system, cfg.chain)
+    return MJLS(cfg.system, check_chain(cfg.chain))

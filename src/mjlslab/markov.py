@@ -10,6 +10,7 @@ internally.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -68,6 +69,30 @@ class ValidationReport:
     valid: bool = False
 
 
+def structural_issues(
+    chain: MarkovChain, row_tol: float = ROW_SUM_TOL, dist_tol: float = DIST_SUM_TOL
+) -> list[str]:
+    """Defects that stop the pair from being a probability law on paths.
+
+    Row sums away from 1, negative entries and an initial mass away from 1;
+    a non-stationary initial distribution is not one of them.
+    """
+    p, t = chain.initial, chain.transition
+    row_defects = np.abs(t.sum(axis=1) - 1.0)
+    issues = []
+    if row_defects.max() > row_tol:
+        bad = int(np.argmax(row_defects))
+        issues.append(
+            f"transition row {bad + 1} sums to {t[bad].sum():.17g}, expected 1"
+        )
+    min_entry = min(p.min(), t.min())
+    if min_entry < 0.0:
+        issues.append(f"negative entry {float(min_entry):.17g}")
+    if abs(p.sum() - 1.0) > dist_tol:
+        issues.append(f"initial distribution sums to {p.sum():.17g}, expected 1")
+    return issues
+
+
 def validate_chain(
     chain: MarkovChain,
     row_tol: float = ROW_SUM_TOL,
@@ -86,18 +111,8 @@ def validate_chain(
         min_entry=float(min(p.min(), t.min())),
         initial_sum_defect=float(abs(p.sum() - 1.0)),
         stationarity_defect=float(np.max(np.abs(p @ t - p))),
+        issues=structural_issues(chain, row_tol, dist_tol),
     )
-    if report.row_sum_defect > row_tol:
-        bad = int(np.argmax(np.abs(t.sum(axis=1) - 1.0)))
-        report.issues.append(
-            f"transition row {bad + 1} sums to {t[bad].sum():.17g}, expected 1"
-        )
-    if report.min_entry < 0.0:
-        report.issues.append(f"negative entry {report.min_entry:.17g}")
-    if report.initial_sum_defect > dist_tol:
-        report.issues.append(
-            f"initial distribution sums to {p.sum():.17g}, expected 1"
-        )
     if report.stationarity_defect > stationary_tol:
         report.issues.append(
             f"initial distribution is not stationary, defect {report.stationarity_defect:.3g}"
@@ -263,17 +278,27 @@ def sample_trajectory(
 
     The generator is keyed by (seed, stream); one uniform is drawn per step in
     order, so a longer horizon with the same key extends the shorter sample.
+
+    Draw contract: step n bisects the cumulative row from the left for u_n,
+    with the comparisons of `np.searchsorted(side="left")`. On a
+    nondecreasing row that is the first index whose cumulative sum is >= u_n,
+    so a u_n on a boundary goes to the lower index. When the index falls past
+    the row or on a zero-mass symbol, and for the first state, `_pick_index`
+    decides.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     p, t = chain.initial, chain.transition
-    cum_p = np.cumsum(p)
+    k = chain.num_states
     cum_t = np.cumsum(t, axis=1)
     us = philox_stream(seed, stream).random(horizon)
-    out = np.empty(horizon, dtype=np.int64)
-    state = _pick_index(cum_p, p, us[0])
-    out[0] = state + 1
-    for n in range(1, horizon):
-        state = _pick_index(cum_t[state], t[state], us[n])
-        out[n] = state + 1
-    return out
+    state = _pick_index(np.cumsum(p), p, us[0])
+    path = [state]
+    rows, probs = cum_t.tolist(), t.tolist()
+    for u in us[1:].tolist():
+        idx = bisect_left(rows[state], u)
+        if idx >= k or probs[state][idx] <= 0.0:
+            idx = _pick_index(cum_t[state], t[state], u)
+        state = idx
+        path.append(state)
+    return np.array(path, dtype=np.int64) + 1

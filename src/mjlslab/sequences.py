@@ -113,7 +113,7 @@ class SwitchingSequence:
                 cache["buf"] = sample_trajectory(chain, n, seed, stream)
             return cache["buf"][:n]
 
-        return cls("markov_sample", gen, None, {"seed": int(seed), "stream": int(stream)})
+        return cls("markov", gen, None, {"seed": int(seed), "stream": int(stream)})
 
     def prefix(self, n: int) -> np.ndarray:
         """First n symbols. Stable: prefix(n) == prefix(m)[:n] for n <= m."""

@@ -120,6 +120,40 @@ def oracle_shift_defect(p: np.ndarray, transition: np.ndarray, max_len: int) -> 
     return worst
 
 
+def oracle_sample_trajectory(initial, transition, horizon: int, seed: int, stream: int = 0):
+    """Scalar inverse-CDF sampler, one np.searchsorted per step.
+
+    Uniforms come from Philox keyed by (seed, stream). Symbol i owns
+    (cum[i-1], cum[i]]; an index past the row or on a zero-mass symbol moves
+    up to the next positive-mass symbol, or down to the last one when none is
+    above. States are returned 1-indexed.
+    """
+    p = np.asarray(initial, dtype=float)
+    t = np.asarray(transition, dtype=float)
+    key = np.array([seed, stream], dtype=np.uint64)
+    us = np.random.Generator(np.random.Philox(key=key)).random(horizon)
+
+    def pick(probs, u):
+        k = len(probs)
+        idx = int(np.searchsorted(np.cumsum(probs), u, side="left"))
+        if idx >= k:
+            idx = k - 1
+            while idx > 0 and probs[idx] <= 0.0:
+                idx -= 1
+        while idx < k - 1 and probs[idx] <= 0.0:
+            idx += 1
+        while idx > 0 and probs[idx] <= 0.0:
+            idx -= 1
+        if probs[idx] <= 0.0:
+            raise ValueError("distribution has no positive mass")
+        return idx
+
+    states = [pick(p, us[0])]
+    for u in us[1:]:
+        states.append(pick(t[states[-1]], u))
+    return np.array(states, dtype=np.int64) + 1
+
+
 def oracle_norm2(a: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)[0])
 

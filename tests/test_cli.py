@@ -236,6 +236,48 @@ def test_classify_requires_markov_block(tmp_path, capsys):
     assert "markov" in err
 
 
+def _markov_cfg(initial, transition):
+    return json.dumps(
+        {
+            "dimension": 2,
+            "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 1.0]]],
+            "markov": {"initial": initial, "transition": transition},
+            "sequence": {"kind": "markov"},
+            "analysis": {"trials": 4, "horizon": 64, "num_initials": 2, "depth": 2,
+                         "jsr_depth": 2, "boundedness_depth": 2},
+        }
+    )
+
+
+@pytest.mark.parametrize("command", ["classify", "split"])
+@pytest.mark.parametrize(
+    "transition, defect",
+    [
+        ([[0.2, 0.2], [-0.5, 0.3]], "transition row 2 sums to"),
+        ([[0.5, 0.5], [-0.5, 1.5]], "negative entry"),
+    ],
+    ids=["row_sums", "negative_entry"],
+)
+def test_sampling_commands_reject_invalid_chains(
+    tmp_path, capsys, command, transition, defect
+):
+    cfg = write(tmp_path, _markov_cfg([0.5, 0.5], transition))
+    code, out, err = run(capsys, command, "--config", cfg, "--strict")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: markov: " + defect)
+
+
+@pytest.mark.parametrize("command", ["classify", "split"])
+def test_sampling_commands_accept_nonstationary_initial(tmp_path, capsys, command):
+    cfg = write(tmp_path, _markov_cfg([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]]))
+    code, out, _ = run(capsys, command, "--config", cfg)
+    assert code == 0
+    doc = json.loads(out)
+    if command == "split":
+        assert doc["results"]["sequence"]["kind"] == "markov"
+
+
 def test_floats_serialize_round_trip(tmp_path, capsys):
     cfg = write(tmp_path, JSR_CFG)
     code, out, _ = run(capsys, "jsr", "--config", cfg, "--depth", "12")

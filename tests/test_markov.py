@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mjlslab import (
     BudgetExceededError,
@@ -16,6 +18,7 @@ from mjlslab import (
 from oracles import (
     oracle_classes,
     oracle_cylinder,
+    oracle_sample_trajectory,
     oracle_shift_defect,
     random_structured_chain,
     stationary_distribution,
@@ -155,3 +158,64 @@ def test_sample_trajectory_empirical_frequencies():
     traj = sample_trajectory(chain, 20000, seed=6)
     freq = np.mean(traj == 1)
     assert abs(freq - 0.5) < 0.02
+
+
+# the criterion 7 and 8 drivers, an absorbing chain, then the edge cases: a
+# row short of mass whose last symbol has none (the index past the row moves
+# down to symbol 2), negative entries (one making a cumulative row
+# non-monotone, where only the exact bisection order reproduces the draw),
+# and a first state with zero mass
+SAMPLER_CHAINS = {
+    "iid": MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]),
+    "reducible": MarkovChain(
+        [0.4, 0.4, 0.2], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    ),
+    "absorbing": REDUCIBLE,
+    "short_row": MarkovChain(
+        [0.5, 0.5, 0.0], [[0.2, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]
+    ),
+    "negative_entry": MarkovChain([0.5, 0.5], [[0.2, 0.2], [-0.5, 0.3]]),
+    "non_monotone_row": MarkovChain(
+        [0.2, 0.3, 0.5], [[0.6, -0.3, 0.7], [0.2, 0.2, 0.6], [0.5, 0.5, 0.0]]
+    ),
+    "zero_mass_first": MarkovChain(
+        [0.0, 0.5, 0.5], [[0.0, 0.5, 0.5], [0.0, 0.3, 0.7], [0.0, 1.0, 0.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
+def test_sample_trajectory_matches_scalar_oracle(name):
+    chain = SAMPLER_CHAINS[name]
+    for stream in range(3):
+        got = sample_trajectory(chain, 2000, seed=7, stream=stream)
+        want = oracle_sample_trajectory(chain.initial, chain.transition, 2000, 7, stream)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def sparse_chains(draw):
+    """Row-stochastic chains with zeroed entries; every row keeps some mass."""
+    n = draw(st.integers(1, 5))
+    weight = st.floats(0.0, 1.0).filter(lambda w: w == 0.0 or w > 1e-3)
+    rows = []
+    for _ in range(n + 1):
+        row = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        if row.sum() == 0.0:
+            row[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(row / row.sum())
+    return MarkovChain(rows[0], rows[1:])
+
+
+@given(sparse_chains(), st.integers(0, 2**32), st.integers(0, 8), st.integers(1, 300))
+def test_sample_trajectory_property_matches_oracle(chain, seed, stream, horizon):
+    got = sample_trajectory(chain, horizon, seed, stream)
+    want = oracle_sample_trajectory(chain.initial, chain.transition, horizon, seed, stream)
+    assert np.array_equal(got, want)
+
+
+@given(sparse_chains(), st.integers(0, 2**32), st.integers(1, 200), st.integers(0, 200))
+def test_sample_trajectory_property_prefix_extension(chain, seed, n, extra):
+    long = sample_trajectory(chain, n + extra, seed)
+    assert np.array_equal(long[:n], sample_trajectory(chain, n, seed))
