@@ -82,13 +82,11 @@ def cmd_decompose(cfg: SystemConfig):
         "validation": jsonable(report),
         "irreducible": bool(is_irreducible(cfg.chain)),
         "decomposition": jsonable(ergodic_decomposition(cfg.chain)),
+        "shift_invariance": {
+            "max_len": a["shift_max_len"],
+            "defect": shift_invariance_defect(cfg.chain, a["shift_max_len"]),
+        },
     }
-    try:
-        defect = shift_invariance_defect(cfg.chain, a["shift_max_len"], a["budget"])
-        results["shift_invariance"] = {"max_len": a["shift_max_len"], "defect": defect}
-    except BudgetExceededError as exc:
-        warns.append(f"budget: {exc}")
-        results["shift_invariance"] = {"max_len": a["shift_max_len"], "defect": None}
     return results, warns
 
 
@@ -137,7 +135,9 @@ def cmd_split(cfg: SystemConfig):
     horizon = a["horizon"]
     if seq.max_length is not None and seq.max_length < horizon:
         horizon = seq.max_length
-    warns: list[str] = []
+    # build_sequence refused the structural defects; stationarity is left
+    issues = validate_chain(cfg.chain).issues if seq.kind == "markov" else []
+    warns = ["note: " + msg for msg in issues]
     results: dict = {
         "sequence": {
             "kind": seq.kind,
@@ -221,7 +221,7 @@ def cmd_classify(cfg: SystemConfig):
         x = np.ones(s.dim) / np.sqrt(s.dim)
     else:
         x = np.asarray(a["initial_vector"], dtype=float)
-    warns: list[str] = []
+    warns = ["note: " + msg for msg in validate_chain(m.chain).issues]
 
     trajs = _symbol_paths(m, trials, horizon, seed)
     hist_v = _vector_histories(s, trajs, x)

@@ -257,7 +257,8 @@ def jsr_bounds(s: MatrixSet, depth: int, budget: int = ENUM_BUDGET) -> JsrBounds
     return JsrBounds(
         depth=depth,
         depth_completed=completed,
-        lower=lower,
+        # 1/n-th roots can round it past upper: (0.125**3)**(1/3) > 0.125
+        lower=min(lower, upper),
         upper=upper,
         lower_word=lower_word,
         upper_word=upper_word,

@@ -49,7 +49,9 @@ def format_float(x: float) -> str:
         return '"nan"'
     if np.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    # JSON reads "-0" as the integer 0; "-0.0" keeps the sign
+    return "-0.0" if text == "-0" else text
 
 
 def _emit(obj, indent: int, out: list) -> None:

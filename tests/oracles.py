@@ -120,6 +120,27 @@ def oracle_shift_defect(p: np.ndarray, transition: np.ndarray, max_len: int) -> 
     return worst
 
 
+def oracle_shift_defect_words(p: np.ndarray, transition: np.ndarray, max_len: int) -> float:
+    """The same maximum word by word, in the float operations of a plain loop.
+
+    Each word's tail is multiplied left to right from 1.0 and its defect is
+    |p_a tail - (pP)_a tail| for its first symbol a; the largest defect is
+    kept with a strict `>`, so the result is comparable bit for bit.
+    """
+    n = len(p)
+    p_shift = p @ transition
+    worst = 0.0
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(n), repeat=length):
+            tail = 1.0
+            for a, b in zip(word, word[1:]):
+                tail *= transition[a, b]
+            defect = abs(p[word[0]] * tail - p_shift[word[0]] * tail)
+            if defect > worst:
+                worst = defect
+    return worst
+
+
 def oracle_sample_trajectory(initial, transition, horizon: int, seed: int, stream: int = 0):
     """Scalar inverse-CDF sampler, one np.searchsorted per step.
 

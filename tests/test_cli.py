@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from mjlslab import MarkovChain, validate_chain
 from mjlslab.cli import main
 from mjlslab.config import DEFAULTS
+from test_acceptance import Budget
 
 DECOMPOSE_CFG = """{
   "markov": {
@@ -144,6 +146,36 @@ def test_nonstationary_note_does_not_escalate(tmp_path, capsys):
     assert any(w.startswith("note:") for w in doc["warnings"])
 
 
+def test_decompose_dense_chain_gets_a_defect(tmp_path, capsys):
+    # 4 * 32**4 word visits were past the enumeration budget of 10**6
+    row = np.arange(1.0, 33.0) / 528.0
+    transition = [np.roll(row, r).tolist() for r in range(32)]
+    cfg = write(tmp_path, json.dumps({"markov": {"initial": [1 / 32] * 32, "transition": transition}}))
+    code, out, _ = run(capsys, "decompose", "--config", cfg, "--strict")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["parameters"]["shift_max_len"] == 4
+    assert doc["results"]["shift_invariance"]["defect"] < 1e-12
+    assert not any(w.startswith("budget:") for w in doc["warnings"])
+
+
+def test_decompose_long_words_stay_cheap(tmp_path, capsys):
+    transition = [np.roll([0.5, 0.2, 0.1, 0.1, 0.05, 0.05], r).tolist() for r in range(6)]
+    cfg = write(
+        tmp_path,
+        json.dumps(
+            {
+                "markov": {"initial": [1 / 6] * 6, "transition": transition},
+                "analysis": {"shift_max_len": 200},
+            }
+        ),
+    )
+    with Budget(5.0):
+        code, out, _ = run(capsys, "decompose", "--config", cfg, "--strict")
+    assert code == 0
+    assert json.loads(out)["results"]["shift_invariance"]["max_len"] == 200
+
+
 def test_split_gate_warning_escalates_under_strict(tmp_path, capsys):
     cfg = write(tmp_path, SPLIT_NO_RETURN_CFG)
     code, out, _ = run(capsys, "split", "--config", cfg)
@@ -236,11 +268,11 @@ def test_classify_requires_markov_block(tmp_path, capsys):
     assert "markov" in err
 
 
-def _markov_cfg(initial, transition):
+def _markov_cfg(initial, transition, matrices=(np.eye(2), np.diag([0.5, 1.0]))):
     return json.dumps(
         {
             "dimension": 2,
-            "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 1.0]]],
+            "matrices": [np.asarray(m).tolist() for m in matrices],
             "markov": {"initial": initial, "transition": transition},
             "sequence": {"kind": "markov"},
             "analysis": {"trials": 4, "horizon": 64, "num_initials": 2, "depth": 2,
@@ -270,10 +302,15 @@ def test_sampling_commands_reject_invalid_chains(
 
 @pytest.mark.parametrize("command", ["classify", "split"])
 def test_sampling_commands_accept_nonstationary_initial(tmp_path, capsys, command):
-    cfg = write(tmp_path, _markov_cfg([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]]))
-    code, out, _ = run(capsys, command, "--config", cfg)
+    initial, transition = [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]]
+    # a contracting pair, so no gate fires and --strict exits 0
+    contracting = (0.5 * np.eye(2), np.diag([0.5, 0.9]))
+    cfg = write(tmp_path, _markov_cfg(initial, transition, contracting))
+    code, out, _ = run(capsys, command, "--config", cfg, "--strict")
     assert code == 0
     doc = json.loads(out)
+    (issue,) = validate_chain(MarkovChain(initial, transition)).issues
+    assert "note: " + issue in doc["warnings"]
     if command == "split":
         assert doc["results"]["sequence"]["kind"] == "markov"
 

@@ -1,0 +1,30 @@
+"""Smoke test: the quick demos run to completion against the source tree.
+
+Demos 04 (splitting) and 05 (classification) take several seconds each; the
+`split` and `classify` paths they exercise are covered by the acceptance
+criteria.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["01_markov_decomposition.py", "02_product_growth.py", "03_slow_recurrence.py"],
+)
+def test_demo_runs(script):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

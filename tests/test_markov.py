@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mjlslab import (
-    BudgetExceededError,
     MarkovChain,
     cylinder_measure,
     ergodic_decomposition,
@@ -20,6 +19,7 @@ from oracles import (
     oracle_cylinder,
     oracle_sample_trajectory,
     oracle_shift_defect,
+    oracle_shift_defect_words,
     random_structured_chain,
     stationary_distribution,
 )
@@ -125,10 +125,62 @@ def test_shift_invariance_defect_matches_enumeration_oracle():
     assert shift_invariance_defect(tilted, max_len=2) > 0.1
 
 
-def test_shift_invariance_defect_budget():
-    chain = MarkovChain(np.full(4, 0.25), np.full((4, 4), 0.25))
-    with pytest.raises(BudgetExceededError):
-        shift_invariance_defect(chain, max_len=6, budget=100)
+def _criterion1_chains():
+    """The stationary and the tilted chains of acceptance criterion 1."""
+    rng = np.random.default_rng(101)
+    chains = [MarkovChain(*random_structured_chain(rng, max_states=4)) for _ in range(50)]
+    while len(chains) < 100:
+        _, t = random_structured_chain(rng, max_states=4)
+        q = rng.random(t.shape[0]) + 0.05
+        chain = MarkovChain(q / q.sum(), t)
+        if validate_chain(chain).stationarity_defect >= 1e-6:
+            chains.append(chain)
+    return chains
+
+
+# the decompose demo chain (REDUCIBLE), then an absorbing chain, a 2-cycle
+# with a tilted start, a chain whose largest tail runs through a negative
+# entry below -1, and one whose first row sums above 1
+SHIFT_CHAINS = {
+    "criterion_01": _criterion1_chains(),
+    "decompose_demo": [REDUCIBLE],
+    "absorbing": [
+        MarkovChain([0.2, 0.3, 0.5], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    ],
+    "two_cycle": [MarkovChain([0.9, 0.1], [[0.0, 1.0], [1.0, 0.0]])],
+    "negative_entry": [MarkovChain([0.5, 0.5], [[0.5, -2.0], [1.5, 0.5]])],
+    "row_above_one": [MarkovChain([0.4, 0.6], [[0.6, 0.7], [0.5, 0.5]])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_CHAINS))
+def test_shift_invariance_defect_equals_word_loop(name):
+    for chain in SHIFT_CHAINS[name]:
+        for max_len in range(1, 5):
+            got = shift_invariance_defect(chain, max_len)
+            assert got == oracle_shift_defect_words(chain.initial, chain.transition, max_len)
+
+
+def test_shift_invariance_defect_rounding_tie_above_one():
+    # words 1121 and 1211 have the same three factors, rounded in two orders;
+    # the smaller tail gives the larger rounded defect, which the recursion
+    # never evaluates
+    chain = MarkovChain(
+        [0.6229062736921731, 0.4927164798661021],
+        [[1.2176043460950312, 1.030147798273991], [1.513395445550962, 0.0]],
+    )
+    got = shift_invariance_defect(chain, 4)
+    want = oracle_shift_defect_words(chain.initial, chain.transition, 4)
+    assert got < want <= got + np.spacing(got)
+
+
+def test_shift_invariance_defect_of_stochastic_chain_sits_at_length_one():
+    # every tail is at most 1, so long words never beat max |p - pP|
+    t = np.array([np.roll([0.5, 0.2, 0.1, 0.1, 0.05, 0.05], r) for r in range(6)])
+    chain = MarkovChain([0.3, 0.1, 0.1, 0.2, 0.2, 0.1], t)
+    defect = validate_chain(chain).stationarity_defect
+    assert defect > 0.01
+    assert shift_invariance_defect(chain, 200) == defect
 
 
 def test_sample_trajectory_deterministic_chain():
@@ -219,3 +271,29 @@ def test_sample_trajectory_property_matches_oracle(chain, seed, stream, horizon)
 def test_sample_trajectory_property_prefix_extension(chain, seed, n, extra):
     long = sample_trajectory(chain, n + extra, seed)
     assert np.array_equal(long[:n], sample_trajectory(chain, n, seed))
+
+
+@st.composite
+def signed_chains(draw):
+    """Chains with zeroed entries in [-2, 2]: stochastic ones and defective ones."""
+    if draw(st.booleans()):
+        return draw(sparse_chains())
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    p = draw(st.lists(entry, min_size=n, max_size=n))
+    t = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return MarkovChain(p, t)
+
+
+@given(signed_chains(), st.integers(1, 5))
+def test_shift_invariance_defect_property_matches_word_loop(chain, max_len):
+    got = shift_invariance_defect(chain, max_len)
+    want = oracle_shift_defect_words(chain.initial, chain.transition, max_len)
+    # the recursion's value is the defect of one of the words
+    assert got <= want
+    if np.abs(chain.transition).max() <= 1.0:
+        assert got == want
+    else:
+        # equal tails above 1 may round apart (see the rounding-tie test);
+        # |(pP)_a tau| <= 20 * 2**4 here, so 1e-12 is about 17 of its ulps
+        assert want - got <= 1e-12

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mjlslab import (
     BudgetExceededError,
@@ -167,3 +169,34 @@ def test_preextremal_contraction_check_no_violation():
 def test_preextremal_budget():
     with pytest.raises(BudgetExceededError):
         preextremal_norm(NILPOTENT, [1.0, 0.0], 30, budget=100)
+
+
+ENTRY = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def matrix_sets(draw):
+    """1 to 3 matrices of size 1 to 3 with zeroed entries."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    mats = draw(
+        st.lists(
+            st.lists(st.lists(ENTRY, min_size=d, max_size=d), min_size=d, max_size=d),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    return MatrixSet.from_list(mats)
+
+
+@given(matrix_sets(), st.integers(1, 4))
+def test_jsr_bounds_property_lower_below_upper(s, depth):
+    bounds = jsr_bounds(s, depth)
+    assert bounds.lower <= bounds.upper
+
+
+@given(matrix_sets(), st.data(), st.integers(0, 4))
+def test_preextremal_profile_property_nondecreasing(s, data, depth):
+    x = data.draw(st.lists(ENTRY, min_size=s.dim, max_size=s.dim))
+    prof = preextremal_profile(s, x, depth)
+    assert np.all(np.diff(prof) >= 0.0)

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mjlslab.reports import canonical_json, config_sha256, jsonable, write_trace_csv
 
@@ -75,3 +77,12 @@ def test_write_trace_csv(tmp_path):
     assert lines[1].startswith("1,2,")
     assert any(line.startswith("1,5,") for line in lines)
     assert any(line.startswith("2,5,") for line in lines)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+# subnormals, 17 significant digits, negative zero, integral and extreme values
+@example([5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1 / 3, -0.0, 1e16, 1.7976931348623157e308])
+def test_canonical_json_property_round_trips_floats(xs):
+    back = json.loads(canonical_json({"x": xs[0], "xs": xs}))
+    for got, want in zip([back["x"], *back["xs"]], [xs[0], *xs]):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mjlslab import (
     MarkovChain,
@@ -12,6 +14,7 @@ from mjlslab import (
     return_times,
     sample_trajectory,
 )
+from test_markov import sparse_chains
 
 GAP4 = SwitchingSequence.quadratic_gap(4, zero_symbol=1, one_symbol=2)
 
@@ -109,3 +112,35 @@ def test_sequence_rejects_degenerate_input():
 def test_quadratic_gap_default_symbols_are_zero_one():
     seq = SwitchingSequence.quadratic_gap(2)
     assert seq.prefix(3).tolist() == [1, 0, 1]
+
+
+SYMBOLS = st.lists(st.integers(1, 3), min_size=1, max_size=12)
+
+
+@st.composite
+def sequences(draw):
+    """A factory for one sequence of any kind; each call starts an empty Markov cache."""
+    kind = draw(st.sampled_from(["periodic", "explicit", "quadratic_gap", "markov"]))
+    if kind in ("periodic", "explicit"):
+        symbols = draw(SYMBOLS)
+        return lambda: getattr(SwitchingSequence, kind)(symbols)
+    if kind == "quadratic_gap":
+        levels = draw(st.integers(1, 4))
+        return lambda: SwitchingSequence.quadratic_gap(levels)
+    chain, seed = draw(sparse_chains()), draw(st.integers(0, 2**32))
+    return lambda: SwitchingSequence.markov(chain, seed)
+
+
+@given(sequences(), st.integers(0, 300), st.integers(0, 300))
+def test_prefix_property_stable(make, n, extra):
+    limit = make().max_length
+    m = n + extra if limit is None else min(n + extra, limit)
+    n = min(n, m)
+    # both call orders: the longer prefix first, and the shorter one first
+    longer_first = make()
+    long = longer_first.prefix(m)
+    assert np.array_equal(long[:n], longer_first.prefix(n))
+    shorter_first = make()
+    short = shorter_first.prefix(n)
+    assert np.array_equal(shorter_first.prefix(m)[:n], short)
+    assert np.array_equal(long, shorter_first.prefix(m))
