@@ -40,6 +40,7 @@ from .markov import (
     validate_chain,
 )
 from .products import BudgetExceededError, MatrixSet, boundedness_probe, jsr_bounds
+from .products import word_levels
 from .reports import canonical_json, config_sha256, jsonable, write_trace_csv
 from .sequences import SwitchingSequence, classify_recurrence, quadratic_gap_lengths
 from .splitting import (
@@ -93,39 +94,25 @@ def cmd_decompose(cfg: SystemConfig):
 def cmd_jsr(cfg: SystemConfig):
     s = _require_system(cfg)
     a = cfg.analysis
+    depth, bdepth = a["depth"], a["boundedness_depth"]
+    try:  # one walk over the words serves all three reports
+        walk = word_levels(s, depth, max(depth, a["jsr_depth"], bdepth), a["budget"])
+    except BudgetExceededError as exc:
+        return dict.fromkeys(("jsr", "boundedness", "finiteness")), [f"budget: {exc}"]
+    bounds, probe = jsr_bounds(walk, depth), boundedness_probe(walk, bdepth)
     warns: list[str] = []
-    results: dict = {}
-    try:
-        bounds = jsr_bounds(s, a["depth"], a["budget"])
-        results["jsr"] = jsonable(bounds)
-        if bounds.truncated:
-            warns.append(f"budget: jsr enumeration truncated at depth {bounds.depth}")
-    except BudgetExceededError as exc:
-        results["jsr"] = None
-        warns.append(f"budget: {exc}")
-    try:
-        probe = boundedness_probe(s, a["boundedness_depth"], a["budget"])
-        results["boundedness"] = jsonable(probe)
-        if probe.truncated:
-            warns.append(
-                f"budget: boundedness probe truncated at depth {probe.depth_probed}"
-            )
-        if probe.verdict == "bounded-so-far":
-            warns.append(
-                f"note: boundedness verdict holds so far (depth {probe.depth_probed}); "
-                "deeper products are unexplored"
-            )
-    except BudgetExceededError as exc:
-        results["boundedness"] = None
-        warns.append(f"budget: {exc}")
-    try:
-        results["finiteness"] = jsonable(
-            spectral_finiteness_probe(s, a["depth"], a["jsr_depth"], a["budget"])
+    if bounds.truncated:
+        warns.append(f"budget: jsr enumeration truncated at depth {bounds.depth}")
+    if probe.truncated:
+        warns.append(f"budget: boundedness probe truncated at depth {probe.depth_probed}")
+    if probe.verdict == "bounded-so-far":
+        warns.append(
+            f"note: boundedness verdict holds so far (depth {probe.depth_probed}); "
+            "deeper products are unexplored"
         )
-    except BudgetExceededError as exc:
-        results["finiteness"] = None
-        warns.append(f"budget: {exc}")
-    return results, warns
+    finiteness = spectral_finiteness_probe(walk, depth, a["jsr_depth"])
+    results = {"jsr": bounds, "boundedness": probe, "finiteness": finiteness}
+    return {key: jsonable(value) for key, value in results.items()}, warns
 
 
 def cmd_split(cfg: SystemConfig):
@@ -169,10 +156,7 @@ def cmd_split(cfg: SystemConfig):
                 rank_tol=a["rank_tol"],
             )
         results["splitting"] = jsonable(split)
-    except IdempotentNotFoundError as exc:
-        results["splitting"] = None
-        warns.append(f"gate: {exc}")
-    except AmbiguousRankError as exc:
+    except (IdempotentNotFoundError, AmbiguousRankError) as exc:
         results["splitting"] = None
         warns.append(f"gate: {exc}")
 
@@ -385,15 +369,12 @@ def main(argv=None) -> int:
     # MJLS_THREADS caps worker parallelism. Every computation in this build is
     # sequential, so the cap is trivially respected; the value is read here so
     # misconfiguration fails loudly, and it never enters a report.
-    threads = os.environ.get("MJLS_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("error: MJLS_THREADS must be a positive integer", file=sys.stderr)
-                return 2
-        except ValueError:
-            print("error: MJLS_THREADS must be a positive integer", file=sys.stderr)
-            return 2
+    try:
+        if int(os.environ.get("MJLS_THREADS", "1")) < 1:
+            raise ValueError
+    except ValueError:
+        print("error: MJLS_THREADS must be a positive integer", file=sys.stderr)
+        return 2
 
     try:
         cfg, raw = load_config(args.config)

@@ -4,7 +4,9 @@ Words are tuples of 1-indexed symbols; the product of a word is taken left to
 right, so word (2, 1) means S_2 @ S_1 and the empty word is the identity.
 Enumeration over all words is breadth first, level by level, in lexicographic
 order within each level, with an explicit product budget so partial results
-are always flagged and reproducible.
+are always flagged and reproducible. `word_levels` is the one walk over them:
+the JSR bounds, the boundedness probe and the word probes reduce its per-level
+extremes, and the `jsr` command walks the words once for all its reports.
 """
 
 from __future__ import annotations
@@ -118,6 +120,60 @@ def _batch_rho(arr: np.ndarray) -> np.ndarray:
         raise EigenSolverError("eigenvalue iteration did not converge") from exc
 
 
+@dataclass(frozen=True)
+class WordLevels:
+    """Extremes per level n of one walk: rho[n-1] = (min, min_word, max, max_word)
+    of rho(S_w)^(1/n), norms[n-1] = (max, max_word) of ||S_w||_2 over |w| = n."""
+
+    family: MatrixSet
+    rho_depth: int
+    norm_depth: int
+    budget: int
+    completed: int
+    rho: list[tuple]
+    norms: list[tuple]
+
+    def norm_root(self, depth: int):
+        """(max ||S_w||^(1/n), w) at the deepest completed level n <= depth."""
+        level = min(self.completed, depth)
+        norm, word = self.norms[level - 1]
+        return norm ** (1.0 / level), word
+
+
+def word_levels(
+    s: MatrixSet | WordLevels, rho_depth: int, norm_depth: int, budget: int = ENUM_BUDGET
+) -> WordLevels:
+    """Walk the words once, eigenvalues to rho_depth and singular values to norm_depth.
+
+    A level past the budget ends the walk; not completing even depth 1 raises
+    BudgetExceededError. A walk passed as s that reaches both depths is returned.
+    """
+    if isinstance(s, WordLevels):
+        if rho_depth > s.rho_depth or norm_depth > s.norm_depth:
+            raise ValueError("the walk does not reach the requested depths")
+        return s
+    if max(rho_depth, norm_depth) < 1:
+        raise ValueError("a walk needs a depth of at least 1")
+    k = s.num_matrices
+    rho, norms = [], []
+    completed = 0
+    for completed, arr in _level_products(s, max(rho_depth, norm_depth), budget):
+        if completed <= rho_depth:
+            vals = _batch_rho(arr) ** (1.0 / completed)
+            i, j = int(np.argmin(vals)), int(np.argmax(vals))
+            rho.append((float(vals[i]), word_from_index(i, completed, k),
+                        float(vals[j]), word_from_index(j, completed, k)))
+        if completed <= norm_depth:
+            vals = _batch_norm2(arr)
+            j = int(np.argmax(vals))
+            norms.append((float(vals[j]), word_from_index(j, completed, k)))
+    if completed == 0:
+        raise BudgetExceededError(
+            f"budget {budget} does not cover even depth 1 ({k} products)"
+        )
+    return WordLevels(s, rho_depth, norm_depth, budget, completed, rho, norms)
+
+
 GROWTH_WINDOW = 5
 GROWTH_FACTOR = 1.5
 
@@ -146,40 +202,25 @@ class BoundednessReport:
 
 
 def boundedness_probe(
-    s: MatrixSet, max_depth: int, budget: int = ENUM_BUDGET, prune: bool = False
+    s: MatrixSet | WordLevels, max_depth: int, budget: int = ENUM_BUDGET,
+    prune: bool = False,
 ) -> BoundednessReport:
-    """Exhaustive per-depth norm maxima up to max_depth, within budget."""
+    """Exhaustive per-depth norm maxima up to max_depth, within budget or from a walk."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    walk = s
+    if isinstance(s, WordLevels):
+        s, budget = s.family, s.budget
     prune_note = None
-    if prune:
-        gen_norms = _batch_norm2(s.matrices)
-        if float(gen_norms.max()) <= 1.0:
-            prune_note = (
-                "all generator norms <= 1: every product norm is bounded by the "
-                "depth-1 maximum, deeper levels skipped"
-            )
-            beta = float(gen_norms.max())
-            return BoundednessReport(
-                max_depth=max_depth,
-                depth_probed=1,
-                max_norm_per_depth=[beta],
-                beta_hat=beta,
-                verdict="bounded-so-far",
-                growth_fit=None,
-                truncated=max_depth > 1,
-                budget=budget,
-                prune_note=prune_note,
-            )
-
-    per_depth: list[float] = []
-    for _, arr in _level_products(s, max_depth, budget):
-        per_depth.append(float(_batch_norm2(arr).max()))
-    if not per_depth:
-        raise BudgetExceededError(
-            f"budget {budget} does not cover even depth 1 ({s.num_matrices} products)"
+    if prune and (beta := float(_batch_norm2(s.matrices).max())) <= 1.0:
+        per_depth = [beta]
+        prune_note = (
+            "all generator norms <= 1: every product norm is bounded by the "
+            "depth-1 maximum, deeper levels skipped"
         )
-
+    else:
+        levels = word_levels(walk, 0, max_depth, budget).norms[:max_depth]
+        per_depth = [norm for norm, _ in levels]
     window = per_depth[-GROWTH_WINDOW:]
     growing = (
         len(window) == GROWTH_WINDOW
@@ -224,36 +265,20 @@ class JsrBounds:
     budget: int
 
 
-def jsr_bounds(s: MatrixSet, depth: int, budget: int = ENUM_BUDGET) -> JsrBounds:
+def jsr_bounds(
+    s: MatrixSet | WordLevels, depth: int, budget: int = ENUM_BUDGET
+) -> JsrBounds:
     """Spectral lower and norm upper bound by level enumeration.
 
     On budget exhaustion the bounds of the deepest completed level are
     returned with truncated=True; nothing is completed at all raises
-    BudgetExceededError.
+    BudgetExceededError. A walk passed as s brings its own budget.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    k = s.num_matrices
-    lower = -np.inf
-    lower_word: tuple[int, ...] = ()
-    upper = np.inf
-    upper_word: tuple[int, ...] = ()
-    completed = 0
-    for level, arr in _level_products(s, depth, budget):
-        completed = level
-        vals = _batch_rho(arr) ** (1.0 / level)
-        i = int(np.argmax(vals))
-        if vals[i] > lower:
-            lower = float(vals[i])
-            lower_word = word_from_index(i, level, k)
-        norms = _batch_norm2(arr)
-        j = int(np.argmax(norms))
-        upper = float(norms[j]) ** (1.0 / level)
-        upper_word = word_from_index(j, level, k)
-    if completed == 0:
-        raise BudgetExceededError(
-            f"budget {budget} does not cover even depth 1 ({k} products)"
-        )
+    walk = word_levels(s, depth, depth, budget)
+    _, _, lower, lower_word, completed, truncated = rho_extremes(walk, depth)
+    upper, upper_word = walk.norm_root(depth)
     return JsrBounds(
         depth=depth,
         depth_completed=completed,
@@ -262,12 +287,12 @@ def jsr_bounds(s: MatrixSet, depth: int, budget: int = ENUM_BUDGET) -> JsrBounds
         upper=upper,
         lower_word=lower_word,
         upper_word=upper_word,
-        truncated=completed < depth,
-        budget=budget,
+        truncated=truncated,
+        budget=walk.budget,
     )
 
 
-def rho_extremes(s: MatrixSet, max_len: int, budget: int = ENUM_BUDGET):
+def rho_extremes(s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET):
     """Min and max of rho(S_w)^(1/|w|) over 1 <= |w| <= max_len, one pass.
 
     Returns (min_value, min_word, max_value, max_word, completed_length,
@@ -277,31 +302,19 @@ def rho_extremes(s: MatrixSet, max_len: int, budget: int = ENUM_BUDGET):
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    min_val, max_val = np.inf, -np.inf
-    min_word = max_word = None
-    completed = 0
-    for length, arr in _level_products(s, max_len, budget):
-        vals = _batch_rho(arr) ** (1.0 / length)
-        j = int(np.argmin(vals))
-        if vals[j] < min_val:
-            min_val = float(vals[j])
-            min_word = word_from_index(j, length, s.num_matrices)
-        j = int(np.argmax(vals))
-        if vals[j] > max_val:
-            max_val = float(vals[j])
-            max_word = word_from_index(j, length, s.num_matrices)
-        completed = length
-    if completed == 0:
-        raise BudgetExceededError(
-            f"word enumeration at length 1 already exceeds the budget {budget}"
-        )
-    return min_val, min_word, max_val, max_word, completed, completed < max_len
+    levels = word_levels(s, max_len, 0, budget).rho[:max_len]
+    # min and max return the first extreme level, so ties keep the earliest find
+    min_val, min_word, _, _ = min(levels, key=lambda level: level[0])
+    _, _, max_val, max_word = max(levels, key=lambda level: level[2])
+    return min_val, min_word, max_val, max_word, len(levels), len(levels) < max_len
 
 
 def _preextremal_batch(
     s: MatrixSet, xs: np.ndarray, depth: int, budget: int
 ) -> np.ndarray:
-    """Running maxima of ||x S_w|| over |w| <= depth for a stack of rows."""
+    """Row n: running maxima of ||x S_w|| over |w| <= n for a stack of rows x."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     m, d = xs.shape
     k = s.num_matrices
     total = sum(m * k**level for level in range(1, depth + 1))
@@ -309,12 +322,12 @@ def _preextremal_batch(
         raise BudgetExceededError(
             f"pre-extremal enumeration needs {total} vector products, budget is {budget}"
         )
-    best = np.linalg.norm(xs, axis=1)
+    best = [np.linalg.norm(xs, axis=1)]
     vecs = xs[:, None, :]  # (m, words, d)
     for _ in range(depth):
         vecs = np.einsum("mwd,kde->mwke", vecs, s.matrices).reshape(m, -1, d)
-        best = np.maximum(best, np.linalg.norm(vecs, axis=2).max(axis=1))
-    return best
+        best.append(np.maximum(best[-1], np.linalg.norm(vecs, axis=2).max(axis=1)))
+    return np.array(best)
 
 
 def preextremal_norm(s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET):
@@ -330,9 +343,7 @@ def preextremal_norm(s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET):
     xs = np.atleast_2d(arr)
     if xs.shape[1] != s.dim:
         raise ValueError(f"vector length {xs.shape[1]} does not match dimension {s.dim}")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    out = _preextremal_batch(s, xs, depth, budget)
+    out = _preextremal_batch(s, xs, depth, budget)[-1]
     return float(out[0]) if single else out
 
 
@@ -340,10 +351,7 @@ def preextremal_profile(
     s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET
 ) -> np.ndarray:
     """Values of the truncated sup-norm at every depth 0..depth (nondecreasing)."""
-    x = as_row_vector(x, s.dim)
-    return np.array(
-        [preextremal_norm(s, x, m, budget) for m in range(depth + 1)]
-    )
+    return _preextremal_batch(s, as_row_vector(x, s.dim)[None], depth, budget)[:, 0]
 
 
 @dataclass

@@ -24,10 +24,12 @@ from .products import (
     BoundednessReport,
     BudgetExceededError,
     MatrixSet,
+    WordLevels,
     boundedness_probe,
     jsr_bounds,
     rho_extremes,
     word_from_index,
+    word_levels,
 )
 from .rng import unit_vectors
 from .splitting import log_norm_histories, tail_slope
@@ -284,20 +286,24 @@ class FinitenessReport:
 
 
 def spectral_finiteness_probe(
-    s: MatrixSet, max_len: int, jsr_depth: int, budget: int = ENUM_BUDGET
+    s: MatrixSet | WordLevels, max_len: int, jsr_depth: int, budget: int = ENUM_BUDGET
 ) -> FinitenessReport:
-    shallow = jsr_bounds(s, max_len, budget)
-    deep = jsr_bounds(s, jsr_depth, budget)
-    gap = deep.upper - shallow.lower
+    """JSR lower bound to max_len against the norm bound at jsr_depth, one walk."""
+    if min(max_len, jsr_depth) < 1:
+        raise ValueError("max_len and jsr_depth must be at least 1")
+    walk = word_levels(s, max_len, max(max_len, jsr_depth), budget)
+    shallow = jsr_bounds(walk, max_len)
+    upper, _ = walk.norm_root(jsr_depth)
+    gap = upper - shallow.lower
     return FinitenessReport(
         max_len=max_len,
         jsr_depth=jsr_depth,
         lower=shallow.lower,
         lower_word=shallow.lower_word,
-        upper=deep.upper,
+        upper=upper,
         gap=float(gap),
         finiteness_evidence=bool(gap < FINITENESS_GAP_TOL),
-        truncated=shallow.truncated or deep.truncated,
+        truncated=walk.completed < max(max_len, jsr_depth),
     )
 
 

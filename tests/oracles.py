@@ -218,6 +218,32 @@ def oracle_jsr_bounds(mats, depth):
     return lower, upper ** (1.0 / depth)
 
 
+def oracle_rho_root(mats, word) -> float:
+    """rho(S_w)^(1/|w|) of one word, by a plain product."""
+    prod = oracle_word_product(mats, word)
+    return float(np.max(np.abs(np.linalg.eigvals(prod)))) ** (1.0 / len(word))
+
+
+def oracle_rho_extremes(mats, max_len):
+    """(min, min_word, max, max_word) of rho(S_w)^(1/|w|) over 1 <= |w| <= max_len.
+
+    Words are visited shortest first and lexicographically within a length;
+    only a strictly better value replaces the current one, so ties go to the
+    shorter word and then to the lexicographically smaller one.
+    """
+    k = len(mats)
+    min_val, min_word = float("inf"), None
+    max_val, max_word = float("-inf"), None
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(1, k + 1), repeat=length):
+            val = oracle_rho_root(mats, word)
+            if val < min_val:
+                min_val, min_word = val, word
+            if val > max_val:
+                max_val, max_word = val, word
+    return min_val, min_word, max_val, max_word
+
+
 def oracle_preextremal(mats, x, depth) -> float:
     """max of ||x S_w||_2 over every word of length <= depth, empty included."""
     x = np.asarray(x, dtype=float)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import mjlslab.products
 from mjlslab import MarkovChain, validate_chain
 from mjlslab.cli import main
 from mjlslab.config import DEFAULTS
@@ -201,10 +202,38 @@ def test_budget_below_family_size_nulls_fields(tmp_path, capsys, command, nulled
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert [doc["results"][key] for key in nulled] == [None] * len(nulled)
-    assert any(w.startswith("budget:") for w in doc["warnings"])
+    # one message for every walk that completes nothing; jsr walks once
+    budget = "budget: budget 1 does not cover even depth 1 (2 products)"
+    expected = {
+        "jsr": [budget],
+        "classify": [
+            "note: horizon * delta does not cover |log eps|; an exponential "
+            "trial may not reach eps inside the horizon",
+            budget,  # periodic and consistent probes
+            budget,  # equivalence gate
+            budget,  # almost-sure gate
+        ],
+    }
+    assert doc["warnings"] == expected[command]
 
     code, _, _ = run(capsys, command, "--config", cfg, "--strict")
     assert code == 3
+
+
+def test_jsr_walks_the_words_once(tmp_path, capsys, monkeypatch):
+    walks = []
+    level_products = mjlslab.products._level_products
+
+    def counted(s, max_depth, budget):
+        walks.append(max_depth)
+        yield from level_products(s, max_depth, budget)
+
+    monkeypatch.setattr(mjlslab.products, "_level_products", counted)
+    cfg = json.loads(JSR_CFG)
+    cfg["analysis"] = {"depth": 4, "jsr_depth": 6, "boundedness_depth": 5}
+    code, _, _ = run(capsys, "jsr", "--config", write(tmp_path, json.dumps(cfg)))
+    assert code == 0
+    assert walks == [6]
 
 
 def test_split_periodic_reports_route_agreement(tmp_path, capsys):

@@ -14,10 +14,21 @@ from mjlslab import (
     preextremal_contraction_check,
     preextremal_norm,
     preextremal_profile,
+    rho_extremes,
+    spectral_finiteness_probe,
     word_from_index,
+    word_levels,
     word_product,
 )
-from oracles import oracle_jsr_bounds, oracle_preextremal, oracle_word_product, rotation
+from mjlslab.reports import jsonable
+from oracles import (
+    oracle_jsr_bounds,
+    oracle_preextremal,
+    oracle_rho_extremes,
+    oracle_rho_root,
+    oracle_word_product,
+    rotation,
+)
 
 SHEAR = MatrixSet.from_list([[[1.0, 0.0], [1.0, 1.0]]])
 NILPOTENT = MatrixSet.from_list(
@@ -200,3 +211,87 @@ def test_preextremal_profile_property_nondecreasing(s, data, depth):
     x = data.draw(st.lists(ENTRY, min_size=s.dim, max_size=s.dim))
     prof = preextremal_profile(s, x, depth)
     assert np.all(np.diff(prof) >= 0.0)
+
+
+@given(matrix_sets(), st.data(), st.integers(0, 4))
+def test_preextremal_profile_equals_per_depth_norms(s, data, depth):
+    x = data.draw(st.lists(ENTRY, min_size=s.dim, max_size=s.dim))
+    prof = preextremal_profile(s, x, depth)
+    per_depth = [preextremal_norm(s, x, m) for m in range(depth + 1)]
+    assert prof.tolist() == per_depth
+    # the budget covers the deepest level or the whole profile is refused
+    total = sum(s.num_matrices**n for n in range(1, depth + 1))
+    assert preextremal_profile(s, x, depth, budget=total).tolist() == per_depth
+    if depth:
+        with pytest.raises(BudgetExceededError):
+            preextremal_profile(s, x, depth, budget=total - 1)
+
+
+@given(
+    matrix_sets(),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 120),
+)
+def test_one_walk_equals_separate_walks(s, depth, jsr_depth, bound_depth, budget):
+    """cmd_jsr's single walk gives the reports of three separate calls."""
+    k = s.num_matrices
+    walk_depth = max(depth, jsr_depth, bound_depth)
+    reports = (
+        (jsr_bounds, (depth,)),
+        (boundedness_probe, (bound_depth,)),
+        (spectral_finiteness_probe, (depth, jsr_depth)),
+    )
+    if budget < k:
+        calls = ((word_levels, (depth, walk_depth)), (rho_extremes, (depth,)), *reports)
+        for call, args in calls:
+            with pytest.raises(BudgetExceededError, match="does not cover even depth 1"):
+                call(s, *args, budget)
+        return
+    walk = word_levels(s, depth, walk_depth, budget)
+    for call, args in reports:
+        assert jsonable(call(walk, *args)) == jsonable(call(s, *args, budget))
+
+    # levels 1..n fit the budget when k + ... + k^n <= budget
+    levels = range(1, walk_depth + 1)
+    reached = max(n for n in levels if sum(k**i for i in range(1, n + 1)) <= budget)
+    assert walk.completed == reached
+    assert jsr_bounds(walk, depth).truncated == (reached < depth)
+    assert boundedness_probe(walk, bound_depth).truncated == (reached < bound_depth)
+    finiteness = spectral_finiteness_probe(walk, depth, jsr_depth)
+    assert finiteness.truncated == (reached < max(depth, jsr_depth))
+    mats = list(s.matrices)
+    lo, lo_word, hi, hi_word, completed, truncated = rho_extremes(s, depth, budget)
+    assert (completed, truncated) == (min(reached, depth), reached < depth)
+    o_lo, o_lo_word, o_hi, o_hi_word = oracle_rho_extremes(mats, completed)
+    assert lo == pytest.approx(o_lo, rel=1e-12, abs=1e-300)
+    assert hi == pytest.approx(o_hi, rel=1e-12, abs=1e-300)
+    # the same word, unless another word ties with it to rounding
+    for word, o_word, val in ((lo_word, o_lo_word, o_lo), (hi_word, o_hi_word, o_hi)):
+        if word != o_word:
+            assert oracle_rho_root(mats, word) == pytest.approx(val, rel=1e-12, abs=1e-300)
+
+
+def test_rho_extremes_ties_go_to_shorter_then_smaller_words():
+    # every word of both families has rho exactly 1: the first word wins both ends
+    for mats in ([np.eye(2), np.diag([1.0, 0.5])], [np.diag([1.0, 0.5]), np.eye(2)]):
+        assert rho_extremes(MatrixSet.from_list(mats), 3) == (1.0, (1,), 1.0, (1,), 3, False)
+        assert oracle_rho_extremes(mats, 3) == (1.0, (1,), 1.0, (1,))
+    # the max 0.5 recurs at (2,), (1, 1) and (2, 2); the min ties (1, 2) with (2, 1)
+    mats = [np.diag([0.5, 0.25]), np.diag([0.25, 0.5])]
+    expected = (0.125**0.5, (1, 2), 0.5, (1,))
+    assert rho_extremes(MatrixSet.from_list(mats), 2)[:4] == expected
+    assert oracle_rho_extremes(mats, 2) == expected
+
+
+def test_walk_must_reach_the_requested_depths():
+    walk = word_levels(SWAP_SHRINK, 2, 3)
+    assert walk.completed == 3
+    assert len(walk.rho) == 2 and len(walk.norms) == 3
+    with pytest.raises(ValueError):
+        jsr_bounds(walk, 3)
+    with pytest.raises(ValueError):
+        boundedness_probe(walk, 4)
+    with pytest.raises(ValueError):
+        word_levels(SWAP_SHRINK, 0, 0)
