@@ -47,6 +47,7 @@ from .splitting import (
     IdempotentNotFoundError,
     periodic_split,
     sequence_split,
+    tail_start,
     vector_log_norm_history,
     verify_splitting,
 )
@@ -102,7 +103,9 @@ def cmd_jsr(cfg: SystemConfig):
     bounds, probe = jsr_bounds(walk, depth), boundedness_probe(walk, bdepth)
     warns: list[str] = []
     if bounds.truncated:
-        warns.append(f"budget: jsr enumeration truncated at depth {bounds.depth}")
+        warns.append(
+            f"budget: jsr enumeration truncated at depth {bounds.depth_completed}"
+        )
     if probe.truncated:
         warns.append(f"budget: boundedness probe truncated at depth {probe.depth_probed}")
     if probe.verdict == "bounded-so-far":
@@ -207,11 +210,14 @@ def cmd_classify(cfg: SystemConfig):
         x = np.asarray(a["initial_vector"], dtype=float)
     warns = ["note: " + msg for msg in validate_chain(m.chain).issues]
 
+    # finals and tail fits need only the tail window; the trace needs it all
+    window = tail_start(horizon)
     trajs = _symbol_paths(m, trials, horizon, seed)
-    hist_v = _vector_histories(s, trajs, x)
+    hist_v = _vector_histories(s, trajs, x[None], window if a["trace_csv"] is None else 0)
     pointwise = _build_report("vector", x, trials, horizon, seed, eps, delta, hist_v)
     consistent = _build_report(
-        "matrix", None, trials, horizon, seed, eps, delta, _matrix_histories(s, trajs)
+        "matrix", None, trials, horizon, seed, eps, delta,
+        _matrix_histories(s, trajs, window),
     )
     if not pointwise.pairing_ok:
         warns.append(

@@ -53,13 +53,17 @@ class IdempotentNotFoundError(RuntimeError):
         self.defect = defect
 
 
-def _indices(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
+def _symbols(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.int64)
     if symbols.size and (symbols.min() < 1 or symbols.max() > num_matrices):
         raise ValueError(
             f"sequence symbols must lie in 1..{num_matrices} to drive this family"
         )
-    return symbols - 1
+    return symbols
+
+
+def _indices(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
+    return _symbols(symbols, num_matrices) - 1
 
 
 def cocycle_products_at(s: MatrixSet, symbols: np.ndarray, times) -> np.ndarray:
@@ -81,49 +85,74 @@ def cocycle_products_at(s: MatrixSet, symbols: np.ndarray, times) -> np.ndarray:
     return out
 
 
-def log_norm_histories(s: MatrixSet, paths, start=None) -> np.ndarray:
+def tail_start(n: int) -> int:
+    """First column of the trailing window that tail_slope fits in a length-n history.
+
+    Callers that only read finals and tail fits pass it to log_norm_histories
+    as the window start, so the kernel keeps just the columns the fit reads.
+    """
+    if n < 2:
+        raise ValueError("need at least two history points for a slope")
+    return min(n - 2, n // 2)
+
+
+def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.ndarray:
     """Log-norm histories of the cocycle along each row of `paths`.
 
-    paths has shape (rows, n) and holds 1-indexed symbols. With start, a
-    (rows, d) stack of row vectors, entry [r, t] is log ||start[r] A_r(t+1)||
-    in the Euclidean norm; without it the products themselves are tracked
-    from the identity and the entry is log ||A_r(t+1)||_2. The running state
-    is renormalized every RENORM_EVERY steps against under- and overflow. An
-    exactly zero product sends the rest of its row to -inf. Returns an array
-    of shape (rows, n).
+    paths has shape (trials, n) and holds 1-indexed symbols. With start, a
+    stack of row vectors whose row count is a whole multiple of trials (row r
+    follows path r mod trials), entry [r, t] is log ||start[r] A_r(t+1)|| in
+    the Euclidean norm; without it the products themselves are tracked from
+    the identity and the entry is log ||A_r(t+1)||_2. Only columns
+    window..n-1 are kept, and norms are taken only there and at the steps
+    where the running state is renormalized (every RENORM_EVERY) against
+    under- and overflow, so the kept columns equal those of window 0 bit for
+    bit. An exactly zero product stays zero and sends the rest of its row to
+    -inf. Returns an array of shape (rows, n - window).
     """
-    idx = _indices(paths, s.num_matrices)
-    if idx.ndim != 2:
-        raise ValueError(f"paths must have shape (rows, n), got {idx.shape}")
-    rows, horizon = idx.shape
+    paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
+    if paths.ndim != 2:
+        raise ValueError(f"paths must have shape (trials, n), got {paths.shape}")
+    trials, horizon = paths.shape
+    if not 0 <= window <= horizon:
+        raise ValueError(f"window must lie in 0..{horizon}, got {window}")
     if start is None:
-        state = np.tile(np.eye(s.dim), (rows, 1, 1))
+        state = np.tile(np.eye(s.dim), (trials, 1, 1))
     else:
         state = np.array(start, dtype=float)
-        if state.shape != (rows, s.dim):
+        if state.ndim != 2 or state.shape[1] != s.dim:
             raise ValueError(
-                f"start must hold {rows} rows of length {s.dim}, "
-                f"got shape {state.shape}"
+                f"start must hold rows of length {s.dim}, got shape {state.shape}"
             )
         if not np.all(np.isfinite(state)):
             raise ValueError("start vector entries must be finite")
+    rows = state.shape[0]
+    reps, extra = divmod(rows, trials) if trials else (0, rows)
+    if extra:
+        raise ValueError(f"start must hold a multiple of {trials} rows, got {rows}")
     scale = (-1,) + (1,) * (state.ndim - 1)
-    hist = np.full((rows, horizon), -np.inf)
+    hist = np.full((rows, horizon - window), -np.inf)
     acc = np.zeros(rows)
     alive = np.ones(rows, dtype=bool)
+    # a view: row r of the stack sits at [r // trials, r % trials]
+    alive_by_path = alive.reshape(reps, trials)
     for n in range(horizon):
-        sym = idx[:, n]
+        sym = paths[:, n]
         for k in range(s.num_matrices):
-            sel = alive & (sym == k)
-            if sel.any():
+            sel = (alive_by_path & (sym == k + 1)).reshape(rows).nonzero()[0]
+            if sel.size:
                 state[sel] = state[sel] @ s.matrices[k]
+        renorm = (n + 1) % RENORM_EVERY == 0
+        if n < window and not renorm:
+            continue
         if start is None:
             nrm = np.linalg.svd(state, compute_uv=False)[:, 0]
         else:
             nrm = np.linalg.norm(state, axis=1)
         alive &= nrm > 0.0
-        hist[alive, n] = acc[alive] + np.log(nrm[alive])
-        if (n + 1) % RENORM_EVERY == 0:
+        if n >= window:
+            hist[alive, n - window] = acc[alive] + np.log(nrm[alive])
+        if renorm:
             if not alive.any():
                 break  # every row has hit an exact zero product
             acc[alive] += np.log(nrm[alive])
@@ -139,8 +168,7 @@ def vector_log_norm_history(s: MatrixSet, symbols: np.ndarray, x) -> np.ndarray:
     product sends the rest of the history to -inf.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    paths = np.broadcast_to(symbols, (len(xs), len(symbols)))
-    hist = log_norm_histories(s, paths, xs)
+    hist = log_norm_histories(s, np.asarray(symbols)[None], xs)
     return hist[0] if np.ndim(x) == 1 else hist
 
 
@@ -149,20 +177,27 @@ def matrix_log_norm_history(s: MatrixSet, symbols: np.ndarray) -> np.ndarray:
     return log_norm_histories(s, np.asarray(symbols)[None])[0]
 
 
-def tail_slope(log_norms: np.ndarray) -> float | np.ndarray:
-    """Least-squares slope of log-norm against n over the trailing half.
+def tail_slope(log_norms: np.ndarray, n: int | None = None) -> float | np.ndarray:
+    """Least-squares slope of log-norm against step over the trailing half.
 
-    log_norms is one history of shape (n,) (returns a float) or a stack of
-    shape (rows, n) (returns one slope per row). A row with an exact zero
-    (log -inf) inside the window gets slope -inf.
+    log_norms is one history of shape (m,) (returns a float) or a stack of
+    shape (rows, m) (returns one slope per row). It holds the last m entries
+    of histories of length n (default m), and must cover the window from
+    tail_start(n) on, e.g. the output of log_norm_histories with that window
+    start. A row with an exact zero (log -inf) inside the window gets slope
+    -inf.
     """
     hist = np.asarray(log_norms, dtype=float)
-    n = hist.shape[-1]
-    if n < 2:
-        raise ValueError("need at least two history points for a slope")
-    start = min(n - 2, n // 2)
-    ys = np.atleast_2d(hist)[:, start:]
-    ns = np.arange(start + 1, n + 1, dtype=float)
+    kept = hist.shape[-1]
+    n = kept if n is None else n
+    width = n - tail_start(n)
+    if not width <= kept <= n:
+        raise ValueError(
+            f"need between {width} and {n} trailing entries of a length-{n} "
+            f"history, got {kept}"
+        )
+    ys = np.atleast_2d(hist)[:, kept - width:]
+    ns = np.arange(n - width + 1, n + 1, dtype=float)
     ns -= ns.mean()
     denom = float((ns * ns).sum())
     bad = np.isneginf(ys).any(axis=1)

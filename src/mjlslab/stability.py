@@ -32,7 +32,7 @@ from .products import (
     word_levels,
 )
 from .rng import unit_vectors
-from .splitting import log_norm_histories, tail_slope
+from .splitting import log_norm_histories, tail_slope, tail_start
 
 # horizon * delta should cover |log eps| so that an exponential trial can
 # actually reach eps by the end of the run; reports flag the pairing
@@ -41,6 +41,10 @@ DELTA_DEFAULT = 1e-3
 PROBE_MARGIN = 1e-9
 FINITENESS_GAP_TOL = 1e-6
 POSITIVE_EVIDENCE_TRIALS = 5
+# the harness stacks initial vectors into kernel calls of at most this many
+# rows; more rows per call means fewer per-step Python iterations but a
+# larger history buffer
+STACK_ROWS = 400
 GATE_DEPTH_DEFAULT = 8
 PROBE_LEN_DEFAULT = 8
 
@@ -74,15 +78,20 @@ def _symbol_paths(m: MJLS, trials: int, horizon: int, seed: int) -> np.ndarray:
     return out
 
 
-def _vector_histories(s: MatrixSet, trajs: np.ndarray, x) -> np.ndarray:
-    """log ||x A(n)|| per trial and step; trajs is (trials, n), x one row vector."""
-    starts = np.tile(as_row_vector(x, s.dim), (len(trajs), 1))
-    return log_norm_histories(s, trajs, starts)
+def _vector_histories(
+    s: MatrixSet, trajs: np.ndarray, xs: np.ndarray, window: int = 0
+) -> np.ndarray:
+    """log ||x A(n)|| per trial and step from step `window` on; trajs is (trials, n).
+
+    xs is a (m, d) stack of initial vectors; rows i*trials .. (i+1)*trials - 1
+    of the result belong to xs[i].
+    """
+    return log_norm_histories(s, trajs, np.repeat(xs, len(trajs), axis=0), window)
 
 
-def _matrix_histories(s: MatrixSet, trajs: np.ndarray) -> np.ndarray:
-    """log ||A(n)||_2 per trial and step; trajs is (trials, n)."""
-    return log_norm_histories(s, trajs)
+def _matrix_histories(s: MatrixSet, trajs: np.ndarray, window: int = 0) -> np.ndarray:
+    """log ||A(n)||_2 per trial and step from step `window` on; trajs is (trials, n)."""
+    return log_norm_histories(s, trajs, window=window)
 
 
 @dataclass
@@ -131,7 +140,7 @@ def _build_report(
 ) -> ConvergenceReport:
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
-    fits = tail_slope(hist)
+    fits = tail_slope(hist, horizon)
     finals = hist[:, -1].copy()
     converged = finals < np.log(eps)
     exponential = converged & (fits < -delta)
@@ -171,26 +180,8 @@ def pointwise_convergence_estimate(
     if float(np.linalg.norm(xr)) == 0.0:
         raise ValueError("initial vector must be nonzero")
     trajs = _symbol_paths(m, trials, horizon, seed)
-    hist = _vector_histories(m.system, trajs, xr)
+    hist = _vector_histories(m.system, trajs, xr[None], tail_start(horizon))
     return _build_report("vector", xr, trials, horizon, seed, eps, delta, hist)
-
-
-def pointwise_exponential_estimate(
-    m: MJLS,
-    x,
-    trials: int,
-    horizon: int,
-    delta: float = DELTA_DEFAULT,
-    seed: int = 0,
-    eps: float = EPS_DEFAULT,
-) -> ConvergenceReport:
-    """Same sampling as the pointwise estimate, read through the tail slopes.
-
-    With matching (trials, horizon, seed) this reuses the exact trajectories
-    of pointwise_convergence_estimate, so the two fractions are comparable
-    trial by trial.
-    """
-    return pointwise_convergence_estimate(m, x, trials, horizon, eps, seed, delta)
 
 
 def consistent_convergence_estimate(
@@ -203,7 +194,7 @@ def consistent_convergence_estimate(
 ) -> ConvergenceReport:
     """Convergence of the full product norm ||A(n)||_2 instead of a vector."""
     trajs = _symbol_paths(m, trials, horizon, seed)
-    hist = _matrix_histories(m.system, trajs)
+    hist = _matrix_histories(m.system, trajs, tail_start(horizon))
     return _build_report("matrix", None, trials, horizon, seed, eps, delta, hist)
 
 
@@ -441,13 +432,18 @@ def pointwise_equivalence_harness(
     fe = np.empty(num_initials)
     cc = np.empty(num_initials, dtype=np.int64)
     ec = np.empty(num_initials, dtype=np.int64)
-    for i, x in enumerate(initials):
-        hist = _vector_histories(m.system, trajs, x)
-        rep = _build_report("vector", x, trials, horizon, seed, eps, delta, hist)
-        fc[i] = rep.fraction_converged
-        fe[i] = rep.fraction_exponential
-        cc[i] = rep.converged_count
-        ec[i] = rep.exponential_count
+    window, per_call = tail_start(horizon), max(1, STACK_ROWS // trials)
+    for lo in range(0, num_initials, per_call):
+        chunk = initials[lo : lo + per_call]
+        hist = _vector_histories(m.system, trajs, chunk, window)
+        for i, block in enumerate(hist.reshape(len(chunk), trials, -1), start=lo):
+            rep = _build_report(
+                "vector", initials[i], trials, horizon, seed, eps, delta, block
+            )
+            fc[i] = rep.fraction_converged
+            fe[i] = rep.fraction_exponential
+            cc[i] = rep.converged_count
+            ec[i] = rep.exponential_count
     implied = bool(np.all((fc == 0.0) | (fe > 0.0)))
     return EquivalenceReport(
         trials=trials,
@@ -510,7 +506,7 @@ def almost_sure_exponential_estimate(
             "almost-sure decay hypothesis is not established"
         )
     trajs = _symbol_paths(m, trials, horizon, seed)
-    fits = tail_slope(_matrix_histories(m.system, trajs))
+    fits = tail_slope(_matrix_histories(m.system, trajs, tail_start(horizon)), horizon)
     max_fit = float(fits.max())
     return AlmostSureReport(
         trials=trials,
@@ -556,14 +552,15 @@ def diagonal_shortcut_check(
         bad = int(np.argmax(np.abs(off).reshape(m.system.num_matrices, -1).max(1)))
         raise ValueError(f"matrix {bad + 1} is not diagonal")
     trajs = _symbol_paths(m, trials, horizon, seed)
+    window = tail_start(horizon)
     ones = np.ones(d)
     pw = _build_report(
         "vector", ones, trials, horizon, seed, eps, delta,
-        _vector_histories(m.system, trajs, ones),
+        _vector_histories(m.system, trajs, ones[None], window),
     )
     cs = _build_report(
         "matrix", None, trials, horizon, seed, eps, delta,
-        _matrix_histories(m.system, trajs),
+        _matrix_histories(m.system, trajs, window),
     )
     return DiagonalShortcutReport(
         pointwise=pw,

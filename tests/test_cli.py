@@ -1,5 +1,6 @@
 """Command line interface: report schema, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import mjlslab.products
-from mjlslab import MarkovChain, validate_chain
+from mjlslab import MarkovChain, sample_trajectory, tail_slope, validate_chain
 from mjlslab.cli import main
 from mjlslab.config import DEFAULTS
+from oracles import oracle_log_norm_history, rotation
 from test_acceptance import Budget
 
 DECOMPOSE_CFG = """{
@@ -234,6 +236,62 @@ def test_jsr_walks_the_words_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "jsr", "--config", write(tmp_path, json.dumps(cfg)))
     assert code == 0
     assert walks == [6]
+
+
+def test_truncated_jsr_warning_names_the_completed_depth(tmp_path, capsys):
+    # the benchmark's jsr family; budget 3 covers depth 1 (3 products) only
+    mats = np.random.default_rng([0, 11]).standard_normal((3, 3, 3)) / 2.0
+    cfg = {
+        "dimension": 3,
+        "matrices": mats.tolist(),
+        "analysis": {"depth": 9, "jsr_depth": 11, "boundedness_depth": 11, "budget": 3},
+    }
+    code, out, _ = run(capsys, "jsr", "--config", write(tmp_path, json.dumps(cfg)))
+    assert code == 0
+    doc = json.loads(out)
+    bounds = doc["results"]["jsr"]
+    assert (bounds["depth"], bounds["depth_completed"]) == (9, 1)
+    assert "budget: jsr enumeration truncated at depth 1" in doc["warnings"]
+
+
+def test_trace_csv_holds_the_full_history_and_leaves_results_alone(tmp_path, capsys):
+    mats = [np.diag([0.5, 1.0]), rotation(np.pi / 2)]
+    chain = MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+    trials, horizon, stride, seed = 3, 120, 25, 4
+    doc = {
+        "dimension": 2,
+        "matrices": [m.tolist() for m in mats],
+        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "analysis": {"trials": trials, "horizon": horizon, "num_initials": 3, "seed": seed,
+                     "depth": 3, "boundedness_depth": 3, "trace_stride": stride},
+    }
+    code, plain, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert code == 0
+    trace = tmp_path / "trace.csv"
+    doc["analysis"]["trace_csv"] = str(trace)
+    code, traced, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert code == 0
+
+    def results(text):
+        return text[text.index('"results"') : text.index('"warnings"')]
+
+    assert results(traced) == results(plain)
+    fits = json.loads(traced)["results"]["pointwise"]["tail_fits"]
+    with open(trace, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["trial", "n", "log_norm", "fit"]
+    steps = [25, 50, 75, 100, 120]
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [
+        (t, n) for t in range(1, trials + 1) for n in steps
+    ]
+    x = np.ones(2) / np.sqrt(2.0)
+    for t in range(trials):
+        path = sample_trajectory(chain, horizon, seed, stream=t)
+        oracle = oracle_log_norm_history(mats, path, x)
+        for n, row in zip(steps, rows[1 + t * len(steps) :]):
+            assert float(row[2]) == pytest.approx(oracle[n - 1], rel=1e-12, abs=1e-12)
+            assert float(row[3]) == fits[t]
+        assert fits[t] == pytest.approx(tail_slope(oracle), rel=1e-9, abs=1e-12)
 
 
 def test_split_periodic_reports_route_agreement(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mjlslab import (
     AmbiguousRankError,
@@ -22,6 +24,7 @@ from mjlslab import (
     sequence_split,
     split_from_idempotent,
     tail_slope,
+    tail_start,
     uniform_decay_on_subspace,
     vector_log_norm_history,
     vector_lyapunov_exponent,
@@ -109,6 +112,85 @@ def test_log_norm_histories_stack_equals_row_calls(family, paths):
         )
     if family is NILPOTENT_PAIR:
         assert np.isfinite(mat[:2]).all() and np.isneginf(mat[2:, -1]).all()
+
+
+def _kernel_case(case: str, seed: int, horizon: int):
+    if case == "reducible-k3":
+        return FAMILY3, _reducible_paths(5, horizon)
+    if case == "nilpotent-pair":
+        return NILPOTENT_PAIR, _nilpotent_paths(horizon)
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    mats = rng.standard_normal((k, d, d)) * rng.uniform(0.3, 1.5)
+    return MatrixSet.from_list(list(mats)), rng.integers(1, k + 1, size=(4, horizon))
+
+
+@given(
+    case=st.sampled_from(["reducible-k3", "nilpotent-pair", "random"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.sampled_from([2, 3, 49, 50, 51, 130]),
+    reps=st.integers(0, 3),
+    cut=st.floats(0.0, 1.0),
+)
+def test_windowed_stacked_kernel_equals_full_history(case, seed, horizon, reps, cut):
+    family, paths = _kernel_case(case, seed, horizon)
+    mats, trials = list(family.matrices), len(paths)
+    xs = np.random.default_rng(seed + 1).standard_normal((reps, family.dim))
+    stack = np.repeat(xs, trials, axis=0)  # row i * trials + t follows path t
+    full_mat = log_norm_histories(family, paths)
+    full_vec = log_norm_histories(family, paths, stack)
+    assert full_vec.shape == (reps * trials, horizon)
+
+    tail = tail_start(horizon)
+    for window in (tail, int(cut * horizon)):
+        np.testing.assert_array_equal(
+            log_norm_histories(family, paths, window=window), full_mat[:, window:]
+        )
+        np.testing.assert_array_equal(
+            log_norm_histories(family, paths, stack, window), full_vec[:, window:]
+        )
+    win_mat = log_norm_histories(family, paths, window=tail)
+    win_vec = log_norm_histories(family, paths, stack, tail)
+    np.testing.assert_array_equal(tail_slope(win_mat, horizon), tail_slope(full_mat))
+    np.testing.assert_array_equal(tail_slope(win_vec, horizon), tail_slope(full_vec))
+    assert tail_slope(win_vec, horizon).shape == (reps * trials,)
+
+    for i, x in enumerate(xs):
+        single = log_norm_histories(family, paths, np.tile(x, (trials, 1)), tail)
+        np.testing.assert_array_equal(win_vec[i * trials : (i + 1) * trials], single)
+        for t, path in enumerate(paths):
+            np.testing.assert_allclose(
+                full_vec[i * trials + t],
+                oracle_log_norm_history(mats, path, x),
+                rtol=1e-12,
+                atol=1e-9,
+            )
+    for t, path in enumerate(paths):
+        np.testing.assert_allclose(
+            full_mat[t], oracle_log_norm_history(mats, path), rtol=1e-12, atol=1e-9
+        )
+
+
+def test_nilpotent_rows_dead_before_the_window_stay_dead():
+    # random rows meet the nilpotent word (1, 1) early and never come back
+    paths = _nilpotent_paths(120)
+    full = log_norm_histories(NILPOTENT_PAIR, paths)
+    dead_at = [int(np.argmax(np.isneginf(row))) for row in full[2:]]
+    assert max(dead_at) < tail_start(120)
+    win = log_norm_histories(NILPOTENT_PAIR, paths, window=tail_start(120))
+    assert np.isneginf(win[2:]).all() and np.isfinite(win[:2]).all()
+    assert np.isneginf(tail_slope(win, 120)[2:]).all()
+
+
+def test_kernel_rejects_a_stack_that_is_not_a_multiple_of_the_paths():
+    paths = _nilpotent_paths(10)
+    with pytest.raises(ValueError, match="multiple of 6 rows"):
+        log_norm_histories(NILPOTENT_PAIR, paths, np.ones((7, 2)))
+    with pytest.raises(ValueError, match="window"):
+        log_norm_histories(NILPOTENT_PAIR, paths, window=11)
+    assert log_norm_histories(NILPOTENT_PAIR, paths, np.ones((0, 2)), 4).shape == (0, 6)
+    with pytest.raises(ValueError, match="trailing entries"):
+        tail_slope(np.zeros((2, 4)), 10)
 
 
 def test_matrix_log_norm_history_shear_growth():

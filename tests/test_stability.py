@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mjlslab.stability
 from mjlslab import (
     MJLS,
     MarkovChain,
@@ -15,7 +16,6 @@ from mjlslab import (
     periodic_stability_probe,
     pointwise_convergence_estimate,
     pointwise_equivalence_harness,
-    pointwise_exponential_estimate,
     spectral_finiteness_probe,
     spectral_radius,
     word_product,
@@ -24,6 +24,10 @@ from oracles import rotation
 
 IID2 = MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
 IID1 = MarkovChain([1.0], [[1.0]])
+# criterion 8's driver: a 2-cycle plus an absorbing state
+REDUCIBLE3 = MarkovChain(
+    [0.4, 0.4, 0.2], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+)
 
 CONTRACTIONS = MatrixSet.from_list([0.8 * np.eye(2), np.diag([0.5, 0.9])])
 SHEAR = MatrixSet.from_list([[[1.0, 0.0], [1.0, 1.0]]])
@@ -85,14 +89,6 @@ def test_exponential_fraction_never_exceeds_converged_fraction():
         x /= np.linalg.norm(x)
         rep = pointwise_convergence_estimate(m, x, trials=40, horizon=250, seed=1)
         assert rep.fraction_exponential <= rep.fraction_converged + 1e-15
-
-
-def test_pointwise_and_exponential_share_trajectories():
-    m = MJLS(SHRINK_ROT, IID2)
-    conv = pointwise_convergence_estimate(m, [1.0, 0.0], trials=40, horizon=400, seed=2)
-    expo = pointwise_exponential_estimate(m, [1.0, 0.0], trials=40, horizon=400, seed=2)
-    assert np.array_equal(conv.final_log_norms, expo.final_log_norms)
-    assert np.array_equal(conv.tail_fits, expo.tail_fits)
 
 
 def test_consistent_estimate_uses_matrix_norms():
@@ -189,6 +185,48 @@ def test_equivalence_harness_on_product_bounded_families():
         assert rep.positive_implies_exponential, f"family {i} broke the implication"
         assert rep.equivalence_evidence
         assert rep.max_discrepancy <= 0.05
+
+
+@pytest.mark.parametrize("stack_rows", [400, 100])
+@pytest.mark.parametrize(
+    "m, horizon, eps, delta",
+    [
+        (MJLS(SHRINK_ROT, IID2), 100, 1e-6, 1e-3),
+        (
+            MJLS(
+                MatrixSet.from_list(
+                    [0.99 * rotation(np.pi / 6), np.diag([0.9, 0.95]),
+                     0.99 * rotation(np.pi / 6)]
+                ),
+                REDUCIBLE3,
+            ),
+            150, 1e-2, 2e-2,
+        ),
+    ],
+    ids=["criterion-7", "criterion-8"],
+)
+def test_stacked_harness_equals_separate_estimates(monkeypatch, stack_rows, m, horizon, eps, delta):
+    calls = []
+    vector_histories = mjlslab.stability._vector_histories
+
+    def counted(s, trajs, xs, window=0):
+        calls.append(len(xs))
+        return vector_histories(s, trajs, xs, window)
+
+    monkeypatch.setattr(mjlslab.stability, "STACK_ROWS", stack_rows)
+    monkeypatch.setattr(mjlslab.stability, "_vector_histories", counted)
+    trials, seed = 120, 5
+    rep = pointwise_equivalence_harness(m, trials, horizon, 20, seed, eps=eps, delta=delta)
+    per_call = max(1, stack_rows // trials)
+    assert calls == [min(per_call, 20 - lo) for lo in range(0, 20, per_call)]
+    # some trials converge and some do not, so the counts are informative
+    assert 0.0 < rep.fractions_converged.min() and rep.fractions_converged.max() < 1.0
+    for i, x in enumerate(rep.initials):
+        single = pointwise_convergence_estimate(m, x, trials, horizon, eps, seed, delta)
+        assert rep.fractions_converged[i] == single.fraction_converged
+        assert rep.fractions_exponential[i] == single.fraction_exponential
+        assert rep.converged_counts[i] == single.converged_count
+        assert rep.exponential_counts[i] == single.exponential_count
 
 
 def test_equivalence_harness_gate_rejects_growth():
