@@ -205,7 +205,9 @@ def test_equivalence_harness_on_product_bounded_families():
     ],
     ids=["criterion-7", "criterion-8"],
 )
-def test_stacked_harness_equals_separate_estimates(monkeypatch, stack_rows, m, horizon, eps, delta):
+def test_stacked_harness_equals_separate_estimates(
+    monkeypatch, stack_rows, m, horizon, eps, delta
+):
     calls = []
     vector_histories = mjlslab.stability._vector_histories
 
