@@ -44,7 +44,9 @@ from .products import word_levels
 from .reports import canonical_json, config_sha256, jsonable, write_trace_csv
 from .sequences import SwitchingSequence, classify_recurrence, quadratic_gap_lengths
 from .splitting import (
+    ClosureBudgetWarning,
     IdempotentNotFoundError,
+    ProductOverflowError,
     periodic_split,
     sequence_split,
     tail_start,
@@ -144,11 +146,11 @@ def cmd_split(cfg: SystemConfig):
             "the splitting construction has no recurrence to work with"
         )
 
-    split = None
-    try:
+    split = failure = None
+    with warnings.catch_warnings(record=True) as caught:
         # the empty-limit-set warning duplicates the gate warning above
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="no return times", category=UserWarning)
+        warnings.filterwarnings("ignore", message="no return times", category=UserWarning)
+        try:
             split = sequence_split(
                 s,
                 seq,
@@ -157,11 +159,18 @@ def cmd_split(cfg: SystemConfig):
                 cluster_tol=a["cluster_tol"],
                 idem_tol=a["idem_tol"],
                 rank_tol=a["rank_tol"],
+                budget=a["budget"],
             )
-        results["splitting"] = jsonable(split)
-    except (IdempotentNotFoundError, AmbiguousRankError) as exc:
-        results["splitting"] = None
-        warns.append(f"gate: {exc}")
+        except (IdempotentNotFoundError, AmbiguousRankError, ProductOverflowError) as exc:
+            failure = f"gate: {exc}"
+    for w in caught:
+        if issubclass(w.category, ClosureBudgetWarning):
+            warns.append(f"budget: {w.message}")
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    results["splitting"] = jsonable(split) if split is not None else None
+    if failure is not None:
+        warns.append(failure)
 
     if split is not None:
         evidence = verify_splitting(

@@ -26,7 +26,7 @@ from .linalg import (
     induced_norm2,
     spectral_split,
 )
-from .products import MatrixSet, word_product
+from .products import ENUM_BUDGET, MatrixSet, preextremal_norm, word_product
 from .rng import unit_vectors
 from .sequences import SwitchingSequence, return_times
 
@@ -36,6 +36,9 @@ RANK_TOL = 1e-8
 RENORM_EVERY = 50
 MAX_SQUARINGS = 20
 _POOL_CAP = 1024
+# relative margin, per dimension, that keeps the Frobenius prefilter exact
+# against the rounding of the sum of squares and of the SVD
+_FRO_MARGIN = 1e-12
 
 
 class IdempotentNotFoundError(RuntimeError):
@@ -51,6 +54,18 @@ class IdempotentNotFoundError(RuntimeError):
         )
         self.best = best
         self.defect = defect
+
+
+class ProductOverflowError(ArithmeticError):
+    """A product met by the splitting construction is not finite.
+
+    The return-time products, their closure or a candidate's square overflowed,
+    so the products are not bounded at this horizon and no splitting is read off.
+    """
+
+
+class ClosureBudgetWarning(UserWarning):
+    """The closure ran out of comparisons; the pool built so far was searched."""
 
 
 def _symbols(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
@@ -241,74 +256,135 @@ def limit_points(
         return LimitPointSet(
             cylinder_len, horizon, cluster_tol, rt.times, empty, empty.copy()
         )
-    products = cocycle_products_at(s, symbols, rt.times)
-    reps: list[np.ndarray] = []
-    for a in products:
-        if all(induced_norm2(a - r) > cluster_tol for r in reps):
-            reps.append(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = cocycle_products_at(s, symbols, rt.times)
+    finite = np.isfinite(products).all(axis=(1, 2))
+    if not finite.all():
+        raise ProductOverflowError(
+            f"the cocycle product overflows by return time {rt.times[~finite][0]}"
+        )
     return LimitPointSet(
         cylinder_len=cylinder_len,
         horizon=horizon,
         cluster_tol=cluster_tol,
         return_times=rt.times,
         products=products,
-        cluster_reps=np.stack(reps),
+        cluster_reps=_first_come_reps(products, cluster_tol),
     )
+
+
+def _near_any(x: np.ndarray, members: np.ndarray, tol: float) -> bool:
+    """Whether some member lies within tol of x in the induced 2-norm.
+
+    Exact without an SVD per pair: ||D||_2 <= ||D||_F <= sqrt(d) ||D||_2, so
+    a Frobenius norm up to tol means within and one above sqrt(d) tol means
+    beyond, both with a relative margin against rounding. Only when no member
+    is within by the first test do the pairs in between get the SVD, in one
+    batched call.
+    """
+    diff = x - members
+    fro = np.sqrt(np.einsum("kij,kij->k", diff, diff))
+    d = x.shape[-1]
+    margin = _FRO_MARGIN * d
+    if (fro <= tol * (1.0 - margin)).any():
+        return True
+    band = fro <= np.sqrt(d) * tol * (1.0 + margin)
+    if not band.any():
+        return False
+    return bool((np.linalg.norm(diff[band], 2, axis=(1, 2)) <= tol).any())
+
+
+def _first_come_reps(products: np.ndarray, tol: float) -> np.ndarray:
+    """Products, in order, that lie farther than tol from every earlier pick."""
+    reps = np.empty_like(products)
+    count = 0
+    for a in products:
+        if not _near_any(a, reps[:count], tol):
+            reps[count] = a
+            count += 1
+    return reps[:count].copy()
+
+
+def _closure(reps: np.ndarray, tol: float, rounds: int, budget: int) -> np.ndarray:
+    """Pool of the representatives closed under pairwise products.
+
+    Each round forms a @ b and b @ a for every pair of the pool as it stood
+    at the start of the round; a product joins when no pool member lies
+    within tol. The pool stops growing at _POOL_CAP members. Testing one
+    product against a pool of m members costs m comparisons; the product
+    that would take the total past budget is not tested, and the closure
+    stops there with a ClosureBudgetWarning.
+    """
+    size, d = reps.shape[0], reps.shape[-1]
+    pool = np.empty((max(size, _POOL_CAP), d, d))
+    pool[:size] = reps
+    spent = 0
+    for _ in range(rounds):
+        if size >= _POOL_CAP:
+            break
+        current = pool[:size].copy()
+        for a in current:
+            # a @ b then b @ a for each b in turn: the order the pool grows in
+            with np.errstate(over="ignore", invalid="ignore"):
+                prods = np.stack([a @ current, current @ a], axis=1).reshape(-1, d, d)
+            finite = np.isfinite(prods).all(axis=(1, 2))
+            for prod, ok in zip(prods, finite):
+                if spent + size > budget:
+                    warnings.warn(
+                        f"split closure stopped after {spent} comparisons (budget "
+                        f"{budget}); searched the {size} products pooled so far",
+                        ClosureBudgetWarning,
+                        stacklevel=3,
+                    )
+                    return pool[:size]
+                if not ok:
+                    raise ProductOverflowError("a product in the closure overflows")
+                spent += size
+                if not _near_any(prod, pool[:size], tol):
+                    pool[size] = prod
+                    size += 1
+                    if size >= _POOL_CAP:
+                        return pool[:size]
+    return pool[:size]
 
 
 def find_idempotent(
     lps: LimitPointSet,
     idem_tol: float = IDEM_TOL,
     closure_rounds: int = 3,
+    budget: int = ENUM_BUDGET,
 ) -> np.ndarray:
     """Best idempotent in the multiplicative closure of the limit points.
 
     The representatives are closed under pairwise products for a few rounds
-    (new members recognized up to cluster_tol, pool capped at 1024), then
-    repeated squares B, B^2, B^4, ... B^(2^20) of every member join the
-    candidate list. The candidate with the smallest ||P^2 - P|| wins; if even
-    that defect is above idem_tol, IdempotentNotFoundError carries it out.
+    (new members recognized up to cluster_tol, pool capped at 1024). Testing
+    a product against a pool of m members costs m comparisons, and at most
+    budget of them are made: past that the closure stops with a
+    ClosureBudgetWarning and the pool built so far is searched. Repeated
+    squares B^2, B^4, ... B^(2^20) of every member B then join the candidate
+    list. The candidate with the smallest ||P^2 - P||_2 wins, the first one
+    on a tie; if even that defect is above idem_tol, IdempotentNotFoundError
+    carries it out. A closure product, a square or a candidate's square that
+    is not finite raises ProductOverflowError.
     """
     if lps.cluster_reps.shape[0] == 0:
         raise IdempotentNotFoundError(np.eye(1) * np.nan, np.inf)
-    pool: list[np.ndarray] = [a.copy() for a in lps.cluster_reps]
-    for _ in range(closure_rounds):
-        if len(pool) >= _POOL_CAP:
-            break
-        current = list(pool)
-        for a in current:
-            for b in current:
-                for prod in (a @ b, b @ a):
-                    if all(
-                        induced_norm2(prod - r) > lps.cluster_tol for r in pool
-                    ):
-                        pool.append(prod)
-                        if len(pool) >= _POOL_CAP:
-                            break
-                if len(pool) >= _POOL_CAP:
-                    break
-            if len(pool) >= _POOL_CAP:
-                break
-
-    candidates: list[np.ndarray] = list(pool)
-    for a in pool:
-        b = a.copy()
-        for _ in range(MAX_SQUARINGS):
-            b = b @ b
-            if not np.all(np.isfinite(b)):
-                break
-            candidates.append(b)
-
-    best = None
-    best_defect = np.inf
-    for cand in candidates:
-        defect = idempotency_defect(cand)
-        if defect < best_defect:
-            best = cand
-            best_defect = defect
-    if best is None or best_defect > idem_tol:
-        raise IdempotentNotFoundError(best, best_defect)
-    return best.copy()
+    pool = _closure(lps.cluster_reps, lps.cluster_tol, closure_rounds, budget)
+    squares = np.empty((pool.shape[0], MAX_SQUARINGS, *pool.shape[1:]))
+    b = pool
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(MAX_SQUARINGS):
+            b = squares[:, k] = b @ b
+        # the pool, then the squares of each member in turn
+        candidates = np.concatenate([pool, squares.reshape(-1, *pool.shape[1:])])
+        excess = candidates @ candidates - candidates
+    if not np.isfinite(excess).all():
+        raise ProductOverflowError("a repeated square of a closure product overflows")
+    defects = np.linalg.norm(excess, 2, axis=(1, 2))
+    best = int(np.argmin(defects))
+    if defects[best] > idem_tol:
+        raise IdempotentNotFoundError(candidates[best].copy(), float(defects[best]))
+    return candidates[best].copy()
 
 
 @dataclass
@@ -430,10 +506,11 @@ def sequence_split(
     idem_tol: float = IDEM_TOL,
     rank_tol: float = RANK_TOL,
     closure_rounds: int = 3,
+    budget: int = ENUM_BUDGET,
 ) -> Splitting:
     """Numeric splitting from the limit points of one switching sequence."""
     lps = limit_points(s, seq, cylinder_len, horizon, cluster_tol)
-    p = find_idempotent(lps, idem_tol, closure_rounds)
+    p = find_idempotent(lps, idem_tol, closure_rounds, budget)
     return split_from_idempotent(p, rank_tol, idem_tol, source="semigroup-numeric")
 
 
@@ -521,8 +598,6 @@ def verify_splitting(
     cost of the word enumeration bounded; changing preextremal_depth changes
     the measured numbers but never the subspaces, which are fixed inputs here.
     """
-    from .products import preextremal_norm  # local import to avoid cycle at load
-
     symbols = seq.prefix(horizon)
     rt = return_times(seq, cylinder_len, horizon)
     snap_times = _checkpoint(rt.times)
@@ -531,7 +606,9 @@ def verify_splitting(
     d = s.dim
     eye = np.eye(d)
     identity_return_min = (
-        float(min(induced_norm2(a - eye) for a in snaps)) if snaps.size else np.inf
+        float(np.linalg.norm(snaps - eye, 2, axis=(1, 2)).min())
+        if snaps.size
+        else np.inf
     )
 
     stable_hist = vector_log_norm_history(s, symbols, split.stable.basis)
@@ -542,7 +619,9 @@ def verify_splitting(
     center_pre_dev = []
     for row in split.center.basis:
         if snaps.size:
-            dev = np.array([float(np.linalg.norm(row @ a - row)) for a in snaps])
+            off = row @ snaps - row
+            # batched dot products: the same bits as np.linalg.norm of each row
+            dev = np.sqrt((off[:, None] @ off[..., None]).ravel())
             center_dev_min.append(float(dev.min()))
             center_dev_final.append(float(dev[-1]))
             base = preextremal_norm(s, row, preextremal_depth)

@@ -179,6 +179,69 @@ def oracle_norm2(a: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)[0])
 
 
+def oracle_cluster_reps(products, tol: float) -> list:
+    """First-come clustering with one SVD per (product, representative) pair.
+
+    A product becomes a representative when every earlier representative
+    lies farther than tol from it in the induced 2-norm.
+    """
+    reps = []
+    for a in products:
+        if all(oracle_norm2(a - r) > tol for r in reps):
+            reps.append(a)
+    return reps
+
+
+def oracle_closure(reps, tol: float, rounds: int, cap: int, budget: int):
+    """The pairwise closure loop, one SVD per (product, pool member) pair.
+
+    Each round tries a @ b then b @ a for every pair of the pool as it stood
+    at the start of the round; a product joins when every member lies farther
+    than tol. Testing a product against m members costs m comparisons; the
+    loop stops before the product that would take the total past budget.
+    Returns (pool, stopped by the budget).
+    """
+    pool = [np.array(a, dtype=float) for a in reps]
+    spent = 0
+    for _ in range(rounds):
+        if len(pool) >= cap:
+            break
+        current = list(pool)
+        for a in current:
+            for b in current:
+                for prod in (a @ b, b @ a):
+                    if spent + len(pool) > budget:
+                        return pool, True
+                    spent += len(pool)
+                    if all(oracle_norm2(prod - r) > tol for r in pool):
+                        pool.append(prod)
+                        if len(pool) >= cap:
+                            return pool, False
+    return pool, False
+
+
+def oracle_best_idempotent(pool, squarings: int = 20):
+    """(candidate, defect) with the smallest ||P^2 - P||_2, the first on a tie.
+
+    Candidates are the pool members, then the repeated squares of each member
+    in turn up to the first one that is not finite.
+    """
+    candidates = list(pool)
+    for a in pool:
+        b = a.copy()
+        for _ in range(squarings):
+            b = b @ b
+            if not np.all(np.isfinite(b)):
+                break
+            candidates.append(b)
+    best, best_defect = None, np.inf
+    for cand in candidates:
+        defect = oracle_norm2(cand @ cand - cand)
+        if defect < best_defect:
+            best, best_defect = cand, defect
+    return best, best_defect
+
+
 def oracle_word_product(mats, word) -> np.ndarray:
     d = mats[0].shape[0]
     out = np.eye(d)

@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from mjlslab.cli import main
 from mjlslab.config import DEFAULTS
 from oracles import oracle_log_norm_history, rotation
 from test_acceptance import Budget
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DECOMPOSE_CFG = """{
   "markov": {
@@ -312,6 +318,76 @@ def test_split_periodic_reports_route_agreement(tmp_path, capsys):
     agreement = doc["results"]["agreement"]
     assert agreement["center_distance"] <= 1e-6
     assert agreement["stable_distance"] <= 1e-6
+
+
+def _split_subprocess(tmp_path, doc: dict, timeout: float):
+    """Run `split` in a child process, so a closure without a work bound fails
+    the test by its timeout instead of hanging the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "mjlslab", "split", "--config", write(tmp_path, json.dumps(doc))],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_split_closure_stops_at_the_budget(tmp_path):
+    # 28 representatives whose closure keeps growing: about 2e8 comparisons
+    # without the budget, 1e6 with the default one
+    doc = {
+        "dimension": 2,
+        "matrices": [np.diag([0.5, 1.0]).tolist(), rotation(np.pi / 2).tolist()],
+        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "sequence": {"kind": "markov"},
+        "analysis": {"horizon": 64},
+    }
+    report = _split_subprocess(tmp_path, doc, timeout=120)
+    budget = [w for w in report["warnings"] if w.startswith("budget:")]
+    assert len(budget) == 1 and "budget 1000000" in budget[0]
+    assert report["results"]["splitting"] is not None
+
+
+@pytest.mark.parametrize(
+    "diagonal, horizon, gate",
+    [
+        ([2.0, 1.0], 4096, "gate: the cocycle product overflows by return time 1024"),
+        ([1.2, 0.5], 64, "gate: a repeated square of a closure product overflows"),
+    ],
+)
+def test_split_overflow_is_a_gate(tmp_path, diagonal, horizon, gate):
+    doc = {
+        "dimension": 2,
+        "matrices": [np.diag(diagonal).tolist()],
+        "sequence": {"kind": "periodic", "word": [1]},
+        "analysis": {"horizon": horizon},
+    }
+    report = _split_subprocess(tmp_path, doc, timeout=120)
+    assert gate in report["warnings"]
+    results = report["results"]
+    assert results["splitting"] is None and results["verification"] is None
+
+
+def test_split_budget_warning_leaves_the_demo_split_alone(tmp_path, capsys):
+    # the demo's closure makes 20,250 comparisons; one fewer stops it before
+    # its last product, which was no new member
+    cfg = json.loads((ROOT / "demos/configs/split_shear_periodic.json").read_text())
+    docs = []
+    for budget in (20_250, 20_249):
+        cfg["analysis"]["budget"] = budget
+        code, out, _ = run(capsys, "split", "--config", write(tmp_path, json.dumps(cfg)))
+        assert code == 0
+        docs.append(json.loads(out))
+    full, cut = docs
+    assert full["warnings"] == []
+    assert cut["warnings"] == [
+        "budget: split closure stopped after 20235 comparisons (budget 20249); "
+        "searched the 15 products pooled so far"
+    ]
+    assert cut["results"] == full["results"]
 
 
 def test_example46_closed_form_rows(tmp_path, capsys):

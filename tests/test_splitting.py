@@ -1,13 +1,18 @@
 """Cocycle products, limit points, idempotents, and the induced splitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mjlslab.splitting
 from mjlslab import (
     AmbiguousRankError,
+    ClosureBudgetWarning,
     IdempotentNotFoundError,
+    LimitPointSet,
     MarkovChain,
     MatrixSet,
     Subspace,
@@ -30,7 +35,16 @@ from mjlslab import (
     vector_lyapunov_exponent,
     verify_splitting,
 )
-from oracles import oracle_log_norm_history, oracle_word_product, rotation
+from mjlslab.splitting import _closure, _first_come_reps
+from oracles import (
+    oracle_best_idempotent,
+    oracle_closure,
+    oracle_cluster_reps,
+    oracle_log_norm_history,
+    oracle_norm2,
+    oracle_word_product,
+    rotation,
+)
 
 HALF_SHEAR = MatrixSet.from_list([[[0.5, 1.0], [0.0, 1.0]]])
 SHRINK = MatrixSet.from_list([np.diag([0.5, 1.0])])
@@ -247,6 +261,134 @@ def test_find_idempotent_failure_reports_best_defect():
     with pytest.raises(IdempotentNotFoundError) as exc:
         find_idempotent(lps)
     assert exc.value.defect == np.inf
+
+
+# distances on both edges of the Frobenius band [tol, sqrt(d) tol]: exactly
+# on them and 1e-13 to either side
+EDGES = (1 - 1e-13, 1.0, 1 + 1e-13)
+
+
+def _unit_offset(rng, d: int, rank_one: bool) -> np.ndarray:
+    """Induced 2-norm 1; Frobenius norm 1 (rank one) or sqrt(d) (orthogonal)."""
+    if rank_one:
+        e = np.outer(rng.standard_normal(d), rng.standard_normal(d))
+    else:
+        e = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return e / oracle_norm2(e)
+
+
+def _assert_same_stack(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    placed=st.lists(
+        st.tuples(st.sampled_from(EDGES), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batched_clustering_matches_the_pairwise_loop(d, seed, placed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-4
+    # offsets from the zero matrix, the first representative: a rank-one offset
+    # has its Frobenius norm on the lower edge, an orthogonal one on the upper
+    offsets = [
+        tol * edge * (np.sqrt(d) if beyond else 1.0) * _unit_offset(rng, d, rank_one)
+        for edge, rank_one, beyond in placed
+    ]
+    # and loose clusters around a few centers, at distances of a few tol
+    centers = rng.standard_normal((3, d, d))
+    loose = centers[rng.integers(0, 3, 20)] + 2 * tol * rng.standard_normal((20, d, d))
+    rest = np.concatenate([np.stack(offsets), loose])
+    products = np.concatenate([np.zeros((1, d, d)), rest[rng.permutation(len(rest))]])
+    _assert_same_stack(
+        _first_come_reps(products, tol), oracle_cluster_reps(products, tol)
+    )
+
+
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 4),
+    edge=st.sampled_from(EDGES),
+    upper=st.booleans(),
+    rounds=st.integers(1, 3),
+    budget=st.integers(0, 2000),
+)
+def test_batched_closure_and_scoring_match_the_pairwise_loops(
+    d, seed, count, edge, upper, rounds, budget
+):
+    rng = np.random.default_rng(seed)
+    reps = rng.standard_normal((count, d, d))
+    reps /= np.linalg.norm(reps, 2, axis=(1, 2))[:, None, None]  # squares stay finite
+    # tol sits on an edge of the band for the first product against the first member
+    diff = reps[0] @ reps[0] - reps[0]
+    base = np.sqrt((diff * diff).sum() / d) if upper else oracle_norm2(diff)
+    tol = edge * max(base, 1e-3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pool = _closure(reps, tol, rounds, budget)
+    want, stopped = oracle_closure(list(reps), tol, rounds, 1024, budget)
+    _assert_same_stack(pool, want)
+    assert [w.category for w in caught] == [ClosureBudgetWarning] * stopped
+
+    lps = LimitPointSet(1, 0, tol, np.empty(0), reps, reps)
+    best, defect = oracle_best_idempotent(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClosureBudgetWarning)
+        with pytest.raises(IdempotentNotFoundError) as exc:
+            find_idempotent(lps, idem_tol=-1.0, closure_rounds=rounds, budget=budget)
+    np.testing.assert_array_equal(exc.value.best, best)
+    assert exc.value.defect == defect
+
+
+def test_clustering_is_exact_where_frobenius_and_svd_round_apart():
+    # offsets a few ulps around tol whose computed Frobenius norm and SVD fall
+    # on opposite sides of an edge; only the rounding margin keeps them exact
+    rng = np.random.default_rng(35)
+    tol, found = 1e-4, {True: 0, False: 0}
+    while min(found.values()) < 5:
+        d = int(rng.integers(2, 5))
+        rank_one = bool(rng.integers(2))
+        ulps = int(rng.integers(-3, 4)) * 2.0**-52
+        x = tol * (1 + ulps) * _unit_offset(rng, d, rank_one)
+        fro, svd = np.sqrt(np.einsum("ij,ij->", x, x)), oracle_norm2(x)
+        lower = rank_one and fro <= tol < svd
+        upper = not rank_one and svd <= tol < fro / np.sqrt(d)
+        if lower or upper:
+            found[rank_one] += 1
+            products = np.stack([np.zeros((d, d)), x])
+            _assert_same_stack(
+                _first_come_reps(products, tol), oracle_cluster_reps(products, tol)
+            )
+
+
+@pytest.mark.parametrize("cap, count", [(5, 3), (40, 3), (5, 6)])
+def test_closure_stops_at_the_pool_cap(monkeypatch, cap, count):
+    # generic contractions: every product is new, so the pool fills up
+    reps = np.random.default_rng(34).standard_normal((count, 2, 2)) / 3.0
+    monkeypatch.setattr(mjlslab.splitting, "_POOL_CAP", cap)
+    pool = _closure(reps, 1e-4, 3, 10**6)
+    want, stopped = oracle_closure(list(reps), 1e-4, 3, cap, 10**6)
+    assert len(pool) == max(cap, count) and not stopped
+    _assert_same_stack(pool, want)
+
+
+def test_idempotent_ties_go_to_the_first_candidate():
+    # both diagonals square to exact projections (defect 0), the second one
+    # in fewer squarings; the first member's squares still come first
+    reps = np.stack([np.diag([0.9, 1.0]), np.diag([1.0, 0.5])])
+    lps = LimitPointSet(1, 0, 1e-4, np.empty(0), reps, reps)
+    pool, _ = oracle_closure(list(reps), 1e-4, 3, 1024, 10**6)
+    best, defect = oracle_best_idempotent(pool)
+    assert defect == 0.0
+    np.testing.assert_array_equal(find_idempotent(lps), best)
+    np.testing.assert_array_equal(best, np.diag([0.0, 1.0]))
 
 
 def test_split_from_idempotent_diag_projector():
