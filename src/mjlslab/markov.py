@@ -66,9 +66,7 @@ class ValidationReport:
     valid: bool = False
 
 
-def structural_issues(
-    chain: MarkovChain, row_tol: float = ROW_SUM_TOL, dist_tol: float = DIST_SUM_TOL
-) -> list[str]:
+def structural_issues(chain: MarkovChain) -> list[str]:
     """Defects that stop the pair from being a probability law on paths.
 
     Row sums away from 1, negative entries and an initial mass away from 1;
@@ -77,7 +75,7 @@ def structural_issues(
     p, t = chain.initial, chain.transition
     row_defects = np.abs(t.sum(axis=1) - 1.0)
     issues = []
-    if row_defects.max() > row_tol:
+    if row_defects.max() > ROW_SUM_TOL:
         bad = int(np.argmax(row_defects))
         issues.append(
             f"transition row {bad + 1} sums to {t[bad].sum():.17g}, expected 1"
@@ -85,17 +83,12 @@ def structural_issues(
     min_entry = min(p.min(), t.min())
     if min_entry < 0.0:
         issues.append(f"negative entry {float(min_entry):.17g}")
-    if abs(p.sum() - 1.0) > dist_tol:
+    if abs(p.sum() - 1.0) > DIST_SUM_TOL:
         issues.append(f"initial distribution sums to {p.sum():.17g}, expected 1")
     return issues
 
 
-def validate_chain(
-    chain: MarkovChain,
-    row_tol: float = ROW_SUM_TOL,
-    dist_tol: float = DIST_SUM_TOL,
-    stationary_tol: float = STATIONARY_TOL,
-) -> ValidationReport:
+def validate_chain(chain: MarkovChain) -> ValidationReport:
     """Quantified validity check: row sums, signs, total mass, stationarity.
 
     The stationarity defect is ||p P - p|| in the max norm. The chain is
@@ -108,9 +101,9 @@ def validate_chain(
         min_entry=float(min(p.min(), t.min())),
         initial_sum_defect=float(abs(p.sum() - 1.0)),
         stationarity_defect=float(np.max(np.abs(p @ t - p))),
-        issues=structural_issues(chain, row_tol, dist_tol),
+        issues=structural_issues(chain),
     )
-    if report.stationarity_defect > stationary_tol:
+    if report.stationarity_defect > STATIONARY_TOL:
         report.issues.append(
             f"initial distribution is not stationary, defect {report.stationarity_defect:.3g}"
         )

@@ -104,14 +104,6 @@ def config_sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def _csv_float(x: float) -> str:
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
-
-
 def write_trace_csv(path, histories, fits, stride: int = 50) -> None:
     """Per-trial log-norm trace at every `stride` steps plus the final step.
 
@@ -127,5 +119,6 @@ def write_trace_csv(path, histories, fits, stride: int = 50) -> None:
         writer = csv.writer(fh)
         writer.writerow(["trial", "n", "log_norm", "fit"])
         for t in range(hist.shape[0]):
+            fit = format_float(fits[t]).strip('"')
             for n in steps:
-                writer.writerow([t + 1, n + 1, _csv_float(hist[t, n]), _csv_float(fits[t])])
+                writer.writerow([t + 1, n + 1, format_float(hist[t, n]).strip('"'), fit])

@@ -118,12 +118,15 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     stack of row vectors whose row count is a whole multiple of trials (row r
     follows path r mod trials), entry [r, t] is log ||start[r] A_r(t+1)|| in
     the Euclidean norm; without it the products themselves are tracked from
-    the identity and the entry is log ||A_r(t+1)||_2. Only columns
-    window..n-1 are kept, and norms are taken only there and at the steps
-    where the running state is renormalized (every RENORM_EVERY) against
-    under- and overflow, so the kept columns equal those of window 0 bit for
-    bit. An exactly zero product stays zero and sends the rest of its row to
-    -inf. Returns an array of shape (rows, n - window).
+    the identity and the entry is log ||A_r(t+1)||_2. Each step is one
+    gathered multiply, every row by its own path's matrix, so a row's bits
+    never depend on the other rows: stacked rows equal single-row calls bit
+    for bit at any dimension. Only columns window..n-1 are kept, and norms
+    are taken only there and at the steps where the running state is
+    renormalized (every RENORM_EVERY) against under- and overflow, so the
+    kept columns equal those of window 0 bit for bit. An exactly zero
+    product stays zero and sends the rest of its row to -inf. Returns an
+    array of shape (rows, n - window).
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2:
@@ -141,29 +144,25 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
             )
         if not np.all(np.isfinite(state)):
             raise ValueError("start vector entries must be finite")
+        state = state[:, None]  # each row as a (1, d) matrix
     rows = state.shape[0]
     reps, extra = divmod(rows, trials) if trials else (0, rows)
     if extra:
         raise ValueError(f"start must hold a multiple of {trials} rows, got {rows}")
-    scale = (-1,) + (1,) * (state.ndim - 1)
+    # row r of the stack sits at [r // trials, r % trials]
+    state = state.reshape(reps, trials, *state.shape[1:])
     hist = np.full((rows, horizon - window), -np.inf)
     acc = np.zeros(rows)
     alive = np.ones(rows, dtype=bool)
-    # a view: row r of the stack sits at [r // trials, r % trials]
-    alive_by_path = alive.reshape(reps, trials)
     for n in range(horizon):
-        sym = paths[:, n]
-        for k in range(s.num_matrices):
-            sel = (alive_by_path & (sym == k + 1)).reshape(rows).nonzero()[0]
-            if sel.size:
-                state[sel] = state[sel] @ s.matrices[k]
+        state = state @ s.matrices[paths[:, n] - 1]
         renorm = (n + 1) % RENORM_EVERY == 0
         if n < window and not renorm:
             continue
         if start is None:
-            nrm = np.linalg.svd(state, compute_uv=False)[:, 0]
+            nrm = np.linalg.svd(state, compute_uv=False)[..., 0].reshape(rows)
         else:
-            nrm = np.linalg.norm(state, axis=1)
+            nrm = np.linalg.norm(state, axis=-1).reshape(rows)
         alive &= nrm > 0.0
         if n >= window:
             hist[alive, n - window] = acc[alive] + np.log(nrm[alive])
@@ -171,7 +170,8 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
             if not alive.any():
                 break  # every row has hit an exact zero product
             acc[alive] += np.log(nrm[alive])
-            state[alive] /= nrm[alive].reshape(scale)
+            # a dead row is divided by inf, so it is zero from here on
+            state /= np.where(alive, nrm, np.inf).reshape(reps, trials, 1, 1)
     return hist
 
 
@@ -611,7 +611,6 @@ def verify_splitting(
         else np.inf
     )
 
-    stable_hist = vector_log_norm_history(s, symbols, split.stable.basis)
     last = int(rt.times[-1]) - 1 if rt.times.size else -1
 
     center_dev_min = []
@@ -643,7 +642,11 @@ def verify_splitting(
         nrm = float(np.linalg.norm(off))
         if nrm >= 1e-9:  # a sample inside the stable part is skipped
             offs.append(off / nrm)
-    off_hist = vector_log_norm_history(s, symbols, np.reshape(offs, (-1, d)))
+    # one kernel call for both stacks; rows are independent, so slicing is exact
+    hist = vector_log_norm_history(
+        s, symbols, np.vstack([split.stable.basis, np.reshape(offs, (-1, d))])
+    )
+    stable_hist, off_hist = hist[: split.stable.dim], hist[split.stable.dim :]
 
     return SplittingEvidence(
         horizon=horizon,

@@ -300,6 +300,28 @@ def test_trace_csv_holds_the_full_history_and_leaves_results_alone(tmp_path, cap
         assert fits[t] == pytest.approx(tail_slope(oracle), rel=1e-9, abs=1e-12)
 
 
+def test_classify_trials_are_a_prefix_of_a_larger_run(tmp_path, capsys):
+    # each trial's history depends on its own path only, also at d >= 4, where
+    # a BLAS call over several rows can round a row differently from a call on it alone
+    mats = np.random.default_rng(41).standard_normal((3, 5, 5)) * 0.45
+    third = [1 / 3] * 3
+    doc = {
+        "dimension": 5,
+        "matrices": mats.tolist(),
+        "markov": {"initial": third, "transition": [third] * 3},
+        "analysis": {"horizon": 120, "num_initials": 2, "depth": 2, "jsr_depth": 2,
+                     "boundedness_depth": 2},
+    }
+    cfg = write(tmp_path, json.dumps(doc))
+    pointwise = {}
+    for trials in (7, 20):
+        code, out, _ = run(capsys, "classify", "--config", cfg, "--trials", str(trials))
+        assert code == 0
+        pointwise[trials] = json.loads(out)["results"]["pointwise"]
+    for key in ("final_log_norms", "tail_fits"):
+        assert pointwise[7][key] == pointwise[20][key][:7]
+
+
 def test_split_periodic_reports_route_agreement(tmp_path, capsys):
     cfg = write(
         tmp_path,

@@ -79,6 +79,16 @@ def test_write_trace_csv(tmp_path):
     assert any(line.startswith("2,5,") for line in lines)
 
 
+def test_trace_csv_writes_floats_as_the_reports_do(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, [[np.nan, -np.inf, np.inf, -0.0, 0.1 + 0.2]], [-np.inf], stride=1)
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [
+        ["nan", "-inf"], ["-inf", "-inf"], ["inf", "-inf"], ["-0.0", "-inf"],
+        ["0.30000000000000004", "-inf"],
+    ]
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
 # subnormals, 17 significant digits, negative zero, integral and extreme values
 @example([5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1 / 3, -0.0, 1e16, 1.7976931348623157e308])

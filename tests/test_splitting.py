@@ -134,7 +134,7 @@ def _kernel_case(case: str, seed: int, horizon: int):
     if case == "nilpotent-pair":
         return NILPOTENT_PAIR, _nilpotent_paths(horizon)
     rng = np.random.default_rng(seed)
-    k, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    k, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
     mats = rng.standard_normal((k, d, d)) * rng.uniform(0.3, 1.5)
     return MatrixSet.from_list(list(mats)), rng.integers(1, k + 1, size=(4, horizon))
 
