@@ -240,17 +240,18 @@ def cmd_classify(cfg: SystemConfig):
         "pointwise": jsonable(pointwise),
         "consistent": jsonable(consistent),
     }
-    try:
-        results["periodic_probe"] = jsonable(
-            periodic_stability_probe(s, a["depth"], a["budget"])
-        )
-        results["consistent_probe"] = jsonable(
-            consistent_convergence_probe(s, a["depth"], a["budget"])
-        )
+    try:  # one walk over the words serves both probes and the almost-sure gate
+        walk = word_levels(s, a["depth"], 0, a["budget"])
     except BudgetExceededError as exc:
-        results["periodic_probe"] = None
-        results["consistent_probe"] = None
-        warns.append(f"budget: {exc}")
+        walk, walk_warning = None, f"budget: {exc}"
+    if walk is None:
+        results["periodic_probe"] = results["consistent_probe"] = None
+        warns.append(walk_warning)
+    else:
+        results["periodic_probe"] = jsonable(periodic_stability_probe(walk, a["depth"]))
+        results["consistent_probe"] = jsonable(
+            consistent_convergence_probe(walk, a["depth"])
+        )
 
     try:
         harness = pointwise_equivalence_harness(
@@ -270,21 +271,15 @@ def cmd_classify(cfg: SystemConfig):
         results["equivalence"] = None
         warns.append(f"budget: {exc}")
 
-    try:
+    if walk is None:
+        results["almost_sure"] = None
+        warns.append(walk_warning)
+    else:
         almost = almost_sure_exponential_estimate(
-            m,
-            trials,
-            horizon,
-            seed,
-            delta=delta,
-            probe_len=a["depth"],
-            budget=a["budget"],
+            m, trials, horizon, seed, delta=delta, probe_len=a["depth"], walk=walk
         )
         results["almost_sure"] = jsonable(almost)
         warns.extend("gate: " + msg for msg in almost.warnings)
-    except BudgetExceededError as exc:
-        results["almost_sure"] = None
-        warns.append(f"budget: {exc}")
 
     off_diagonal = s.matrices * (1.0 - np.eye(s.dim))
     if np.abs(off_diagonal).max() == 0.0:

@@ -118,15 +118,25 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     stack of row vectors whose row count is a whole multiple of trials (row r
     follows path r mod trials), entry [r, t] is log ||start[r] A_r(t+1)|| in
     the Euclidean norm; without it the products themselves are tracked from
-    the identity and the entry is log ||A_r(t+1)||_2. Each step is one
-    gathered multiply, every row by its own path's matrix, so a row's bits
-    never depend on the other rows: stacked rows equal single-row calls bit
-    for bit at any dimension. Only columns window..n-1 are kept, and norms
-    are taken only there and at the steps where the running state is
-    renormalized (every RENORM_EVERY) against under- and overflow, so the
-    kept columns equal those of window 0 bit for bit. An exactly zero
-    product stays zero and sends the rest of its row to -inf. Returns an
-    array of shape (rows, n - window).
+    the identity and the entry is log ||A_r(t+1)||_2. Returns an array of
+    shape (rows, n - window).
+
+    The state is one (trials, m, d) block: trial t's start rows form one
+    (m, d) matrix, or its product (m = d) without start, and each step is one
+    matrix-matrix product per trial with that trial's next matrix. A lone
+    start row gets a zero partner row: a one-row product would go to the
+    matrix-vector routine, which rounds differently at d >= 4. So a row's bits
+    never depend on the other rows, and stacked rows equal single-row calls
+    bit for bit at any dimension.
+
+    A step only records its norms. Once per segment of RENORM_EVERY steps the
+    kernel marks each row that has read a zero norm (an exact zero product,
+    or squares that underflowed) as dead for good, logs the norms, writes
+    them into the history and renormalizes the running state against under-
+    and overflow; a dead row is divided by inf, so it is zero from then on
+    and the rest of its history is -inf. Only columns window..n-1 are kept,
+    and norms are taken only there and at the renormalizing steps, so the
+    kept columns equal those of window 0 bit for bit.
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2:
@@ -135,44 +145,53 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     if not 0 <= window <= horizon:
         raise ValueError(f"window must lie in 0..{horizon}, got {window}")
     if start is None:
+        reps = 1
         state = np.tile(np.eye(s.dim), (trials, 1, 1))
     else:
-        state = np.array(start, dtype=float)
-        if state.ndim != 2 or state.shape[1] != s.dim:
+        xs = np.array(start, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != s.dim:
             raise ValueError(
-                f"start must hold rows of length {s.dim}, got shape {state.shape}"
+                f"start must hold rows of length {s.dim}, got shape {xs.shape}"
             )
-        if not np.all(np.isfinite(state)):
+        if not np.all(np.isfinite(xs)):
             raise ValueError("start vector entries must be finite")
-        state = state[:, None]  # each row as a (1, d) matrix
-    rows = state.shape[0]
-    reps, extra = divmod(rows, trials) if trials else (0, rows)
-    if extra:
-        raise ValueError(f"start must hold a multiple of {trials} rows, got {rows}")
-    # row r of the stack sits at [r // trials, r % trials]
-    state = state.reshape(reps, trials, *state.shape[1:])
-    hist = np.full((rows, horizon - window), -np.inf)
-    acc = np.zeros(rows)
-    alive = np.ones(rows, dtype=bool)
-    for n in range(horizon):
-        state = state @ s.matrices[paths[:, n] - 1]
-        renorm = (n + 1) % RENORM_EVERY == 0
-        if n < window and not renorm:
-            continue
-        if start is None:
-            nrm = np.linalg.svd(state, compute_uv=False)[..., 0].reshape(rows)
-        else:
-            nrm = np.linalg.norm(state, axis=-1).reshape(rows)
-        alive &= nrm > 0.0
-        if n >= window:
-            hist[alive, n - window] = acc[alive] + np.log(nrm[alive])
-        if renorm:
+        reps, extra = divmod(len(xs), trials) if trials else (0, len(xs))
+        if extra:
+            raise ValueError(f"start must hold a multiple of {trials} rows, got {len(xs)}")
+        # row r of the stack is row r // trials of trial r % trials's block
+        blocks = xs.reshape(reps, trials, s.dim).transpose(1, 0, 2)
+        partner = np.zeros((trials, 1 if reps == 1 else 0, s.dim))
+        state = np.concatenate([blocks, partner], axis=1)
+    hist = np.full((reps, trials, horizon - window), -np.inf)
+    norms = np.empty((RENORM_EVERY, trials, reps))
+    acc = np.zeros((trials, reps))
+    alive = np.ones((trials, reps), dtype=bool)
+    for lo in range(0, horizon, RENORM_EVERY):
+        hi = min(lo + RENORM_EVERY, horizon)
+        # norms from the window on, and at the segment's last step
+        first = min(max(lo, window), hi - 1)
+        for n, idx in enumerate(paths[:, lo:hi].T - 1, start=lo):
+            state = state @ s.matrices[idx]
+            if n < first:
+                continue
+            if start is None:
+                norms[n - lo] = np.linalg.svd(state, compute_uv=False)[:, :1]
+            else:
+                norms[n - lo] = np.linalg.norm(state, axis=-1)[:, :reps]
+        seg = norms[first - lo : hi - lo]
+        live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(live, acc + np.log(seg), -np.inf)
+        if hi > window:  # then first >= window
+            hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
+        alive = live[-1]
+        if hi - lo == RENORM_EVERY:
             if not alive.any():
                 break  # every row has hit an exact zero product
-            acc[alive] += np.log(nrm[alive])
+            acc = logs[-1]
             # a dead row is divided by inf, so it is zero from here on
-            state /= np.where(alive, nrm, np.inf).reshape(reps, trials, 1, 1)
-    return hist
+            state /= np.where(alive, seg[-1], np.inf)[:, :, None]
+    return hist.reshape(reps * trials, horizon - window)
 
 
 def vector_log_norm_history(s: MatrixSet, symbols: np.ndarray, x) -> np.ndarray:

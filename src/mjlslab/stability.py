@@ -42,8 +42,8 @@ PROBE_MARGIN = 1e-9
 FINITENESS_GAP_TOL = 1e-6
 POSITIVE_EVIDENCE_TRIALS = 5
 # the harness stacks initial vectors into kernel calls of at most this many
-# rows; more rows per call means fewer per-step Python iterations but a
-# larger history buffer
+# rows; a step's cost barely grows with its rows (one matrix-matrix product
+# per trial), so the bound is the history buffer, rows x half the horizon
 STACK_ROWS = 400
 GATE_DEPTH_DEFAULT = 8
 PROBE_LEN_DEFAULT = 8
@@ -216,13 +216,13 @@ class WordProbeResult:
 
 
 def periodic_stability_probe(
-    s: MatrixSet, max_len: int, budget: int = ENUM_BUDGET
+    s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET
 ) -> WordProbeResult:
     """Largest averaged spectral radius over all words up to max_len.
 
     Every periodic switching sequence with period <= max_len is stable iff
     this maximum is below 1; the verdict keeps the so-far qualifier since
-    longer words are unexplored.
+    longer words are unexplored. A walk passed as s brings its own budget.
     """
     _, _, max_val, max_word, completed, truncated = rho_extremes(s, max_len, budget)
     stable = max_val < 1.0 - PROBE_MARGIN
@@ -237,13 +237,14 @@ def periodic_stability_probe(
 
 
 def consistent_convergence_probe(
-    s: MatrixSet, max_len: int, budget: int = ENUM_BUDGET
+    s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET
 ) -> WordProbeResult:
     """Smallest averaged spectral radius over all words up to max_len.
 
     A single word with rho(S_w) < 1 makes the periodic repetition of w drive
     every initial vector to zero, so finding one certifies consistent
-    convergence; not finding one within max_len proves nothing.
+    convergence; not finding one within max_len proves nothing. A walk passed
+    as s brings its own budget.
     """
     min_val, min_word, _, _, completed, truncated = rho_extremes(s, max_len, budget)
     found = min_val < 1.0 - PROBE_MARGIN
@@ -495,8 +496,14 @@ def almost_sure_exponential_estimate(
     delta: float = DELTA_DEFAULT,
     probe_len: int = PROBE_LEN_DEFAULT,
     budget: int = ENUM_BUDGET,
+    walk: WordLevels | None = None,
 ) -> AlmostSureReport:
-    probe = periodic_stability_probe(m.system, probe_len, budget)
+    """Tail fits of log ||A(n)||_2 over sampled trajectories, gated by the word probe.
+
+    The periodic-stability gate walks the words of m.system up to probe_len,
+    or reads a walk of them that reaches probe_len, passed as walk.
+    """
+    probe = periodic_stability_probe(walk or m.system, probe_len, budget)
     gate_passed = probe.verdict == "periodically-stable-so-far"
     notes: list[str] = []
     if not gate_passed:

@@ -265,6 +265,49 @@ def oracle_log_norm_history(mats, symbols, x=None) -> np.ndarray:
     return np.array(out)
 
 
+def oracle_row_kernel(mats, paths, start=None, window: int = 0, renorm_every: int = 50):
+    """Log-norm histories one row at a time: the kernel as it was before trial blocks.
+
+    mats is a (K, d, d) array and paths a (trials, n) array of 1-indexed
+    symbols. Each row is its own (1, d) vector, or its own product from the
+    identity when start is None, and takes one gathered multiply per step;
+    norms are logged step by step from the window on and at every
+    renorm_every-th step, where the state is renormalized. A row whose norm
+    reads 0 is -inf from then on. Returns shape (rows, n - window).
+    """
+    mats = np.asarray(mats, dtype=float)
+    paths = np.asarray(paths, dtype=np.int64)
+    trials, horizon = paths.shape
+    if start is None:
+        state = np.tile(np.eye(mats.shape[1]), (trials, 1, 1))
+    else:
+        state = np.array(start, dtype=float)[:, None]
+    rows = state.shape[0]
+    reps = rows // trials if trials else 0
+    state = state.reshape(reps, trials, *state.shape[1:])
+    hist = np.full((rows, horizon - window), -np.inf)
+    acc = np.zeros(rows)
+    alive = np.ones(rows, dtype=bool)
+    for n in range(horizon):
+        state = state @ mats[paths[:, n] - 1]
+        renorm = (n + 1) % renorm_every == 0
+        if n < window and not renorm:
+            continue
+        if start is None:
+            nrm = np.linalg.svd(state, compute_uv=False)[..., 0].reshape(rows)
+        else:
+            nrm = np.linalg.norm(state, axis=-1).reshape(rows)
+        alive &= nrm > 0.0
+        if n >= window:
+            hist[alive, n - window] = acc[alive] + np.log(nrm[alive])
+        if renorm:
+            if not alive.any():
+                break
+            acc[alive] += np.log(nrm[alive])
+            state /= np.where(alive, nrm, np.inf).reshape(reps, trials, 1, 1)
+    return hist
+
+
 def oracle_jsr_bounds(mats, depth):
     """(lower, upper) by plain loops: lower over all words up to depth, upper
     over words of exactly that depth."""

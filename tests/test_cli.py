@@ -244,6 +244,29 @@ def test_jsr_walks_the_words_once(tmp_path, capsys, monkeypatch):
     assert walks == [6]
 
 
+def test_classify_walks_the_words_once(tmp_path, capsys, monkeypatch):
+    walks = []
+    level_products = mjlslab.products._level_products
+
+    def counted(s, max_depth, budget):
+        walks.append(max_depth)
+        yield from level_products(s, max_depth, budget)
+
+    monkeypatch.setattr(mjlslab.products, "_level_products", counted)
+    # generator norms <= 1, so the pruned boundedness gate walks nothing
+    cfg = {
+        "dimension": 2,
+        "matrices": [np.diag([0.5, 1.0]).tolist(), rotation(np.pi / 2).tolist()],
+        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "analysis": {"trials": 3, "horizon": 60, "num_initials": 2, "depth": 5},
+    }
+    code, out, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(cfg)))
+    assert code == 0
+    assert walks == [5]
+    results = json.loads(out)["results"]
+    assert results["almost_sure"]["probe"] == results["periodic_probe"]
+
+
 def test_truncated_jsr_warning_names_the_completed_depth(tmp_path, capsys):
     # the benchmark's jsr family; budget 3 covers depth 1 (3 products) only
     mats = np.random.default_rng([0, 11]).standard_normal((3, 3, 3)) / 2.0

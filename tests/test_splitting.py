@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mjlslab.splitting
@@ -35,13 +35,14 @@ from mjlslab import (
     vector_lyapunov_exponent,
     verify_splitting,
 )
-from mjlslab.splitting import _closure, _first_come_reps
+from mjlslab.splitting import RENORM_EVERY, _closure, _first_come_reps
 from oracles import (
     oracle_best_idempotent,
     oracle_closure,
     oracle_cluster_reps,
     oracle_log_norm_history,
     oracle_norm2,
+    oracle_row_kernel,
     oracle_word_product,
     rotation,
 )
@@ -183,6 +184,56 @@ def test_windowed_stacked_kernel_equals_full_history(case, seed, horizon, reps, 
         np.testing.assert_allclose(
             full_mat[t], oracle_log_norm_history(mats, path), rtol=1e-12, atol=1e-9
         )
+
+
+@given(
+    case=st.sampled_from(["reducible-k3", "nilpotent-pair", "random"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.sampled_from([49, 50, 51, 100, 101]),
+    reps=st.integers(0, 3),
+    window=st.sampled_from([0, 49, 50, 51, 99, 100, 101]),
+    last=st.sampled_from([1, 0]),
+)
+@example("nilpotent-pair", 0, 101, 0, 50, 1)
+@example("reducible-k3", 0, 100, 1, 99, 0)
+@example("random", 3, 50, 1, 49, 1)  # seeds 3, 2, 1 and 0 draw d = 1, 2, 3 and 4
+@example("random", 2, 51, 2, 51, 0)
+@example("random", 1, 101, 3, 100, 1)
+@example("random", 0, 49, 1, 0, 0)
+def test_kernel_equals_the_row_kernel_oracle(case, seed, horizon, reps, window, last):
+    # trial blocks round like one row at a time: products at every d, vectors
+    # at d <= 3, where a matrix-vector product rounds like a matrix-matrix one
+    family, paths = _kernel_case(case, seed, horizon)
+    xs = np.random.default_rng(seed + 1).standard_normal((reps, family.dim))
+    stack = np.repeat(xs, len(paths), axis=0)
+    for w in (min(window, horizon), horizon - last):
+        np.testing.assert_array_equal(
+            log_norm_histories(family, paths, window=w),
+            oracle_row_kernel(family.matrices, paths, window=w, renorm_every=RENORM_EVERY),
+        )
+        if family.dim <= 3:
+            np.testing.assert_array_equal(
+                log_norm_histories(family, paths, stack, w),
+                oracle_row_kernel(family.matrices, paths, stack, w, RENORM_EVERY),
+            )
+
+
+def test_a_norm_that_underflows_mid_segment_kills_the_row_for_good():
+    # at step 5 the first row's state is 1e-170, whose squares underflow, so
+    # its norm reads 0 although the state is not zero; the growth at step 6
+    # must not bring the row back, in this segment or any later one
+    family = MatrixSet.from_list([np.eye(2), 1e-20 * np.eye(2), 1e20 * np.eye(2)])
+    path = np.ones((1, 3 * RENORM_EVERY), dtype=np.int64)
+    path[0, 4:6] = [2, 3]
+    start = np.array([[1e-150, 0.0], [1.0, 0.0]])
+    both = log_norm_histories(family, path, start)
+    np.testing.assert_array_equal(both, oracle_row_kernel(family.matrices, path, start))
+    assert np.isfinite(both[0, :4]).all() and np.isneginf(both[0, 4:]).all()
+    assert np.isfinite(both[1]).all()
+    for row, x in zip(both, start):  # alone, with its zero partner row
+        for window in (0, 3):
+            alone = log_norm_histories(family, path, x[None], window)
+            np.testing.assert_array_equal(alone, row[None, window:])
 
 
 def test_nilpotent_rows_dead_before_the_window_stay_dead():
