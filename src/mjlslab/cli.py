@@ -127,6 +127,11 @@ def cmd_split(cfg: SystemConfig):
     horizon = a["horizon"]
     if seq.max_length is not None and seq.max_length < horizon:
         horizon = seq.max_length
+    if horizon < a["cylinder_len"]:
+        raise ConfigError(
+            f"analysis.cylinder_len: {a['cylinder_len']} exceeds the horizon of "
+            f"{horizon} symbols"
+        )
     # build_sequence refused the structural defects; stationarity is left
     issues = validate_chain(cfg.chain).issues if seq.kind == "markov" else []
     warns = ["note: " + msg for msg in issues]

@@ -271,6 +271,8 @@ def _parse_analysis(data: dict) -> dict:
                 out[key] = None
             elif isinstance(value, list) and value:
                 out[key] = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+                if not any(out[key]):
+                    raise ConfigError(f"{path}: must be nonzero")
             else:
                 raise ConfigError(f"{path}: expected a nonempty list or null")
         elif key == "trace_csv":

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 RANK_TOL = 1e-8
 BAND_TOL = 1e-6
@@ -209,11 +208,13 @@ def _left_invariant_subspace(a: np.ndarray, keep) -> Subspace:
     if d == 1:
         m = abs(float(a[0, 0]))
         return Subspace.full(1) if keep(m) else Subspace.zero(1)
+    import scipy.linalg  # the package's only scipy use, loaded on first need
+
     try:
         _, z, sdim = scipy.linalg.schur(
             a.T, output="real", sort=lambda re, im: keep(np.hypot(re, im))
         )
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy raises numpy's class
         raise EigenSolverError("Schur iteration did not converge") from exc
     return Subspace(d, z[:, : int(sdim)].T.copy())
 

@@ -3,6 +3,9 @@
 Covers validation of (initial, transition) pairs, irreducibility, the
 decomposition of a stationary chain into recurrent classes plus transient
 states, cylinder measures on the path space, and seeded trajectory sampling.
+Irreducibility and the recurrent classes are both read off one reachability
+matrix, the boolean closure of the positive-transition digraph, computed by
+repeated squaring with numpy alone.
 
 States are 1-indexed everywhere in the public interface; arrays are 0-indexed
 internally.
@@ -14,8 +17,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import csgraph
 
 from .rng import philox_stream
 
@@ -41,6 +42,8 @@ class MarkovChain:
         t = np.asarray(self.transition, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError(f"transition must be square, got shape {t.shape}")
+        if t.shape[0] == 0:
+            raise ValueError("a chain needs at least one state")
         if p.shape[0] != t.shape[0]:
             raise ValueError(
                 f"initial has {p.shape[0]} entries but transition is {t.shape[0]}x{t.shape[1]}"
@@ -111,16 +114,25 @@ def validate_chain(chain: MarkovChain) -> ValidationReport:
     return report
 
 
-def _positive_graph(chain: MarkovChain) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.csr_matrix((chain.transition > 0.0).astype(np.int8))
+def _reachability(chain: MarkovChain) -> np.ndarray:
+    """r[i, j] is True when state j is reachable from i in zero or more steps.
+
+    Squaring the 0/1 matrix of (transition > 0) | I doubles the path length it
+    covers, and a shortest path has at most K - 1 steps, so ceil(log2(K - 1))
+    squarings suffice. The float products count paths up to K, so stay exact.
+    """
+    k = chain.num_states
+    r = ((chain.transition > 0.0) | np.eye(k, dtype=bool)).astype(float)
+    covered = 1
+    while covered < k - 1:
+        r = (r @ r > 0.0).astype(float)
+        covered *= 2
+    return r > 0.0
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
     """True when the positive-transition digraph is strongly connected."""
-    n_comp, _ = csgraph.connected_components(
-        _positive_graph(chain), directed=True, connection="strong"
-    )
-    return int(n_comp) == 1
+    return bool(_reachability(chain).all())
 
 
 @dataclass(frozen=True)
@@ -144,29 +156,20 @@ class ErgodicDecomposition:
 def ergodic_decomposition(chain: MarkovChain) -> ErgodicDecomposition:
     """Split the state space into recurrent classes and transient states.
 
-    A class is a strongly connected component of the positive-transition
-    digraph with no positive edge leaving it; every other state is transient.
-    For an exactly stationary chain the transient states are precisely the
-    states with zero initial mass, which is reported as a flag rather than
-    assumed.
+    A state is recurrent when every state it reaches reaches it back; its
+    class is then the set of states it reaches. Every other state is
+    transient. For an exactly stationary chain the transient states are
+    precisely the states with zero initial mass, which is reported as a flag
+    rather than assumed.
     """
     p, t = chain.initial, chain.transition
     n = chain.num_states
-    n_comp, labels = csgraph.connected_components(
-        _positive_graph(chain), directed=True, connection="strong"
-    )
-
-    closed = []
-    for comp in range(int(n_comp)):
-        members = np.flatnonzero(labels == comp)
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        if not (t[np.ix_(members, outside)] > 0.0).any():
-            closed.append(tuple(int(s) + 1 for s in sorted(members)))
-    closed.sort(key=lambda c: c[0])
-
-    recurrent = {s for cls in closed for s in cls}
-    transient = tuple(s for s in range(1, n + 1) if s not in recurrent)
+    r = _reachability(chain)
+    recurrent = (r <= r.T).all(axis=1)
+    # a class is read once, off its smallest state
+    smallest = recurrent & (r.argmax(axis=1) == np.arange(n))
+    closed = [tuple(int(s) + 1 for s in np.flatnonzero(r[i])) for i in np.flatnonzero(smallest)]
+    transient = tuple(int(s) + 1 for s in np.flatnonzero(~recurrent))
 
     weights = np.array([sum(p[s - 1] for s in cls) for cls in closed])
     conditionals = []

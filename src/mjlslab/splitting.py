@@ -23,7 +23,6 @@ from .linalg import (
     Subspace,
     as_matrix,
     idempotency_defect,
-    induced_norm2,
     spectral_split,
 )
 from .products import ENUM_BUDGET, MatrixSet, preextremal_norm, word_product
@@ -680,66 +679,4 @@ def verify_splitting(
         center_preextremal_deviation_max=np.array(center_pre_dev),
         identity_return_min=identity_return_min,
         off_stable_min_norms=np.exp(off_hist.min(axis=1)),
-    )
-
-
-@dataclass
-class UniformDecayReport:
-    """Restriction norms versus per-vector minima on one subspace.
-
-    If every unit vector of the subspace dips below delta somewhere inside
-    the horizon, the norm of the restricted product is at most delta times
-    the square of the trajectory bound beta. The report records the measured
-    analogue: restriction_norm_final against beta^2 times the largest
-    per-sample minimum.
-    """
-
-    horizon: int
-    samples: int
-    beta_hat: float
-    per_sample_min: np.ndarray
-    max_sample_min: float
-    restriction_norm_final: float
-    restriction_norm_min: float
-    bound_holds: bool
-
-
-def uniform_decay_on_subspace(
-    s: MatrixSet,
-    seq: SwitchingSequence,
-    sub: Subspace,
-    horizon: int,
-    samples: int = 20,
-    seed: int = 0,
-) -> UniformDecayReport:
-    if sub.dim == 0:
-        raise ValueError("need a nonzero subspace")
-    idx = _indices(seq.prefix(horizon), s.num_matrices)
-
-    coeff = unit_vectors(sub.dim, samples, seed, stream_offset=2)
-    vecs = coeff @ sub.basis
-    sample_min = np.full(samples, np.inf)
-
-    a = np.eye(s.dim)
-    beta = 0.0
-    restr_final = np.nan
-    restr_min = np.inf
-    for k in idx:
-        a = a @ s.matrices[k]
-        beta = max(beta, induced_norm2(a))
-        vecs = vecs @ s.matrices[k]
-        sample_min = np.minimum(sample_min, np.linalg.norm(vecs, axis=1))
-        restr = float(np.linalg.svd(sub.basis @ a, compute_uv=False)[0])
-        restr_min = min(restr_min, restr)
-        restr_final = restr
-    max_sample_min = float(sample_min.max())
-    return UniformDecayReport(
-        horizon=horizon,
-        samples=samples,
-        beta_hat=beta,
-        per_sample_min=sample_min,
-        max_sample_min=max_sample_min,
-        restriction_norm_final=restr_final,
-        restriction_norm_min=restr_min,
-        bound_holds=bool(restr_final <= beta * beta * max_sample_min + 1e-12),
     )

@@ -70,17 +70,18 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def random_structured_chain(rng: np.random.Generator, max_states: int):
+def random_structured_chain(rng: np.random.Generator, max_states: int, density: float = 0.45):
     """Random chain with sparsity, so transients and several classes occur.
 
-    The initial distribution is an exact stationary vector: a positive random
-    mixture of the per-class stationary distributions, exactly zero off the
-    recurrent states.
+    Each entry is positive with probability `density`; a row left empty gets
+    one random entry. The initial distribution is an exact stationary vector:
+    a positive random mixture of the per-class stationary distributions,
+    exactly zero off the recurrent states.
     """
     n = int(rng.integers(2, max_states + 1))
     transition = np.zeros((n, n))
     for i in range(n):
-        support = rng.random(n) < 0.45
+        support = rng.random(n) < density
         if not support.any():
             support[rng.integers(n)] = True
         w = rng.random(n) * support

@@ -476,6 +476,34 @@ def test_classify_requires_markov_block(tmp_path, capsys):
     assert "markov" in err
 
 
+@pytest.mark.parametrize(
+    "sequence, analysis",
+    [
+        ({"kind": "periodic", "word": [1]}, {"horizon": 3, "cylinder_len": 4}),
+        ({"kind": "explicit", "symbols": [1, 1, 1]}, {"cylinder_len": 4}),
+    ],
+    ids=["horizon", "explicit_sequence"],
+)
+def test_split_cylinder_longer_than_the_horizon_is_a_config_error(
+    tmp_path, capsys, sequence, analysis
+):
+    doc = {"dimension": 2, "matrices": [[[0.5, 1.0], [0.0, 1.0]]],
+           "sequence": sequence, "analysis": analysis}
+    code, out, err = run(capsys, "split", "--config", write(tmp_path, json.dumps(doc)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: analysis.cylinder_len:")
+
+
+def test_classify_refuses_a_zero_initial_vector(tmp_path, capsys):
+    doc = json.loads((ROOT / "demos/configs/classify_rotmix.json").read_text())
+    doc["analysis"]["initial_vector"] = [0.0, -0.0]
+    code, out, err = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: analysis.initial_vector:")
+
+
 def _markov_cfg(initial, transition, matrices=(np.eye(2), np.diag([0.5, 1.0]))):
     return json.dumps(
         {

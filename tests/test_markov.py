@@ -38,6 +38,8 @@ def test_chain_shape_validation():
         MarkovChain([0.5, 0.5], [[1.0, 0.0]])
     with pytest.raises(ValueError):
         MarkovChain([0.5, 0.5], [[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="at least one state"):
+        MarkovChain([], np.zeros((0, 0)))
 
 
 def test_validate_chain_reports_each_defect():
@@ -74,15 +76,41 @@ def test_decomposition_reducible_chain():
         assert validate_chain(sub).valid
 
 
+def _cycle(k):
+    """i -> i + 1 mod k: crossing it takes k - 1 steps."""
+    return np.roll(np.eye(k), 1, axis=1)
+
+
+def _path(k):
+    """i -> i + 1 with the last state absorbing."""
+    t = np.eye(k, k, 1)
+    t[-1, -1] = 1.0
+    return t
+
+
 def test_decomposition_matches_oracle_on_random_chains():
     rng = np.random.default_rng(10)
-    for _ in range(40):
-        p, t = random_structured_chain(rng, max_states=6)
-        dec = ergodic_decomposition(MarkovChain(p, t))
+    chains = [random_structured_chain(rng, max_states=6) for _ in range(40)]
+    # sparse chains up to K = 40 have many classes and long transient chains
+    chains += [
+        random_structured_chain(rng, max_states=40, density=rng.uniform(0.0, 0.4))
+        for _ in range(40)
+    ]
+    # cycles and paths need the most squarings of the reachability closure;
+    # a zero row is a class of its own
+    chains += [(None, shape(k)) for k in range(1, 41) for shape in (_cycle, _path)]
+    chains += [(None, np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))]
+    chains += [(None, np.array([[1.0]])), (None, np.array([[0.0]]))]
+    for p, t in chains:
+        k = t.shape[0]
+        chain = MarkovChain(np.full(k, 1.0 / k) if p is None else p, t)
+        dec = ergodic_decomposition(chain)
         transient, classes = oracle_classes(t)
         assert dec.classes == classes
         assert dec.transient_states == transient
-        assert abs(dec.weights.sum() - 1.0) < 1e-12
+        assert is_irreducible(chain) == (len(classes) == 1 and not transient)
+        if p is not None:  # a stationary initial puts all its mass on the classes
+            assert abs(dec.weights.sum() - 1.0) < 1e-12
 
 
 def test_conditional_chains_are_stationary_restrictions():

@@ -15,7 +15,6 @@ from mjlslab import (
     LimitPointSet,
     MarkovChain,
     MatrixSet,
-    Subspace,
     SwitchingSequence,
     cocycle_products_at,
     find_idempotent,
@@ -30,7 +29,6 @@ from mjlslab import (
     split_from_idempotent,
     tail_slope,
     tail_start,
-    uniform_decay_on_subspace,
     vector_log_norm_history,
     vector_lyapunov_exponent,
     verify_splitting,
@@ -527,14 +525,3 @@ def test_verify_splitting_evidence_quality():
     assert ev.stable_tail_fits.max() <= np.log(0.5) + 1e-6
     assert ev.center_return_deviation_final.max() <= 1e-9
     assert ev.off_stable_min_norms.min() > 0.05
-
-
-def test_uniform_decay_on_stable_subspace():
-    seq = SwitchingSequence.periodic([1])
-    split = periodic_split(SHRINK, (1,))
-    rep = uniform_decay_on_subspace(SHRINK, seq, split.stable, horizon=60)
-    assert rep.bound_holds
-    assert rep.restriction_norm_final == pytest.approx(0.5**60, rel=1e-9)
-    assert rep.beta_hat == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        uniform_decay_on_subspace(SHRINK, seq, Subspace.zero(2), horizon=10)
