@@ -33,12 +33,7 @@ from .config import (
     load_config,
 )
 from .linalg import AmbiguousRankError, AmbiguousSplitError, grassmann_distance
-from .markov import (
-    ergodic_decomposition,
-    is_irreducible,
-    shift_invariance_defect,
-    validate_chain,
-)
+from .markov import ergodic_decomposition, shift_invariance_defect, validate_chain
 from .products import BudgetExceededError, MatrixSet, boundedness_probe, jsr_bounds
 from .products import word_levels
 from .reports import canonical_json, config_sha256, jsonable, write_trace_csv
@@ -55,10 +50,10 @@ from .splitting import (
 )
 from .stability import (
     _build_report,
-    _matrix_histories,
     _symbol_paths,
     _vector_histories,
     almost_sure_exponential_estimate,
+    consistent_convergence_estimate,
     consistent_convergence_probe,
     diagonal_shortcut_check,
     periodic_stability_probe,
@@ -82,10 +77,13 @@ def cmd_decompose(cfg: SystemConfig):
     a = cfg.analysis
     report = validate_chain(check_chain(cfg.chain))
     warns = ["note: " + msg for msg in report.issues]
+    decomposition = ergodic_decomposition(cfg.chain)
     results = {
         "validation": jsonable(report),
-        "irreducible": bool(is_irreducible(cfg.chain)),
-        "decomposition": jsonable(ergodic_decomposition(cfg.chain)),
+        # strongly connected: every state recurrent, all in one class
+        "irreducible": len(decomposition.classes) == 1
+        and not decomposition.transient_states,
+        "decomposition": jsonable(decomposition),
         "shift_invariance": {
             "max_len": a["shift_max_len"],
             "defect": shift_invariance_defect(cfg.chain, a["shift_max_len"]),
@@ -224,14 +222,15 @@ def cmd_classify(cfg: SystemConfig):
         x = np.asarray(a["initial_vector"], dtype=float)
     warns = ["note: " + msg for msg in validate_chain(m.chain).issues]
 
-    # finals and tail fits need only the tail window; the trace needs it all
-    window = tail_start(horizon)
-    trajs = _symbol_paths(m, trials, horizon, seed)
-    hist_v = _vector_histories(s, trajs, x[None], window if a["trace_csv"] is None else 0)
+    # finals and tail fits need only the tail window; the trace needs it all.
+    # The paths are not held: the consistent estimate draws its own
+    window = tail_start(horizon) if a["trace_csv"] is None else 0
+    hist_v = _vector_histories(s, _symbol_paths(m, trials, horizon, seed), x[None], window)
     pointwise = _build_report("vector", x, trials, horizon, seed, eps, delta, hist_v)
-    consistent = _build_report(
-        "matrix", None, trials, horizon, seed, eps, delta,
-        _matrix_histories(s, trajs, window),
+    # one product history serves the consistent report, the almost-sure fits
+    # and the diagonal shortcut
+    consistent = consistent_convergence_estimate(
+        m, trials, horizon, eps=eps, delta=delta, seed=seed
     )
     if not pointwise.pairing_ok:
         warns.append(
@@ -281,7 +280,8 @@ def cmd_classify(cfg: SystemConfig):
         warns.append(walk_warning)
     else:
         almost = almost_sure_exponential_estimate(
-            m, trials, horizon, seed, delta=delta, probe_len=a["depth"], walk=walk
+            m, trials, horizon, seed, delta=delta, probe_len=a["depth"], walk=walk,
+            consistent=consistent,
         )
         results["almost_sure"] = jsonable(almost)
         warns.extend("gate: " + msg for msg in almost.warnings)
@@ -289,7 +289,9 @@ def cmd_classify(cfg: SystemConfig):
     off_diagonal = s.matrices * (1.0 - np.eye(s.dim))
     if np.abs(off_diagonal).max() == 0.0:
         results["diagonal_shortcut"] = jsonable(
-            diagonal_shortcut_check(m, trials, horizon, seed, eps=eps, delta=delta)
+            diagonal_shortcut_check(
+                m, trials, horizon, seed, eps=eps, delta=delta, consistent=consistent
+            )
         )
     else:
         results["diagonal_shortcut"] = None

@@ -23,6 +23,9 @@ from .rng import philox_stream
 ROW_SUM_TOL = 1e-12
 DIST_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+# entries (8 bytes each) of the per-state draw table that sample_trajectories
+# builds for one block of steps; it sets how many steps a block holds
+SAMPLE_TABLE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -240,27 +243,98 @@ def shift_invariance_defect(chain: MarkovChain, max_len: int) -> float:
     return worst
 
 
-def _pick_index(cum: np.ndarray, probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw with ties broken toward the lower index.
+def _pick_table(probs: np.ndarray) -> np.ndarray:
+    """The symbol that each raw inverse-CDF index 0..K selects, as an array.
 
-    Symbol i owns the half-open interval (cum[i-1], cum[i]]; u exactly on a
-    boundary therefore selects the lower positive-mass index. Zero-mass
-    symbols are never selected.
+    Symbol i owns the half-open interval (cum[i-1], cum[i]], so the raw index
+    is the left bisection of u into the cumulative row, and a u exactly on a
+    boundary selects the lower index. A raw index on a zero-mass symbol moves
+    up to the next positive-mass symbol, and one past the row or above the
+    last positive mass moves down to that last one, so zero-mass symbols are
+    never selected. Every entry is K when no symbol has positive mass.
     """
     k = len(probs)
-    idx = int(np.searchsorted(cum, u, side="left"))
-    if idx >= k:
-        idx = k - 1
-        while idx > 0 and probs[idx] <= 0.0:
-            idx -= 1
-    while idx < k - 1 and probs[idx] <= 0.0:
-        idx += 1
-    if probs[idx] <= 0.0:
-        while idx > 0 and probs[idx] <= 0.0:
-            idx -= 1
-        if probs[idx] <= 0.0:
-            raise ValueError("distribution has no positive mass")
-    return idx
+    mass = np.flatnonzero(probs > 0.0)
+    if not mass.size:
+        return np.full(k + 1, k, dtype=np.int64)
+    above = np.searchsorted(mass, np.arange(k + 1), side="left")
+    return mass[np.minimum(above, mass.size - 1)]
+
+
+def _bisect_rows(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Left bisection of each u into `cum`, as if each were searched alone.
+
+    Over many keys `np.searchsorted` starts each search from the previous
+    key's answer, which finds the same index only on a nondecreasing row; a
+    row that negative entries make non-monotone is bisected one u at a time.
+    """
+    if np.all(cum[1:] >= cum[:-1]):
+        return np.searchsorted(cum, us, side="left")
+    row = cum.tolist()
+    raw = [bisect_left(row, u) for u in us.ravel().tolist()]
+    return np.array(raw, dtype=np.int64).reshape(us.shape)
+
+
+def sample_trajectories(
+    chain: MarkovChain, horizon: int, seed: int, streams
+) -> np.ndarray:
+    """Sample one trajectory per stream: a (len(streams), horizon) array, 1-indexed.
+
+    Row i draws its uniforms, one per step, from philox_stream(seed,
+    streams[i]), so a row depends only on its own stream, and a longer
+    horizon with the same key extends it.
+
+    Draw contract: step n bisects the cumulative row of the current state
+    from the left for u_n, with the comparisons of a lone
+    `np.searchsorted(side="left")` call; on a nondecreasing row that is the
+    first index whose cumulative sum is >= u_n, so a u_n on a boundary goes to
+    the lower index. An index past the row or on a zero-mass symbol moves to
+    a positive-mass symbol as `_pick_table` says; the first state is drawn the
+    same way from the initial distribution. Drawing from a distribution with
+    no positive mass raises ValueError.
+
+    The uniforms are bisected for every state at once, a block of steps at a
+    time (the block's table holds about SAMPLE_TABLE_ENTRIES entries), and
+    each step is then one table lookup across all the rows.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    gens = [philox_stream(seed, stream) for stream in streams]
+    rows, k = len(gens), chain.num_states
+    out = np.empty((rows, horizon), dtype=np.int64)
+    if not rows:
+        return out
+    p, t = chain.initial, chain.transition
+    cum_t = np.cumsum(t, axis=1)
+    picks = [_pick_table(row) for row in t]
+    # row i in state s sits at position s * rows + i, and state k stands for a
+    # draw from a massless distribution: it keeps every row that enters it
+    offsets = np.arange(rows)
+    trapped = k * rows + offsets
+    step = max(1, min(horizon, SAMPLE_TABLE_ENTRIES // ((k + 1) * rows)))
+    us = np.empty((rows, step))
+    for lo in range(0, horizon, step):
+        width = min(step, horizon - lo)
+        block = us[:, :width]
+        for gen, row in zip(gens, block):
+            gen.random(out=row)
+        # table[j, s * rows + i]: row i's position after step lo + j from state s
+        table = np.empty((width, k + 1, rows), dtype=np.int64)
+        for s in range(k):
+            table[:, s] = picks[s][_bisect_rows(cum_t[s], block.T)] * rows + offsets
+        table[:, k] = trapped
+        table = table.reshape(width, (k + 1) * rows)
+        walk = np.empty((width, rows), dtype=np.int64)
+        if lo == 0:
+            first = _pick_table(p)[_bisect_rows(np.cumsum(p), block[:, 0])]
+            walk[0] = pos = first * rows + offsets
+        for j in range(1 if lo == 0 else 0, width):
+            pos = walk[j] = table[j][pos]
+        out[:, lo : lo + width] = (walk // rows).T
+    if (out[:, -1] == k).any():
+        raise ValueError("distribution has no positive mass")
+    out += 1
+    return out
 
 
 def sample_trajectory(
@@ -268,29 +342,10 @@ def sample_trajectory(
 ) -> np.ndarray:
     """Sample `horizon` states (1-indexed) from the chain, deterministically.
 
-    The generator is keyed by (seed, stream); one uniform is drawn per step in
-    order, so a longer horizon with the same key extends the shorter sample.
-
-    Draw contract: step n bisects the cumulative row from the left for u_n,
-    with the comparisons of `np.searchsorted(side="left")`. On a
-    nondecreasing row that is the first index whose cumulative sum is >= u_n,
-    so a u_n on a boundary goes to the lower index. When the index falls past
-    the row or on a zero-mass symbol, and for the first state, `_pick_index`
-    decides.
+    The one-row case of sample_trajectories, keyed by (seed, stream): one
+    uniform is drawn per step in order, so a longer horizon with the same key
+    extends the shorter sample, and the path equals row i of any
+    sample_trajectories call whose streams[i] is `stream`. The draw contract
+    is the one stated there.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    p, t = chain.initial, chain.transition
-    k = chain.num_states
-    cum_t = np.cumsum(t, axis=1)
-    us = philox_stream(seed, stream).random(horizon)
-    state = _pick_index(np.cumsum(p), p, us[0])
-    path = [state]
-    rows, probs = cum_t.tolist(), t.tolist()
-    for u in us[1:].tolist():
-        idx = bisect_left(rows[state], u)
-        if idx >= k or probs[state][idx] <= 0.0:
-            idx = _pick_index(cum_t[state], t[state], u)
-        state = idx
-        path.append(state)
-    return np.array(path, dtype=np.int64) + 1
+    return sample_trajectories(chain, horizon, seed, [stream])[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_row_vector
-from .markov import MarkovChain, sample_trajectory
+from .markov import MarkovChain, sample_trajectories
 from .products import (
     ENUM_BUDGET,
     BoundednessReport,
@@ -72,10 +72,7 @@ def _symbol_paths(m: MJLS, trials: int, horizon: int, seed: int) -> np.ndarray:
     """
     if trials < 1 or horizon < 2:
         raise ValueError("need at least one trial and a horizon of at least 2")
-    out = np.empty((trials, horizon), dtype=np.int64)
-    for t in range(trials):
-        out[t] = sample_trajectory(m.chain, horizon, seed, stream=t)
-    return out
+    return sample_trajectories(m.chain, horizon, seed, range(trials))
 
 
 def _vector_histories(
@@ -196,6 +193,16 @@ def consistent_convergence_estimate(
     trajs = _symbol_paths(m, trials, horizon, seed)
     hist = _matrix_histories(m.system, trajs, tail_start(horizon))
     return _build_report("matrix", None, trials, horizon, seed, eps, delta, hist)
+
+
+def _check_shared(consistent: ConvergenceReport, **expected) -> None:
+    """Refuse a consistent report that is not the matrix estimate asked for."""
+    if consistent.kind != "matrix":
+        raise ValueError(f"consistent must be a matrix report, got kind {consistent.kind!r}")
+    for name, want in expected.items():
+        got = getattr(consistent, name)
+        if got != want:
+            raise ValueError(f"consistent report has {name} {got!r}, expected {want!r}")
 
 
 @dataclass
@@ -497,12 +504,23 @@ def almost_sure_exponential_estimate(
     probe_len: int = PROBE_LEN_DEFAULT,
     budget: int = ENUM_BUDGET,
     walk: WordLevels | None = None,
+    consistent: ConvergenceReport | None = None,
 ) -> AlmostSureReport:
     """Tail fits of log ||A(n)||_2 over sampled trajectories, gated by the word probe.
 
     The periodic-stability gate walks the words of m.system up to probe_len,
     or reads a walk of them that reaches probe_len, passed as walk.
+
+    The fits are those of consistent_convergence_estimate on the same m,
+    trials, horizon and seed: the same paths, window and tail_slope. Pass
+    that report as consistent and they are read off its tail_fits, with no
+    draw and no product history; a report of another kind, trials, horizon
+    or seed raises ValueError.
     """
+    if consistent is None:
+        consistent = consistent_convergence_estimate(m, trials, horizon, seed=seed)
+    else:
+        _check_shared(consistent, trials=trials, horizon=horizon, seed=seed)
     probe = periodic_stability_probe(walk or m.system, probe_len, budget)
     gate_passed = probe.verdict == "periodically-stable-so-far"
     notes: list[str] = []
@@ -512,8 +530,7 @@ def almost_sure_exponential_estimate(
             f"(max averaged spectral radius {probe.best_value:.6g}); the "
             "almost-sure decay hypothesis is not established"
         )
-    trajs = _symbol_paths(m, trials, horizon, seed)
-    fits = tail_slope(_matrix_histories(m.system, trajs, tail_start(horizon)), horizon)
+    fits = consistent.tail_fits
     max_fit = float(fits.max())
     return AlmostSureReport(
         trials=trials,
@@ -552,12 +569,25 @@ def diagonal_shortcut_check(
     seed: int,
     eps: float = EPS_DEFAULT,
     delta: float = DELTA_DEFAULT,
+    consistent: ConvergenceReport | None = None,
 ) -> DiagonalShortcutReport:
+    """Compare the all-ones pointwise estimate with the consistent estimate.
+
+    Both are scored on the same trajectories. consistent, when given, is the
+    consistent estimate already made, as by consistent_convergence_estimate
+    with the same arguments; it is reused instead of building the product
+    history again, and a report of another kind, trials, horizon, seed, eps
+    or delta raises ValueError.
+    """
     d = m.system.dim
     off = m.system.matrices * (1.0 - np.eye(d))
     if np.abs(off).max() > 0.0:
         bad = int(np.argmax(np.abs(off).reshape(m.system.num_matrices, -1).max(1)))
         raise ValueError(f"matrix {bad + 1} is not diagonal")
+    if consistent is not None:
+        _check_shared(
+            consistent, trials=trials, horizon=horizon, seed=seed, eps=eps, delta=delta
+        )
     trajs = _symbol_paths(m, trials, horizon, seed)
     window = tail_start(horizon)
     ones = np.ones(d)
@@ -565,7 +595,7 @@ def diagonal_shortcut_check(
         "vector", ones, trials, horizon, seed, eps, delta,
         _vector_histories(m.system, trajs, ones[None], window),
     )
-    cs = _build_report(
+    cs = consistent or _build_report(
         "matrix", None, trials, horizon, seed, eps, delta,
         _matrix_histories(m.system, trajs, window),
     )

@@ -11,8 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mjlslab.markov
 import mjlslab.products
-from mjlslab import MarkovChain, sample_trajectory, tail_slope, validate_chain
+import mjlslab.stability
+from mjlslab import (
+    MarkovChain,
+    is_irreducible,
+    sample_trajectory,
+    tail_slope,
+    validate_chain,
+)
 from mjlslab.cli import main
 from mjlslab.config import DEFAULTS
 from oracles import oracle_log_norm_history, rotation
@@ -168,6 +176,37 @@ def test_decompose_dense_chain_gets_a_defect(tmp_path, capsys):
     assert not any(w.startswith("budget:") for w in doc["warnings"])
 
 
+# a 3-cycle, one state, two closed classes, and one closed class fed by a
+# transient state (one class, yet not irreducible)
+IRREDUCIBILITY_CHAINS = [
+    ([0.25, 0.25, 0.5], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]),
+    ([1.0], [[1.0]]),
+    ([0.3, 0.7, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]),
+    ([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("initial, transition", IRREDUCIBILITY_CHAINS)
+def test_decompose_reads_irreducibility_off_the_decomposition(
+    tmp_path, capsys, monkeypatch, initial, transition
+):
+    closures = []
+    reachability = mjlslab.markov._reachability
+
+    def counted(chain):
+        closures.append(chain.num_states)
+        return reachability(chain)
+
+    monkeypatch.setattr(mjlslab.markov, "_reachability", counted)
+    doc = {"markov": {"initial": initial, "transition": transition}}
+    code, out, _ = run(capsys, "decompose", "--config", write(tmp_path, json.dumps(doc)))
+    assert code == 0
+    assert closures == [len(initial)]
+    monkeypatch.undo()
+    expected = is_irreducible(MarkovChain(initial, transition))
+    assert json.loads(out)["results"]["irreducible"] is expected
+
+
 def test_decompose_long_words_stay_cheap(tmp_path, capsys):
     transition = [np.roll([0.5, 0.2, 0.1, 0.1, 0.05, 0.05], r).tolist() for r in range(6)]
     cfg = write(
@@ -265,6 +304,36 @@ def test_classify_walks_the_words_once(tmp_path, capsys, monkeypatch):
     assert walks == [5]
     results = json.loads(out)["results"]
     assert results["almost_sure"]["probe"] == results["periodic_probe"]
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_classify_builds_the_product_history_once(tmp_path, capsys, monkeypatch, diagonal):
+    # start-less kernel calls track the products A(n) themselves
+    products = []
+    kernel = mjlslab.stability.log_norm_histories
+
+    def counted(s, paths, start=None, window=0):
+        if start is None:
+            products.append(paths.shape)
+        return kernel(s, paths, start, window)
+
+    monkeypatch.setattr(mjlslab.stability, "log_norm_histories", counted)
+    second = np.diag([0.9, 0.6]) if diagonal else rotation(np.pi / 2)
+    cfg = {
+        "dimension": 2,
+        "matrices": [np.diag([0.5, 1.0]).tolist(), second.tolist()],
+        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "analysis": {"trials": 4, "horizon": 80, "num_initials": 2, "depth": 3},
+    }
+    code, out, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(cfg)))
+    assert code == 0
+    assert products == [(4, 80)]
+    results = json.loads(out)["results"]
+    assert results["almost_sure"]["tail_fits"] == results["consistent"]["tail_fits"]
+    shortcut = results["diagonal_shortcut"]
+    assert (shortcut is not None) == diagonal
+    if diagonal:
+        assert shortcut["consistent"] == results["consistent"]
 
 
 def test_truncated_jsr_warning_names_the_completed_depth(tmp_path, capsys):

@@ -14,11 +14,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mjlslab"
 DEMOS = ROOT / "demos" / "configs"
 
-# cli drives the classify pipeline through these until stability grows one
-# public entry point for it (ROADMAP item 1); the benchmark tracer patches them
+# cli scores the pointwise row through these until stability grows one public
+# entry point for the classify pipeline (ROADMAP item 1); the benchmark tracer
+# patches them. The product history comes from consistent_convergence_estimate
 ALLOWED = {
     ("cli", "stability", "_build_report"),
-    ("cli", "stability", "_matrix_histories"),
     ("cli", "stability", "_symbol_paths"),
     ("cli", "stability", "_vector_histories"),
 }

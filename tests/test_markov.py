@@ -1,19 +1,24 @@
 """Markov chains: validation, decomposition, cylinder measures, sampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mjlslab.markov
 from mjlslab import (
     MarkovChain,
     cylinder_measure,
     ergodic_decomposition,
     is_irreducible,
+    sample_trajectories,
     sample_trajectory,
     shift_invariance_defect,
     validate_chain,
 )
+from mjlslab.rng import philox_stream
 from oracles import (
     oracle_classes,
     oracle_cylinder,
@@ -258,6 +263,12 @@ SAMPLER_CHAINS = {
     "non_monotone_row": MarkovChain(
         [0.2, 0.3, 0.5], [[0.6, -0.3, 0.7], [0.2, 0.2, 0.6], [0.5, 0.5, 0.0]]
     ),
+    # cumulative row [0.3, 0.5, 0.4, 1.0, 0.1, 0.3] crosses u = 0.45 upward
+    # twice; a searchsorted over many uniforms at once, which starts each
+    # search from the last answer, can land on the other crossing
+    "two_crossings": MarkovChain(
+        [1 / 6] * 6, [[0.3, 0.2, -0.1, 0.6, -0.9, 0.2]] * 6
+    ),
     "zero_mass_first": MarkovChain(
         [0.0, 0.5, 0.5], [[0.0, 0.5, 0.5], [0.0, 0.3, 0.7], [0.0, 1.0, 0.0]]
     ),
@@ -299,6 +310,78 @@ def test_sample_trajectory_property_matches_oracle(chain, seed, stream, horizon)
 def test_sample_trajectory_property_prefix_extension(chain, seed, n, extra):
     long = sample_trajectory(chain, n + extra, seed)
     assert np.array_equal(long[:n], sample_trajectory(chain, n, seed))
+
+
+def _assert_rows_match_oracle(chain, horizon, seed, streams, table_entries):
+    # a small table budget makes short horizons cross the step-block edges
+    with mock.patch.object(mjlslab.markov, "SAMPLE_TABLE_ENTRIES", table_entries):
+        got = sample_trajectories(chain, horizon, seed, streams)
+    assert got.shape == (len(streams), horizon) and got.dtype == np.int64
+    for row, stream in zip(got, streams):
+        want = oracle_sample_trajectory(chain.initial, chain.transition, horizon, seed, stream)
+        assert np.array_equal(row, want)
+
+
+@given(
+    sparse_chains(),
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 2**40), max_size=5),
+    st.integers(1, 300),
+    st.integers(1, 64),
+)
+def test_sample_trajectories_property_rows_match_oracle(
+    chain, seed, streams, horizon, table_entries
+):
+    _assert_rows_match_oracle(chain, horizon, seed, streams, table_entries)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 8),
+    st.integers(1, 200),
+    st.data(),
+    st.sampled_from(["plain", "zero_first", "zero_middle"]),
+)
+def test_sample_trajectories_property_u_on_a_cumulative_boundary(
+    seed, stream, horizon, data, layout
+):
+    # the row's first cumulative boundary is the uniform of step j, so that
+    # step bisects onto it exactly (and the first state too when j = 0)
+    us = philox_stream(seed, stream).random(horizon)
+    u = float(us[data.draw(st.integers(0, horizon - 1))])
+    row = {
+        "plain": [u, 1.0 - u],
+        "zero_first": [0.0, u, 1.0 - u],
+        "zero_middle": [u, 0.0, 1.0 - u],
+    }[layout]
+    chain = MarkovChain(row, [row] * len(row))
+    streams = [stream + 3, stream, stream + 1]
+    _assert_rows_match_oracle(chain, horizon, seed, streams, data.draw(st.integers(1, 32)))
+
+
+def test_sample_trajectories_edge_shapes():
+    one_state = MarkovChain([1.0], [[1.0]])
+    assert sample_trajectories(one_state, 7, 0, [4, 2]).tolist() == [[1] * 7] * 2
+    chain = SAMPLER_CHAINS["reducible"]
+    assert sample_trajectories(chain, 5, 0, []).shape == (0, 5)
+    first = sample_trajectories(chain, 1, 3, range(6))[:, 0]
+    assert first.tolist() == [sample_trajectory(chain, 1, 3, t)[0] for t in range(6)]
+    for name in sorted(SAMPLER_CHAINS):
+        # non-contiguous and repeated stream ids
+        _assert_rows_match_oracle(SAMPLER_CHAINS[name], 700, 7, [9, 0, 4, 9], 40)
+    with pytest.raises(ValueError, match="horizon"):
+        sample_trajectories(chain, 0, 0, [0])
+
+
+def test_sampling_refuses_a_massless_row_only_when_it_is_drawn_from():
+    # state 2's row has no mass; it is never entered from state 1
+    unreached = MarkovChain([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+    assert sample_trajectories(unreached, 30, 0, range(3)).tolist() == [[1] * 30] * 3
+    entered = MarkovChain([1.0, 0.0], [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="no positive mass"):
+        sample_trajectories(entered, 30, 0, range(3))
+    with pytest.raises(ValueError, match="no positive mass"):
+        sample_trajectory(MarkovChain([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), 5, 0)
 
 
 @st.composite

@@ -259,6 +259,60 @@ def test_almost_sure_estimate_gate_failure_is_flagged():
     assert rep.tail_fits.shape == (10,)
 
 
+def _forbid_draws_and_histories(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew paths or built a product history")
+
+    monkeypatch.setattr(mjlslab.stability, "_symbol_paths", refuse)
+    monkeypatch.setattr(mjlslab.stability, "_matrix_histories", refuse)
+
+
+def test_almost_sure_estimate_reads_a_consistent_report_bit_for_bit(monkeypatch):
+    m = MJLS(
+        MatrixSet.from_list(
+            [0.99 * rotation(np.pi / 6), np.diag([0.9, 0.95]), 0.99 * rotation(np.pi / 6)]
+        ),
+        REDUCIBLE3,
+    )
+    own = almost_sure_exponential_estimate(m, trials=25, horizon=300, seed=4, probe_len=4)
+    # eps and delta of the consistent report do not enter the fits
+    cs = consistent_convergence_estimate(m, 25, 300, eps=1e-3, delta=0.5, seed=4)
+    _forbid_draws_and_histories(monkeypatch)
+    shared = almost_sure_exponential_estimate(
+        m, trials=25, horizon=300, seed=4, probe_len=4, consistent=cs
+    )
+    assert shared.tail_fits.tobytes() == own.tail_fits.tobytes()
+    assert (shared.max_tail_fit, shared.evidence) == (own.max_tail_fit, own.evidence)
+    assert shared.probe == own.probe and shared.warnings == own.warnings
+
+
+def test_shared_consistent_report_must_match_the_run():
+    m = MJLS(CONTRACTIONS, IID2)
+    cs = consistent_convergence_estimate(m, 10, 100, seed=2)
+    vector = pointwise_convergence_estimate(m, [1.0, 0.0], 10, 100, seed=2)
+    with pytest.raises(ValueError, match="kind 'vector'"):
+        almost_sure_exponential_estimate(m, 10, 100, 2, consistent=vector)
+    for field, trials, horizon, seed in (
+        ("trials", 11, 100, 2), ("horizon", 10, 120, 2), ("seed", 10, 100, 3)
+    ):
+        with pytest.raises(ValueError, match=field):
+            almost_sure_exponential_estimate(m, trials, horizon, seed, consistent=cs)
+    with pytest.raises(ValueError, match="eps"):
+        diagonal_shortcut_check(m, 10, 100, 2, eps=1e-3, consistent=cs)
+
+
+def test_diagonal_shortcut_reuses_a_consistent_report(monkeypatch):
+    m = MJLS(MatrixSet.from_list([np.diag([0.5, 1.0]), np.eye(2)]), IID2)
+    own = diagonal_shortcut_check(m, trials=15, horizon=200, seed=1)
+    cs = consistent_convergence_estimate(m, 15, 200, seed=1)
+    monkeypatch.setattr(mjlslab.stability, "_matrix_histories", None)
+    shared = diagonal_shortcut_check(m, trials=15, horizon=200, seed=1, consistent=cs)
+    assert shared.consistent is cs
+    assert shared.consistent.tail_fits.tobytes() == own.consistent.tail_fits.tobytes()
+    assert shared.pointwise.tail_fits.tobytes() == own.pointwise.tail_fits.tobytes()
+    assert shared.agree == own.agree
+
+
 def test_diagonal_shortcut_agrees():
     s = MatrixSet.from_list([np.diag([0.5, 0.8]), np.diag([0.9, 0.6])])
     m = MJLS(s, IID2)
