@@ -345,8 +345,8 @@ def test_sample_trajectories_property_rows_match_oracle(
 def test_sample_trajectories_property_u_on_a_cumulative_boundary(
     seed, stream, horizon, data, layout
 ):
-    # the row's first cumulative boundary is the uniform of step j, so that
-    # step bisects onto it exactly (and the first state too when j = 0)
+    # one cumulative boundary of the row is the uniform of step j, so that
+    # step bisects onto it exactly (the first state's draw when j = 0)
     us = philox_stream(seed, stream).random(horizon)
     u = float(us[data.draw(st.integers(0, horizon - 1))])
     row = {

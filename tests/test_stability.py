@@ -259,12 +259,14 @@ def test_almost_sure_estimate_gate_failure_is_flagged():
     assert rep.tail_fits.shape == (10,)
 
 
-def _forbid_draws_and_histories(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew paths or built a product history")
+def _refuse(monkeypatch, *names):
+    """Make each named stability helper fail the test when it is called."""
+    for name in names:
 
-    monkeypatch.setattr(mjlslab.stability, "_symbol_paths", refuse)
-    monkeypatch.setattr(mjlslab.stability, "_matrix_histories", refuse)
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        monkeypatch.setattr(mjlslab.stability, name, refuse)
 
 
 def test_almost_sure_estimate_reads_a_consistent_report_bit_for_bit(monkeypatch):
@@ -277,7 +279,7 @@ def test_almost_sure_estimate_reads_a_consistent_report_bit_for_bit(monkeypatch)
     own = almost_sure_exponential_estimate(m, trials=25, horizon=300, seed=4, probe_len=4)
     # eps and delta of the consistent report do not enter the fits
     cs = consistent_convergence_estimate(m, 25, 300, eps=1e-3, delta=0.5, seed=4)
-    _forbid_draws_and_histories(monkeypatch)
+    _refuse(monkeypatch, "_symbol_paths", "_matrix_histories")
     shared = almost_sure_exponential_estimate(
         m, trials=25, horizon=300, seed=4, probe_len=4, consistent=cs
     )
@@ -305,7 +307,7 @@ def test_diagonal_shortcut_reuses_a_consistent_report(monkeypatch):
     m = MJLS(MatrixSet.from_list([np.diag([0.5, 1.0]), np.eye(2)]), IID2)
     own = diagonal_shortcut_check(m, trials=15, horizon=200, seed=1)
     cs = consistent_convergence_estimate(m, 15, 200, seed=1)
-    monkeypatch.setattr(mjlslab.stability, "_matrix_histories", None)
+    _refuse(monkeypatch, "_matrix_histories")
     shared = diagonal_shortcut_check(m, trials=15, horizon=200, seed=1, consistent=cs)
     assert shared.consistent is cs
     assert shared.consistent.tail_fits.tobytes() == own.consistent.tail_fits.tobytes()
