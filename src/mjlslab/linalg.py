@@ -16,6 +16,9 @@ import numpy as np
 RANK_TOL = 1e-8
 BAND_TOL = 1e-6
 ORTHO_TOL = 1e-10
+# relative margin, per dimension, that keeps a Frobenius-norm screen of the
+# 2-norm exact against the rounding of the sum of squares and of the SVD
+FRO_MARGIN = 1e-12
 
 SQRT2 = float(np.sqrt(2.0))
 

@@ -7,6 +7,13 @@ order within each level, with an explicit product budget so partial results
 are always flagged and reproducible. `word_levels` is the one walk over them:
 the JSR bounds, the boundedness probe and the word probes reduce its per-level
 extremes, and the `jsr` command walks the words once for all its reports.
+
+A level's largest 2-norm is found without an SVD of every product. Since
+||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F, a product whose Frobenius norm is
+below the level's largest Frobenius norm over sqrt(d) cannot hold the largest
+2-norm; only the others, in word order, go through the batched SVD. The SVD
+gives each matrix the same bits whatever else is in the batch, so the value,
+and the first word that attains it, are those of an SVD of the whole level.
 """
 
 from __future__ import annotations
@@ -15,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenSolverError, as_matrix, as_row_vector
+from .linalg import FRO_MARGIN, EigenSolverError, as_matrix, as_row_vector
 from .rng import unit_vectors
 
 ENUM_BUDGET = 10**6
 _LEVEL_MEMORY_CAP = 256 * 2**20  # bytes of stacked products kept per level
+_SCREEN_BLOCK = 4096  # products scaled at a time by the norm screen
 
 
 class BudgetExceededError(RuntimeError):
@@ -113,6 +121,28 @@ def _batch_norm2(arr: np.ndarray) -> np.ndarray:
         raise EigenSolverError("singular value iteration did not converge") from exc
 
 
+def _norm_candidates(arr: np.ndarray) -> np.ndarray:
+    """Mask of the products in arr that can hold its largest 2-norm.
+
+    ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F, so a product whose Frobenius norm
+    is below the largest one over sqrt(d), by more than a rounding margin, has
+    a smaller 2-norm than the product that holds that Frobenius norm. The
+    norms are taken on arr over its largest |entry| so the squares neither
+    overflow nor underflow, a block at a time so that no copy of the whole
+    stack is made. A stack that is all zero or holds inf or NaN gives a NaN
+    threshold and keeps every product.
+    """
+    d = arr.shape[-1]
+    top = np.maximum(arr.max(), -arr.min())
+    fro = np.empty(arr.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, arr.shape[0], _SCREEN_BLOCK):
+            block = arr[lo : lo + _SCREEN_BLOCK] / top
+            fro[lo : lo + _SCREEN_BLOCK] = np.einsum("kij,kij->k", block, block)
+        np.sqrt(fro, out=fro)
+        return ~(fro < fro.max() / np.sqrt(d) * (1.0 - FRO_MARGIN * d))
+
+
 def _batch_rho(arr: np.ndarray) -> np.ndarray:
     try:
         return np.abs(np.linalg.eigvals(arr)).max(axis=1)
@@ -123,7 +153,12 @@ def _batch_rho(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class WordLevels:
     """Extremes per level n of one walk: rho[n-1] = (min, min_word, max, max_word)
-    of rho(S_w)^(1/n), norms[n-1] = (max, max_word) of ||S_w||_2 over |w| = n."""
+    of rho(S_w)^(1/n), norms[n-1] = (max, max_word) of ||S_w||_2 over |w| = n.
+
+    Ties go to the lexicographically first word. The norm maxima come from an
+    SVD of only the products that pass the Frobenius screen of
+    `_norm_candidates`; every product that can hold the maximum passes it, so
+    they equal the maxima of an SVD of the whole level bit for bit."""
 
     family: MatrixSet
     rho_depth: int
@@ -164,9 +199,10 @@ def word_levels(
             rho.append((float(vals[i]), word_from_index(i, completed, k),
                         float(vals[j]), word_from_index(j, completed, k)))
         if completed <= norm_depth:
-            vals = _batch_norm2(arr)
+            kept = np.flatnonzero(_norm_candidates(arr))
+            vals = _batch_norm2(arr[kept])
             j = int(np.argmax(vals))
-            norms.append((float(vals[j]), word_from_index(j, completed, k)))
+            norms.append((float(vals[j]), word_from_index(int(kept[j]), completed, k)))
     if completed == 0:
         raise BudgetExceededError(
             f"budget {budget} does not cover even depth 1 ({k} products)"

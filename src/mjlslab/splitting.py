@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    FRO_MARGIN,
     AmbiguousRankError,
     Subspace,
     as_matrix,
@@ -35,9 +36,6 @@ RANK_TOL = 1e-8
 RENORM_EVERY = 50
 MAX_SQUARINGS = 20
 _POOL_CAP = 1024
-# relative margin, per dimension, that keeps the Frobenius prefilter exact
-# against the rounding of the sum of squares and of the SVD
-_FRO_MARGIN = 1e-12
 
 
 class IdempotentNotFoundError(RuntimeError):
@@ -303,7 +301,7 @@ def _near_any(x: np.ndarray, members: np.ndarray, tol: float) -> bool:
     diff = x - members
     fro = np.sqrt(np.einsum("kij,kij->k", diff, diff))
     d = x.shape[-1]
-    margin = _FRO_MARGIN * d
+    margin = FRO_MARGIN * d
     if (fro <= tol * (1.0 - margin)).any():
         return True
     band = fro <= np.sqrt(d) * tol * (1.0 + margin)

@@ -325,6 +325,24 @@ def oracle_jsr_bounds(mats, depth):
     return lower, upper ** (1.0 / depth)
 
 
+def oracle_level_norm_maxima(mats, depth) -> list:
+    """(max ||S_w||_2, first word attaining it) for each length n = 1..depth.
+
+    Every product of a level goes through one full SVD call, in lexicographic
+    word order, and the first argmax picks the word; np.linalg.LinAlgError
+    propagates.
+    """
+    k = len(mats)
+    out = []
+    for length in range(1, depth + 1):
+        words = list(itertools.product(range(1, k + 1), repeat=length))
+        prods = np.array([oracle_word_product(mats, word) for word in words])
+        vals = np.linalg.svd(prods, compute_uv=False)[:, 0]
+        j = int(np.argmax(vals))
+        out.append((float(vals[j]), words[j]))
+    return out
+
+
 def oracle_rho_root(mats, word) -> float:
     """rho(S_w)^(1/|w|) of one word, by a plain product."""
     prod = oracle_word_product(mats, word)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mjlslab.products
 from mjlslab import (
     BudgetExceededError,
+    EigenSolverError,
     MatrixSet,
     boundedness_probe,
     induced_norm2,
@@ -23,6 +25,7 @@ from mjlslab import (
 from mjlslab.reports import jsonable
 from oracles import (
     oracle_jsr_bounds,
+    oracle_level_norm_maxima,
     oracle_preextremal,
     oracle_rho_extremes,
     oracle_rho_root,
@@ -295,3 +298,75 @@ def test_walk_must_reach_the_requested_depths():
         boundedness_probe(walk, 4)
     with pytest.raises(ValueError):
         word_levels(SWAP_SHRINK, 0, 0)
+
+
+def _bits(norms):
+    """Each level's maximum as its float64 bytes, so NaN and -0.0 compare exactly."""
+    return [(np.float64(val).tobytes(), word) for val, word in norms]
+
+
+def _assert_norms_match_oracle(mats, depth):
+    """The walk's norm maxima equal the full-SVD oracle's bit for bit, value and
+    word, or the walk raises EigenSolverError where the oracle's SVD fails."""
+    s = MatrixSet.from_list(mats)
+    try:
+        expected = oracle_level_norm_maxima(list(s.matrices), depth)
+    except np.linalg.LinAlgError:
+        with pytest.raises(EigenSolverError):
+            word_levels(s, 0, depth)
+        return
+    assert _bits(word_levels(s, 0, depth).norms) == _bits(expected)
+
+
+@st.composite
+def norm_families(draw):
+    """1 to 3 matrices of size 1 to 4: drawn entries, or signed permutation
+    matrices, whose words all have norm 1 and tie."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)
+        perms = st.permutations(range(d))
+        return [np.diag(draw(signs))[draw(perms)] for _ in range(k)]
+    row = st.lists(ENTRY, min_size=d, max_size=d)
+    return draw(st.lists(st.lists(row, min_size=d, max_size=d), min_size=k, max_size=k))
+
+
+@given(norm_families(), st.integers(1, 6))
+def test_level_norm_maxima_equal_the_full_svd(mats, depth):
+    _assert_norms_match_oracle(mats, depth)
+
+
+BASE = np.array([[[0.9, 0.4], [-0.3, 1.1]], [[0.2, -1.0], [0.7, 0.5]]])
+
+
+@pytest.mark.parametrize(
+    "mats, depth",
+    [
+        pytest.param(1e160 * BASE, 1, id="scaled-up"),
+        pytest.param(1e-160 * BASE, 2, id="scaled-down-subnormal-level"),
+        pytest.param([np.zeros((2, 2)), BASE[0]], 4, id="zero-generator"),
+        pytest.param([np.zeros((3, 3))], 3, id="all-zero-levels"),
+        pytest.param(NILPOTENT.matrices, 5, id="nilpotent-pair"),
+        pytest.param([[[0.0, 1.0], [0.0, 0.0]]], 3, id="nilpotent-square-zero"),
+        pytest.param(1e100 * BASE, 4, id="overflow-to-inf"),
+    ],
+)
+def test_level_norm_maxima_edge_cases(mats, depth):
+    _assert_norms_match_oracle(mats, depth)
+
+
+def test_word_walk_svds_only_the_screened_products(monkeypatch):
+    seen = []
+    batch_norm2 = mjlslab.products._batch_norm2
+
+    def counted(arr):
+        seen.append(arr.shape[0])
+        return batch_norm2(arr)
+
+    monkeypatch.setattr(mjlslab.products, "_batch_norm2", counted)
+    mats = np.random.default_rng(0).normal(size=(3, 3, 3))
+    walk = word_levels(MatrixSet.from_list(mats), 0, 8)
+    assert len(seen) == 8
+    assert sum(seen) < sum(3**n for n in range(1, 9))
+    assert _bits(walk.norms) == _bits(oracle_level_norm_maxima(list(mats), 8))
