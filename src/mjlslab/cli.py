@@ -33,6 +33,7 @@ from .config import (
     load_config,
 )
 from .linalg import AmbiguousRankError, AmbiguousSplitError, grassmann_distance
+from .linalg import EigenSolverError
 from .markov import ergodic_decomposition, shift_invariance_defect, validate_chain
 from .products import BudgetExceededError, MatrixSet, boundedness_probe, jsr_bounds
 from .products import word_levels
@@ -100,6 +101,8 @@ def cmd_jsr(cfg: SystemConfig):
         walk = word_levels(s, depth, max(depth, a["jsr_depth"], bdepth), a["budget"])
     except BudgetExceededError as exc:
         return dict.fromkeys(("jsr", "boundedness", "finiteness")), [f"budget: {exc}"]
+    except EigenSolverError as exc:
+        return dict.fromkeys(("jsr", "boundedness", "finiteness")), [f"gate: {exc}"]
     bounds, probe = jsr_bounds(walk, depth), boundedness_probe(walk, bdepth)
     warns: list[str] = []
     if bounds.truncated:
@@ -248,6 +251,8 @@ def cmd_classify(cfg: SystemConfig):
         walk = word_levels(s, a["depth"], 0, a["budget"])
     except BudgetExceededError as exc:
         walk, walk_warning = None, f"budget: {exc}"
+    except EigenSolverError as exc:
+        walk, walk_warning = None, f"gate: {exc}"
     if walk is None:
         results["periodic_probe"] = results["consistent_probe"] = None
         warns.append(walk_warning)
@@ -279,20 +284,13 @@ def cmd_classify(cfg: SystemConfig):
         results["almost_sure"] = None
         warns.append(walk_warning)
     else:
-        almost = almost_sure_exponential_estimate(
-            m, trials, horizon, seed, delta=delta, probe_len=a["depth"], walk=walk,
-            consistent=consistent,
-        )
+        almost = almost_sure_exponential_estimate(consistent, walk, a["depth"])
         results["almost_sure"] = jsonable(almost)
         warns.extend("gate: " + msg for msg in almost.warnings)
 
     off_diagonal = s.matrices * (1.0 - np.eye(s.dim))
     if np.abs(off_diagonal).max() == 0.0:
-        results["diagonal_shortcut"] = jsonable(
-            diagonal_shortcut_check(
-                m, trials, horizon, seed, eps=eps, delta=delta, consistent=consistent
-            )
-        )
+        results["diagonal_shortcut"] = jsonable(diagonal_shortcut_check(m, consistent))
     else:
         results["diagonal_shortcut"] = None
     return results, warns

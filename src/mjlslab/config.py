@@ -145,7 +145,6 @@ def _symbol_list(value, path: str) -> list[int]:
 class SystemConfig:
     """Parsed configuration; blocks that were absent are None."""
 
-    dimension: int | None
     system: MatrixSet | None
     chain: MarkovChain | None
     sequence_spec: dict | None
@@ -307,7 +306,6 @@ def parse_config(data) -> SystemConfig:
                 f"{len(analysis['initial_vector'])}"
             )
     return SystemConfig(
-        dimension=None if system is None else system.dim,
         system=system,
         chain=chain,
         sequence_spec=sequence_spec,

@@ -146,8 +146,8 @@ def _norm_candidates(arr: np.ndarray) -> np.ndarray:
 def _batch_rho(arr: np.ndarray) -> np.ndarray:
     try:
         return np.abs(np.linalg.eigvals(arr)).max(axis=1)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError("eigenvalue iteration did not converge") from exc
+    except np.linalg.LinAlgError as exc:  # numpy says why: no convergence, or inf/NaN
+        raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -218,12 +218,12 @@ GROWTH_FACTOR = 1.5
 class BoundednessReport:
     """Per-depth maxima of product norms and a growth verdict.
 
-    verdict is "growth-detected" when the per-depth maxima are strictly
-    increasing over the last GROWTH_WINDOW completed depths by a total factor
-    above GROWTH_FACTOR, and "bounded-so-far" otherwise. beta_hat is the
-    largest product norm seen. With prune enabled and every generator norm at
-    most 1, deeper levels are skipped: submultiplicativity already caps every
-    product norm by the depth-1 maximum (the rule is recorded in prune_note).
+    verdict is "growth-detected" when a maximum overflowed (inf or NaN; no
+    growth_fit then) or the maxima strictly increase over the last
+    GROWTH_WINDOW completed depths by a total factor above GROWTH_FACTOR, and
+    "bounded-so-far" otherwise. beta_hat is the largest product norm seen.
+    With prune enabled and every generator norm at most 1, deeper levels are
+    skipped (prune_note): the depth-1 maximum caps every product norm.
     """
 
     max_depth: int
@@ -258,13 +258,14 @@ def boundedness_probe(
         levels = word_levels(walk, 0, max_depth, budget).norms[:max_depth]
         per_depth = [norm for norm, _ in levels]
     window = per_depth[-GROWTH_WINDOW:]
-    growing = (
+    overflow = not np.isfinite(per_depth).all()
+    growing = overflow or (
         len(window) == GROWTH_WINDOW
         and all(b > a for a, b in zip(window, window[1:]))
         and window[-1] > GROWTH_FACTOR * window[0]
     )
     growth_fit = None
-    if len(per_depth) >= 2 and min(per_depth) > 0.0:
+    if len(per_depth) >= 2 and not overflow and min(per_depth) > 0.0:
         depths = np.arange(1, len(per_depth) + 1, dtype=float)
         growth_fit = float(
             np.polyfit(np.log(depths), np.log(np.asarray(per_depth)), 1)[0]

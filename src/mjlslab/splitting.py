@@ -126,14 +126,16 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     never depend on the other rows, and stacked rows equal single-row calls
     bit for bit at any dimension.
 
-    A step only records its norms. Once per segment of RENORM_EVERY steps the
-    kernel marks each row that has read a zero norm (an exact zero product,
-    or squares that underflowed) as dead for good, logs the norms, writes
-    them into the history and renormalizes the running state against under-
-    and overflow; a dead row is divided by inf, so it is zero from then on
-    and the rest of its history is -inf. Only columns window..n-1 are kept,
-    and norms are taken only there and at the renormalizing steps, so the
-    kept columns equal those of window 0 bit for bit.
+    A step only records its norms. Once per segment the kernel marks each row
+    that has read a zero norm (an exact zero product, or squares that
+    underflowed) as dead for good, logs the norms, writes them into the
+    history and renormalizes the running state; a dead row is divided by inf,
+    so it is zero from then on and the rest of its history is -inf. Only
+    columns window..n-1 are kept, and norms are taken only there and at the
+    renormalizing steps, so the kept columns equal those of window 0 bit for
+    bit. A segment is RENORM_EVERY steps, or if fewer the most steps k with
+    g**(2 k) finite, g the family's largest 2-norm: a norm squares a state
+    grown from norm 1 by at most g**k (start rows of norm above 1 may not fit).
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2:
@@ -159,12 +161,16 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
         blocks = xs.reshape(reps, trials, s.dim).transpose(1, 0, 2)
         partner = np.zeros((trials, 1 if reps == 1 else 0, s.dim))
         state = np.concatenate([blocks, partner], axis=1)
+    g, every = np.linalg.norm(s.matrices, 2, axis=(1, 2)).max(), RENORM_EVERY
+    with np.errstate(over="ignore"):
+        while every > 1 and np.isinf(g ** (2 * every)):
+            every -= 1
     hist = np.full((reps, trials, horizon - window), -np.inf)
-    norms = np.empty((RENORM_EVERY, trials, reps))
+    norms = np.empty((every, trials, reps))
     acc = np.zeros((trials, reps))
     alive = np.ones((trials, reps), dtype=bool)
-    for lo in range(0, horizon, RENORM_EVERY):
-        hi = min(lo + RENORM_EVERY, horizon)
+    for lo in range(0, horizon, every):
+        hi = min(lo + every, horizon)
         # norms from the window on, and at the segment's last step
         first = min(max(lo, window), hi - 1)
         for n, idx in enumerate(paths[:, lo:hi].T - 1, start=lo):
@@ -182,7 +188,7 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
         if hi > window:  # then first >= window
             hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
         alive = live[-1]
-        if hi - lo == RENORM_EVERY:
+        if hi - lo == every:
             if not alive.any():
                 break  # every row has hit an exact zero product
             acc = logs[-1]

@@ -195,14 +195,10 @@ def consistent_convergence_estimate(
     return _build_report("matrix", None, trials, horizon, seed, eps, delta, hist)
 
 
-def _check_shared(consistent: ConvergenceReport, **expected) -> None:
-    """Refuse a consistent report that is not the matrix estimate asked for."""
+def _require_matrix(consistent: ConvergenceReport) -> None:
+    """Refuse a report that is not a consistent (product-norm) estimate."""
     if consistent.kind != "matrix":
         raise ValueError(f"consistent must be a matrix report, got kind {consistent.kind!r}")
-    for name, want in expected.items():
-        got = getattr(consistent, name)
-        if got != want:
-            raise ValueError(f"consistent report has {name} {got!r}, expected {want!r}")
 
 
 @dataclass
@@ -496,32 +492,22 @@ class AlmostSureReport:
 
 
 def almost_sure_exponential_estimate(
-    m: MJLS,
-    trials: int,
-    horizon: int,
-    seed: int,
-    delta: float = DELTA_DEFAULT,
+    consistent: ConvergenceReport,
+    s: MatrixSet | WordLevels,
     probe_len: int = PROBE_LEN_DEFAULT,
     budget: int = ENUM_BUDGET,
-    walk: WordLevels | None = None,
-    consistent: ConvergenceReport | None = None,
 ) -> AlmostSureReport:
     """Tail fits of log ||A(n)||_2 over sampled trajectories, gated by the word probe.
 
-    The periodic-stability gate walks the words of m.system up to probe_len,
-    or reads a walk of them that reaches probe_len, passed as walk.
-
-    The fits are those of consistent_convergence_estimate on the same m,
-    trials, horizon and seed: the same paths, window and tail_slope. Pass
-    that report as consistent and they are read off its tail_fits, with no
-    draw and no product history; a report of another kind, trials, horizon
-    or seed raises ValueError.
+    consistent is the consistent_convergence_estimate of the run: its
+    tail_fits are the fits, and its trials, horizon, seed and delta are the
+    report's. Nothing is drawn and no product history is built; a report of
+    another kind raises ValueError. The periodic-stability gate walks the
+    words of the family s up to probe_len, or reads a walk of them that
+    reaches probe_len, passed as s.
     """
-    if consistent is None:
-        consistent = consistent_convergence_estimate(m, trials, horizon, seed=seed)
-    else:
-        _check_shared(consistent, trials=trials, horizon=horizon, seed=seed)
-    probe = periodic_stability_probe(walk or m.system, probe_len, budget)
+    _require_matrix(consistent)
+    probe = periodic_stability_probe(s, probe_len, budget)
     gate_passed = probe.verdict == "periodically-stable-so-far"
     notes: list[str] = []
     if not gate_passed:
@@ -533,15 +519,15 @@ def almost_sure_exponential_estimate(
     fits = consistent.tail_fits
     max_fit = float(fits.max())
     return AlmostSureReport(
-        trials=trials,
-        horizon=horizon,
-        seed=seed,
-        delta=delta,
+        trials=consistent.trials,
+        horizon=consistent.horizon,
+        seed=consistent.seed,
+        delta=consistent.delta,
         probe=probe,
         gate_passed=gate_passed,
         tail_fits=fits,
         max_tail_fit=max_fit,
-        evidence=gate_passed and max_fit < -delta,
+        evidence=gate_passed and max_fit < -consistent.delta,
         warnings=tuple(notes),
     )
 
@@ -562,42 +548,23 @@ class DiagonalShortcutReport:
     agree: bool
 
 
-def diagonal_shortcut_check(
-    m: MJLS,
-    trials: int,
-    horizon: int,
-    seed: int,
-    eps: float = EPS_DEFAULT,
-    delta: float = DELTA_DEFAULT,
-    consistent: ConvergenceReport | None = None,
-) -> DiagonalShortcutReport:
+def diagonal_shortcut_check(m: MJLS, consistent: ConvergenceReport) -> DiagonalShortcutReport:
     """Compare the all-ones pointwise estimate with the consistent estimate.
 
-    Both are scored on the same trajectories. consistent, when given, is the
-    consistent estimate already made, as by consistent_convergence_estimate
-    with the same arguments; it is reused instead of building the product
-    history again, and a report of another kind, trials, horizon, seed, eps
-    or delta raises ValueError.
+    consistent is the consistent_convergence_estimate of m; a report of
+    another kind raises ValueError. The all-ones estimate is drawn with its
+    trials, horizon, seed, eps and delta, so both are scored on the same
+    trajectories, and its product history is not built again.
     """
     d = m.system.dim
     off = m.system.matrices * (1.0 - np.eye(d))
     if np.abs(off).max() > 0.0:
         bad = int(np.argmax(np.abs(off).reshape(m.system.num_matrices, -1).max(1)))
         raise ValueError(f"matrix {bad + 1} is not diagonal")
-    if consistent is not None:
-        _check_shared(
-            consistent, trials=trials, horizon=horizon, seed=seed, eps=eps, delta=delta
-        )
-    trajs = _symbol_paths(m, trials, horizon, seed)
-    window = tail_start(horizon)
-    ones = np.ones(d)
-    pw = _build_report(
-        "vector", ones, trials, horizon, seed, eps, delta,
-        _vector_histories(m.system, trajs, ones[None], window),
-    )
-    cs = consistent or _build_report(
-        "matrix", None, trials, horizon, seed, eps, delta,
-        _matrix_histories(m.system, trajs, window),
+    _require_matrix(consistent)
+    cs = consistent
+    pw = pointwise_convergence_estimate(
+        m, np.ones(d), cs.trials, cs.horizon, cs.eps, cs.seed, cs.delta
     )
     return DiagonalShortcutReport(
         pointwise=pw,

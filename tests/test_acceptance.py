@@ -20,6 +20,7 @@ from mjlslab import (
     MatrixSet,
     SwitchingSequence,
     almost_sure_exponential_estimate,
+    consistent_convergence_estimate,
     consistent_convergence_probe,
     ergodic_decomposition,
     grassmann_distance,
@@ -228,9 +229,8 @@ def test_criterion_07_equivalence_harness():
 def test_criterion_08_almost_sure_decay():
     with Budget(30.0):
         m = MJLS(MatrixSet.from_list(DECAY_MATS), REDUCIBLE3)
-        rep = almost_sure_exponential_estimate(
-            m, trials=200, horizon=2000, seed=0, probe_len=8
-        )
+        cs = consistent_convergence_estimate(m, trials=200, horizon=2000, seed=0)
+        rep = almost_sure_exponential_estimate(cs, m.system, probe_len=8)
         assert rep.gate_passed, "periodic stability probe should pass at max_len 8"
         assert rep.tail_fits.shape == (200,)
         assert float(rep.tail_fits.max()) < -0.005

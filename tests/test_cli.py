@@ -434,19 +434,28 @@ def test_split_periodic_reports_route_agreement(tmp_path, capsys):
     assert agreement["stable_distance"] <= 1e-6
 
 
-def _split_subprocess(tmp_path, doc: dict, timeout: float):
-    """Run `split` in a child process, so a closure without a work bound fails
-    the test by its timeout instead of hanging the suite."""
+def _cli_subprocess(tmp_path, command: str, doc: dict, timeout: float):
+    """Run a command in a child process; it must exit 0 without a traceback.
+
+    Returns the report and the child's stderr."""
     proc = subprocess.run(
-        [sys.executable, "-m", "mjlslab", "split", "--config", write(tmp_path, json.dumps(doc))],
+        [sys.executable, "-m", "mjlslab", command, "--config", write(tmp_path, json.dumps(doc))],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    return json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
+    return json.loads(proc.stdout), proc.stderr
+
+
+def _split_subprocess(tmp_path, doc: dict, timeout: float):
+    """Run `split` in a child process, so a closure without a work bound fails
+    the test by its timeout instead of hanging the suite."""
+    report, stderr = _cli_subprocess(tmp_path, "split", doc, timeout)
+    assert stderr == ""
+    return report
 
 
 def test_split_closure_stops_at_the_budget(tmp_path):
@@ -483,6 +492,64 @@ def test_split_overflow_is_a_gate(tmp_path, diagonal, horizon, gate):
     assert gate in report["warnings"]
     results = report["results"]
     assert results["splitting"] is None and results["verification"] is None
+
+
+IID2_BLOCK = {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("g", [1.3e3, 1e5, 2e6])
+def test_classify_log_norms_do_not_overflow_inside_a_segment(tmp_path, g):
+    # g**100 is past the float range: a 50-step segment's squared norms
+    # overflowed (pointwise finals -inf), and from g = 1.5e6 on its products
+    # did too (the SVD raised)
+    doc = {
+        "dimension": 2,
+        "matrices": [(g * np.eye(2)).tolist(), (g * rotation(np.pi / 2)).tolist()],
+        "markov": IID2_BLOCK,
+        "analysis": {"trials": 4, "horizon": 200, "num_initials": 2, "depth": 1},
+    }
+    report, _ = _cli_subprocess(tmp_path, "classify", doc, timeout=120)
+    results = report["results"]
+    for key in ("pointwise", "consistent"):
+        finals = results[key]["final_log_norms"]
+        np.testing.assert_allclose(finals, 200 * np.log(g), rtol=1e-9)
+        assert results[key]["fraction_converged"] == 0
+    assert results["equivalence"]["fractions_converged"] == [0, 0]
+    assert "bounded-so-far" not in json.dumps(report)
+
+
+@pytest.mark.parametrize(
+    "command, depth, nulls",
+    [
+        ("jsr", 1, None),
+        ("jsr", 4, ["jsr", "boundedness", "finiteness"]),
+        ("classify", 1, []),
+        ("classify", 4, ["periodic_probe", "consistent_probe", "almost_sure"]),
+    ],
+)
+def test_overflowing_word_levels_are_a_gate(tmp_path, command, depth, nulls):
+    # the level-4 products hold inf: their SVD maximum is NaN and eigvals
+    # refuses them. jsr at depth 1 takes no eigenvalues there and raises no
+    # gate; its boundedness verdict must still read the NaN as growth
+    base = [[[0.9, 0.4], [-0.3, 1.1]], [[0.2, -1.0], [0.7, 0.5]]]
+    doc = {
+        "dimension": 2,
+        "matrices": (1e100 * np.array(base)).tolist(),
+        "markov": IID2_BLOCK,
+        "analysis": {
+            "depth": depth, "jsr_depth": 4, "boundedness_depth": 4,
+            "trials": 4, "horizon": 200, "num_initials": 2,
+        },
+    }
+    report, _ = _cli_subprocess(tmp_path, command, doc, timeout=120)
+    assert "bounded-so-far" not in json.dumps(report)
+    results = report["results"]
+    if nulls is not None:
+        assert any(w.startswith("gate:") for w in report["warnings"])
+        assert all(results[key] is None for key in nulls)
+    gate = results["boundedness"] if command == "jsr" else results["equivalence"]["gate"]
+    if gate is not None:
+        assert gate["verdict"] == "growth-detected"
 
 
 def test_split_budget_warning_leaves_the_demo_split_alone(tmp_path, capsys):

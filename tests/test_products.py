@@ -356,6 +356,17 @@ def test_level_norm_maxima_edge_cases(mats, depth):
     _assert_norms_match_oracle(mats, depth)
 
 
+def test_boundedness_probe_reads_an_overflowed_level_as_growth():
+    # level 4 of BASE * 1e100 holds inf entries, so its SVD maximum is NaN
+    s = MatrixSet.from_list(1e100 * BASE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for source in (s, word_levels(s, 0, 4)):
+            probe = boundedness_probe(source, 4)
+            assert np.isnan(probe.max_norm_per_depth[-1])
+            assert probe.verdict == "growth-detected"
+            assert probe.growth_fit is None
+
+
 def test_word_walk_svds_only_the_screened_products(monkeypatch):
     seen = []
     batch_norm2 = mjlslab.products._batch_norm2

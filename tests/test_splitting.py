@@ -234,6 +234,33 @@ def test_a_norm_that_underflows_mid_segment_kills_the_row_for_good():
             np.testing.assert_array_equal(alone, row[None, window:])
 
 
+@pytest.mark.parametrize(
+    "g, every", [(1.1e3, 50), (1.3e3, 49), (1e5, 30), (2e6, 24), (1e100, 1)]
+)
+def test_a_family_past_the_range_renormalizes_in_shorter_segments(g, every):
+    # every is the longest segment with g**(2 * every) finite. Each generator
+    # is g times an orthogonal matrix, so ||x A(n)|| = ||x|| g**n exactly
+    family = MatrixSet.from_list(
+        [g * np.eye(2), g * rotation(np.pi / 2), g * np.diag([1.0, -1.0])]
+    )
+    paths = np.random.default_rng(8).integers(1, 4, size=(3, 2 * RENORM_EVERY + 30))
+    xs = np.array([[0.6, 0.8], [3.0, -4.0], [3e-150, -4e-150]])
+    stack = np.repeat(xs, 3, axis=0)
+    offsets = np.repeat(np.log(np.linalg.norm(xs, axis=1)), 3)[:, None]
+    exact = np.arange(1, paths.shape[1] + 1) * np.log(g)
+    for window in (0, tail_start(paths.shape[1])):
+        vec = log_norm_histories(family, paths, stack, window)
+        mat = log_norm_histories(family, paths, window=window)
+        np.testing.assert_array_equal(
+            vec, oracle_row_kernel(family.matrices, paths, stack, window, every)
+        )
+        np.testing.assert_array_equal(
+            mat, oracle_row_kernel(family.matrices, paths, None, window, every)
+        )
+        np.testing.assert_allclose(vec - offsets, np.tile(exact[window:], (9, 1)), 1e-9)
+        np.testing.assert_allclose(mat, np.tile(exact[window:], (3, 1)), 1e-9)
+
+
 def test_nilpotent_rows_dead_before_the_window_stay_dead():
     # random rows meet the nilpotent word (1, 1) early and never come back
     paths = _nilpotent_paths(120)

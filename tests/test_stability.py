@@ -18,6 +18,7 @@ from mjlslab import (
     pointwise_equivalence_harness,
     spectral_finiteness_probe,
     spectral_radius,
+    word_levels,
     word_product,
 )
 from oracles import rotation
@@ -244,7 +245,8 @@ def test_equivalence_harness_gate_rejects_growth():
 
 def test_almost_sure_estimate_contracting_family():
     m = MJLS(CONTRACTIONS, IID2)
-    rep = almost_sure_exponential_estimate(m, trials=30, horizon=400, seed=0)
+    cs = consistent_convergence_estimate(m, trials=30, horizon=400, seed=0)
+    rep = almost_sure_exponential_estimate(cs, m.system)
     assert rep.gate_passed
     assert rep.evidence
     assert rep.max_tail_fit < -1e-3
@@ -252,7 +254,8 @@ def test_almost_sure_estimate_contracting_family():
 
 def test_almost_sure_estimate_gate_failure_is_flagged():
     m = MJLS(SHRINK_ROT, IID2)
-    rep = almost_sure_exponential_estimate(m, trials=10, horizon=200, seed=0)
+    cs = consistent_convergence_estimate(m, trials=10, horizon=200, seed=0)
+    rep = almost_sure_exponential_estimate(cs, m.system)
     assert not rep.gate_passed
     assert not rep.evidence
     assert rep.warnings
@@ -276,49 +279,48 @@ def test_almost_sure_estimate_reads_a_consistent_report_bit_for_bit(monkeypatch)
         ),
         REDUCIBLE3,
     )
-    own = almost_sure_exponential_estimate(m, trials=25, horizon=300, seed=4, probe_len=4)
-    # eps and delta of the consistent report do not enter the fits
+    own = almost_sure_exponential_estimate(
+        consistent_convergence_estimate(m, 25, 300, seed=4), m.system, probe_len=4
+    )
+    # eps does not enter the fits; delta is the report's
     cs = consistent_convergence_estimate(m, 25, 300, eps=1e-3, delta=0.5, seed=4)
     _refuse(monkeypatch, "_symbol_paths", "_matrix_histories")
-    shared = almost_sure_exponential_estimate(
-        m, trials=25, horizon=300, seed=4, probe_len=4, consistent=cs
-    )
-    assert shared.tail_fits.tobytes() == own.tail_fits.tobytes()
-    assert (shared.max_tail_fit, shared.evidence) == (own.max_tail_fit, own.evidence)
+    shared = almost_sure_exponential_estimate(cs, word_levels(m.system, 4, 0), 4)
+    assert shared.tail_fits.tobytes() == own.tail_fits.tobytes() == cs.tail_fits.tobytes()
+    assert shared.max_tail_fit == own.max_tail_fit
+    assert own.evidence and not shared.evidence
+    assert (shared.trials, shared.horizon, shared.seed, shared.delta) == (25, 300, 4, 0.5)
     assert shared.probe == own.probe and shared.warnings == own.warnings
 
 
-def test_shared_consistent_report_must_match_the_run():
+def test_reducers_refuse_a_report_that_is_not_the_matrix_estimate():
     m = MJLS(CONTRACTIONS, IID2)
-    cs = consistent_convergence_estimate(m, 10, 100, seed=2)
     vector = pointwise_convergence_estimate(m, [1.0, 0.0], 10, 100, seed=2)
     with pytest.raises(ValueError, match="kind 'vector'"):
-        almost_sure_exponential_estimate(m, 10, 100, 2, consistent=vector)
-    for field, trials, horizon, seed in (
-        ("trials", 11, 100, 2), ("horizon", 10, 120, 2), ("seed", 10, 100, 3)
-    ):
-        with pytest.raises(ValueError, match=field):
-            almost_sure_exponential_estimate(m, trials, horizon, seed, consistent=cs)
-    with pytest.raises(ValueError, match="eps"):
-        diagonal_shortcut_check(m, 10, 100, 2, eps=1e-3, consistent=cs)
+        almost_sure_exponential_estimate(vector, m.system)
+    diagonal = MJLS(MatrixSet.from_list([np.diag([0.5, 1.0]), np.eye(2)]), IID2)
+    with pytest.raises(ValueError, match="kind 'vector'"):
+        diagonal_shortcut_check(diagonal, vector)
 
 
 def test_diagonal_shortcut_reuses_a_consistent_report(monkeypatch):
     m = MJLS(MatrixSet.from_list([np.diag([0.5, 1.0]), np.eye(2)]), IID2)
-    own = diagonal_shortcut_check(m, trials=15, horizon=200, seed=1)
+    ones = pointwise_convergence_estimate(m, [1.0, 1.0], 15, 200, seed=1)
     cs = consistent_convergence_estimate(m, 15, 200, seed=1)
     _refuse(monkeypatch, "_matrix_histories")
-    shared = diagonal_shortcut_check(m, trials=15, horizon=200, seed=1, consistent=cs)
+    shared = diagonal_shortcut_check(m, cs)
     assert shared.consistent is cs
-    assert shared.consistent.tail_fits.tobytes() == own.consistent.tail_fits.tobytes()
-    assert shared.pointwise.tail_fits.tobytes() == own.pointwise.tail_fits.tobytes()
-    assert shared.agree == own.agree
+    assert shared.pointwise.tail_fits.tobytes() == ones.tail_fits.tobytes()
+    assert shared.pointwise.final_log_norms.tobytes() == ones.final_log_norms.tobytes()
+    assert shared.agree == (
+        (ones.fraction_converged > 0.0) == (cs.fraction_converged > 0.0)
+    )
 
 
 def test_diagonal_shortcut_agrees():
     s = MatrixSet.from_list([np.diag([0.5, 0.8]), np.diag([0.9, 0.6])])
     m = MJLS(s, IID2)
-    rep = diagonal_shortcut_check(m, trials=20, horizon=300, seed=0)
+    rep = diagonal_shortcut_check(m, consistent_convergence_estimate(m, 20, 300, seed=0))
     assert rep.agree
     assert rep.pointwise_positive and rep.consistent_positive
 
@@ -326,4 +328,4 @@ def test_diagonal_shortcut_agrees():
 def test_diagonal_shortcut_rejects_off_diagonal():
     m = MJLS(SHRINK_ROT, IID2)
     with pytest.raises(ValueError, match="matrix 2"):
-        diagonal_shortcut_check(m, trials=5, horizon=50, seed=0)
+        diagonal_shortcut_check(m, consistent_convergence_estimate(m, 5, 50, seed=0))
