@@ -117,6 +117,12 @@ def cmd_jsr(cfg: SystemConfig):
             "deeper products are unexplored"
         )
     finiteness = spectral_finiteness_probe(walk, depth, a["jsr_depth"])
+    overflowed = [n for n, (norm, _) in enumerate(walk.norms, 1) if not np.isfinite(norm)]
+    if overflowed:
+        warns.append(
+            f"gate: the largest 2-norm of the length-{overflowed[0]} products is "
+            "not finite; norm bounds from that depth on are not finite"
+        )
     results = {"jsr": bounds, "boundedness": probe, "finiteness": finiteness}
     return {key: jsonable(value) for key, value in results.items()}, warns
 
@@ -279,6 +285,9 @@ def cmd_classify(cfg: SystemConfig):
     except BudgetExceededError as exc:
         results["equivalence"] = None
         warns.append(f"budget: {exc}")
+    except EigenSolverError as exc:  # the boundedness gate's products overflowed
+        results["equivalence"] = None
+        warns.append(f"gate: equivalence boundedness gate: {exc}")
 
     if walk is None:
         results["almost_sure"] = None

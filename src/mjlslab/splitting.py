@@ -108,6 +108,22 @@ def tail_start(n: int) -> int:
     return min(n - 2, n // 2)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) bit for bit, without its loop over the rows.
+
+    numpy adds fewer than 8 squares left to right, so rows that short are
+    summed a column at a time over the whole stack; longer rows keep numpy's
+    pairwise sum.
+    """
+    d = x.shape[-1]
+    if d >= 8:
+        return np.linalg.norm(x, axis=-1)
+    total = x[..., 0] * x[..., 0]
+    for i in range(1, d):
+        total += x[..., i] * x[..., i]
+    return np.sqrt(total, out=total)
+
+
 def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.ndarray:
     """Log-norm histories of the cocycle along each row of `paths`.
 
@@ -126,16 +142,30 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     never depend on the other rows, and stacked rows equal single-row calls
     bit for bit at any dimension.
 
-    A step only records its norms. Once per segment the kernel marks each row
-    that has read a zero norm (an exact zero product, or squares that
-    underflowed) as dead for good, logs the norms, writes them into the
-    history and renormalizes the running state; a dead row is divided by inf,
-    so it is zero from then on and the rest of its history is -inf. Only
-    columns window..n-1 are kept, and norms are taken only there and at the
-    renormalizing steps, so the kept columns equal those of window 0 bit for
-    bit. A segment is RENORM_EVERY steps, or if fewer the most steps k with
+    A step only multiplies. Per segment of k steps the kernel gathers the
+    segment's matrices once, into a (k, trials, d, d) block, and writes each
+    step's product into a (k, trials, m, d) buffer; the two hold RENORM_EVERY
+    x trials x (m + d) x d floats. The row norms of the buffer's steps from
+    the window on and of the segment's last step are then taken together, a
+    column at a time (_row_norms), or without start one SVD call takes their
+    largest singular values. A row's norm or a matrix's SVD does not depend
+    on the batch around it, so each equals a call per step bit for bit, and
+    the kept columns window..n-1 equal those of window 0 bit for bit. Once
+    per segment the kernel marks each row that has read a zero norm (an
+    exact zero product, or squares that underflowed) as dead for good, logs
+    the norms, writes them into the history and renormalizes the running
+    state; a dead row is divided by inf, so it is zero from then on and the
+    rest of its history is -inf.
+
+    A segment is RENORM_EVERY steps, or if fewer the most steps k with
     g**(2 k) finite, g the family's largest 2-norm: a norm squares a state
-    grown from norm 1 by at most g**k (start rows of norm above 1 may not fit).
+    grown from norm 1 by at most g**k. Row norms square their entries, so
+    with start a family with g**2 past the float range is first divided by
+    a power of two 2**j (to g in [1/2, 1)), and step n gets n j ln 2 back;
+    a start row whose norm reads inf or NaN in a segment runs again divided
+    by the power of two 2**e that brings its norm below 1, and gets e ln 2
+    back. No other family or row is scaled, so their bits stay. The SVD
+    scales internally, so the products never overflow a norm.
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2:
@@ -143,6 +173,14 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     trials, horizon = paths.shape
     if not 0 <= window <= horizon:
         raise ValueError(f"window must lie in 0..{horizon}, got {window}")
+    mats, g = s.matrices, np.linalg.norm(s.matrices, 2, axis=(1, 2)).max()
+    step_exp, every = 0, RENORM_EVERY
+    with np.errstate(over="ignore"):
+        if start is not None and np.isinf(g * g):  # row norms square entries
+            step_exp = int(np.frexp(g)[1])
+            mats, g = np.ldexp(mats, -step_exp), np.ldexp(g, -step_exp)
+        while every > 1 and np.isinf(g ** (2 * every)):
+            every -= 1
     if start is None:
         reps = 1
         state = np.tile(np.eye(s.dim), (trials, 1, 1))
@@ -161,40 +199,57 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
         blocks = xs.reshape(reps, trials, s.dim).transpose(1, 0, 2)
         partner = np.zeros((trials, 1 if reps == 1 else 0, s.dim))
         state = np.concatenate([blocks, partner], axis=1)
-    g, every = np.linalg.norm(s.matrices, 2, axis=(1, 2)).max(), RENORM_EVERY
-    with np.errstate(over="ignore"):
-        while every > 1 and np.isinf(g ** (2 * every)):
-            every -= 1
     hist = np.full((reps, trials, horizon - window), -np.inf)
-    norms = np.empty((every, trials, reps))
+    buf = np.empty((every, *state.shape))
     acc = np.zeros((trials, reps))
     alive = np.ones((trials, reps), dtype=bool)
-    for lo in range(0, horizon, every):
-        hi = min(lo + every, horizon)
-        # norms from the window on, and at the segment's last step
-        first = min(max(lo, window), hi - 1)
-        for n, idx in enumerate(paths[:, lo:hi].T - 1, start=lo):
-            state = state @ s.matrices[idx]
-            if n < first:
-                continue
+    over = np.zeros((trials, reps), dtype=bool)
+    # a start row whose squares pass the float range runs again below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, horizon, every):
+            hi = min(lo + every, horizon)
+            # norms from the window on, and at the segment's last step
+            first = min(max(lo, window), hi - 1)
+            seg_mats = mats[paths[:, lo:hi].T - 1]
+            for j in range(hi - lo):
+                state = np.matmul(state, seg_mats[j], out=buf[j])
+            kept = buf[first - lo : hi - lo]
             if start is None:
-                norms[n - lo] = np.linalg.svd(state, compute_uv=False)[:, :1]
+                seg = np.linalg.svd(kept, compute_uv=False)[..., :1]
             else:
-                norms[n - lo] = np.linalg.norm(state, axis=-1)[:, :reps]
-        seg = norms[first - lo : hi - lo]
-        live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
-        with np.errstate(divide="ignore", invalid="ignore"):
+                seg = _row_norms(kept[:, :, :reps])
+            live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
             logs = np.where(live, acc + np.log(seg), -np.inf)
-        if hi > window:  # then first >= window
-            hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
-        alive = live[-1]
-        if hi - lo == every:
-            if not alive.any():
-                break  # every row has hit an exact zero product
-            acc = logs[-1]
-            # a dead row is divided by inf, so it is zero from here on
-            state /= np.where(alive, seg[-1], np.inf)[:, :, None]
-    return hist.reshape(reps * trials, horizon - window)
+            over |= ~np.isfinite(seg).all(axis=0)
+            if hi > window:  # then first >= window
+                hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
+            alive = live[-1]
+            if hi - lo == every:
+                if not alive.any():
+                    break  # every row has hit an exact zero product
+                acc = logs[-1]
+                # into a new array, off the buffer slot the next step writes;
+                # a dead row is divided by inf, so it is zero from here on
+                state = state / np.where(alive, seg[-1], np.inf)[:, :, None]
+    hist = hist.reshape(reps * trials, horizon - window)
+    if step_exp:  # the family was divided by 2**step_exp: step n gets n of them back
+        hist += np.arange(window + 1, horizon + 1) * (step_exp * np.log(2.0))
+    if start is None:
+        return hist
+    # a start row whose squares passed the float range read a non-finite norm;
+    # it runs again divided by the power of two 2**e that brings its norm
+    # below 1, and its logs get e ln 2 back. Below norm 1 no row overflows,
+    # so the second run does not recurse
+    rows = np.flatnonzero(over.T)  # row r = rep * trials + trial
+    top = np.abs(xs[rows]).max(axis=1)
+    unit = np.linalg.norm(xs[rows] / top[:, None], axis=1)  # ||x|| = top * unit
+    exps = np.frexp(top)[1] + np.frexp(unit)[1]
+    rows, exps = rows[exps > 0], exps[exps > 0, None]
+    if rows.size:
+        xs = np.ldexp(xs[rows], -exps)
+        hist[rows] = log_norm_histories(s, paths[rows % trials], xs, window)
+        hist[rows] += exps * np.log(2.0)
+    return hist
 
 
 def vector_log_norm_history(s: MatrixSet, symbols: np.ndarray, x) -> np.ndarray:

@@ -309,6 +309,68 @@ def oracle_row_kernel(mats, paths, start=None, window: int = 0, renorm_every: in
     return hist
 
 
+def oracle_step_kernel(mats, paths, start=None, window: int = 0, renorm_every: int = 50):
+    """Log-norm histories in trial blocks, one gather, multiply and norm per step.
+
+    The kernel as it was before segment batching. mats is a (K, d, d) array,
+    paths a (trials, n) array of 1-indexed symbols and start a stack of rows
+    whose count is a multiple of trials (row r follows path r mod trials).
+    Each trial holds its rows, plus a zero partner row when it has one, or its
+    product from the identity, as one matrix. From the window on and at the
+    last step of each segment a step takes its norms; once per segment the
+    norms are logged and the state renormalized. A segment is renorm_every
+    steps, or the most steps k with g**(2 k) finite for the family's largest
+    2-norm g. A row that reads a zero norm is -inf from then on. No scaling:
+    a start row or family past the float range overflows. Returns shape
+    (rows, n - window).
+    """
+    mats = np.asarray(mats, dtype=float)
+    paths = np.asarray(paths, dtype=np.int64)
+    trials, horizon = paths.shape
+    d = mats.shape[1]
+    if start is None:
+        reps = 1
+        state = np.tile(np.eye(d), (trials, 1, 1))
+    else:
+        xs = np.array(start, dtype=float)
+        reps = len(xs) // trials if trials else 0
+        blocks = xs.reshape(reps, trials, d).transpose(1, 0, 2)
+        partner = np.zeros((trials, 1 if reps == 1 else 0, d))
+        state = np.concatenate([blocks, partner], axis=1)
+    g, every = np.linalg.norm(mats, 2, axis=(1, 2)).max(), renorm_every
+    with np.errstate(over="ignore"):
+        while every > 1 and np.isinf(g ** (2 * every)):
+            every -= 1
+    hist = np.full((reps, trials, horizon - window), -np.inf)
+    norms = np.empty((every, trials, reps))
+    acc = np.zeros((trials, reps))
+    alive = np.ones((trials, reps), dtype=bool)
+    for lo in range(0, horizon, every):
+        hi = min(lo + every, horizon)
+        first = min(max(lo, window), hi - 1)
+        for n, idx in enumerate(paths[:, lo:hi].T - 1, start=lo):
+            state = state @ mats[idx]
+            if n < first:
+                continue
+            if start is None:
+                norms[n - lo] = np.linalg.svd(state, compute_uv=False)[:, :1]
+            else:
+                norms[n - lo] = np.linalg.norm(state, axis=-1)[:, :reps]
+        seg = norms[first - lo : hi - lo]
+        live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(live, acc + np.log(seg), -np.inf)
+        if hi > window:
+            hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
+        alive = live[-1]
+        if hi - lo == every:
+            if not alive.any():
+                break
+            acc = logs[-1]
+            state /= np.where(alive, seg[-1], np.inf)[:, :, None]
+    return hist.reshape(reps * trials, horizon - window)
+
+
 def oracle_jsr_bounds(mats, depth):
     """(lower, upper) by plain loops: lower over all words up to depth, upper
     over words of exactly that depth."""

@@ -552,6 +552,72 @@ def test_overflowing_word_levels_are_a_gate(tmp_path, command, depth, nulls):
         assert gate["verdict"] == "growth-detected"
 
 
+@pytest.mark.parametrize(
+    "g, x", [(1.5, [1e160, 0.0]), (1.5, [3e200, -4e200]), (1e160, None)]
+)
+def test_classify_log_norms_past_the_float_range_stay_finite(tmp_path, g, x):
+    # the start row's squares, or g**2, pass the float range: the pointwise
+    # finals read -inf, and with g = 1e160 the harness's boundedness gate
+    # raised an EigenSolverError (exit 1)
+    analysis = {"trials": 4, "horizon": 200, "num_initials": 2, "depth": 1}
+    if x is not None:
+        analysis["initial_vector"] = x
+    doc = {
+        "dimension": 2,
+        "matrices": [(g * np.eye(2)).tolist(), (g * rotation(np.pi / 2)).tolist()],
+        "markov": IID2_BLOCK,
+        "analysis": analysis,
+    }
+    report, _ = _cli_subprocess(tmp_path, "classify", doc, timeout=120)
+    results = report["results"]
+    size = 0.0 if x is None else np.log(np.hypot(*x))
+    np.testing.assert_allclose(
+        results["pointwise"]["final_log_norms"], 200 * np.log(g) + size, rtol=1e-9
+    )
+    np.testing.assert_allclose(
+        results["consistent"]["final_log_norms"], 200 * np.log(g), rtol=1e-9
+    )
+    assert results["pointwise"]["fraction_converged"] == 0
+    gates = [w for w in report["warnings"] if w.startswith("gate: equivalence")]
+    if g > 1e154:
+        assert results["equivalence"] is None and len(gates) == 1
+    else:
+        assert results["equivalence"]["fractions_converged"] == [0, 0] and not gates
+
+
+def test_classify_start_row_past_the_float_range_on_criterion_7(tmp_path):
+    doc = {
+        "dimension": 2,
+        "matrices": [np.diag([0.5, 1.0]).tolist(), rotation(np.pi / 2).tolist()],
+        "markov": IID2_BLOCK,
+        "analysis": {
+            "trials": 4, "horizon": 200, "num_initials": 2, "depth": 1,
+            "initial_vector": [1e160, 0.0],
+        },
+    }
+    report, _ = _cli_subprocess(tmp_path, "classify", doc, timeout=120)
+    pointwise = report["results"]["pointwise"]
+    finals = np.array(pointwise["final_log_norms"], dtype=float)
+    # diag(0.5, 1) and the quarter turn never grow a row; they halve it at most
+    # once per step
+    assert np.all(finals <= np.log(1e160) + 1e-9)
+    assert np.all(finals >= np.log(1e160) + 200 * np.log(0.5))
+    assert pointwise["fraction_converged"] == 0
+
+
+def test_jsr_names_the_depth_whose_norm_maximum_overflowed(tmp_path):
+    base = [[[0.9, 0.4], [-0.3, 1.1]], [[0.2, -1.0], [0.7, 0.5]]]
+    doc = {
+        "dimension": 2,
+        "matrices": (1e100 * np.array(base)).tolist(),
+        "analysis": {"depth": 1, "jsr_depth": 4, "boundedness_depth": 4},
+    }
+    report, _ = _cli_subprocess(tmp_path, "jsr", doc, timeout=120)
+    assert report["results"]["finiteness"]["upper"] == "nan"
+    gates = [w for w in report["warnings"] if w.startswith("gate:")]
+    assert len(gates) == 1 and "length-4 products" in gates[0]
+
+
 def test_split_budget_warning_leaves_the_demo_split_alone(tmp_path, capsys):
     # the demo's closure makes 20,250 comparisons; one fewer stops it before
     # its last product, which was no new member

@@ -33,7 +33,7 @@ from mjlslab import (
     vector_lyapunov_exponent,
     verify_splitting,
 )
-from mjlslab.splitting import RENORM_EVERY, _closure, _first_come_reps
+from mjlslab.splitting import RENORM_EVERY, _closure, _first_come_reps, _row_norms
 from oracles import (
     oracle_best_idempotent,
     oracle_closure,
@@ -41,6 +41,7 @@ from oracles import (
     oracle_log_norm_history,
     oracle_norm2,
     oracle_row_kernel,
+    oracle_step_kernel,
     oracle_word_product,
     rotation,
 )
@@ -259,6 +260,126 @@ def test_a_family_past_the_range_renormalizes_in_shorter_segments(g, every):
         )
         np.testing.assert_allclose(vec - offsets, np.tile(exact[window:], (9, 1)), 1e-9)
         np.testing.assert_allclose(mat, np.tile(exact[window:], (3, 1)), 1e-9)
+
+
+@given(
+    kind=st.sampled_from(["random", "huge", "zero-generator"]),
+    seed=st.integers(0, 2**16),
+    d=st.integers(1, 6),
+    trials=st.integers(1, 5),
+    reps=st.integers(0, 3),
+    horizon=st.sampled_from([1, 49, 50, 51, 100, 101]),
+    cut=st.floats(0.0, 1.0),
+)
+@example("huge", 0, 6, 5, 3, 101, 0.5)  # 1e100 generators: one-step segments
+@example("zero-generator", 1, 4, 3, 1, 100, 0.3)
+@example("random", 2, 1, 1, 0, 1, 0.0)
+@example("random", 3, 5, 2, 2, 51, 0.99)
+def test_segment_kernel_equals_the_step_kernel_oracle(
+    kind, seed, d, trials, reps, horizon, cut
+):
+    # a segment's gather, products and norms in one call each round like one
+    # gather, product and norm per step
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    scale = 1e100 if kind == "huge" else rng.uniform(0.3, 1.5)
+    mats = rng.standard_normal((k, d, d)) * scale
+    if kind == "zero-generator":
+        mats[0] = 0.0
+    family = MatrixSet.from_list(list(mats))
+    paths = rng.integers(1, k + 1, size=(trials, horizon))
+    stack = np.repeat(rng.standard_normal((reps, d)), trials, axis=0)
+    for window in (0, int(cut * horizon), horizon):
+        np.testing.assert_array_equal(
+            log_norm_histories(family, paths, window=window),
+            oracle_step_kernel(mats, paths, None, window, RENORM_EVERY),
+        )
+        np.testing.assert_array_equal(
+            log_norm_histories(family, paths, stack, window),
+            oracle_step_kernel(mats, paths, stack, window, RENORM_EVERY),
+        )
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_norms_have_the_bits_of_numpy_norm(d):
+    # numpy sums short rows left to right and rows of 8 or more pairwise;
+    # the scales reach squares that underflow and that overflow
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((7, 30, 3, d)) * 10.0 ** rng.integers(-170, 170, (7, 30, 1, 1))
+    x[0, 0, 0] = 0.0
+    x[0, 1, 0, 0] = -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        np.testing.assert_array_equal(_row_norms(x), np.linalg.norm(x, axis=-1))
+        np.testing.assert_array_equal(
+            _row_norms(x[:, :, :2]), np.linalg.norm(x, axis=-1)[:, :, :2]
+        )
+
+
+def test_a_windowed_product_history_takes_one_svd_per_segment(monkeypatch):
+    # 20 segments before the window read one step each, 20 after it read 50;
+    # one SVD call per step from the window on would make 1,020
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    family = MatrixSet.from_list([np.diag([0.5, 1.0]), rotation(np.pi / 2)])
+    paths = np.random.default_rng(9).integers(1, 3, size=(100, 2000))
+    hist = log_norm_histories(family, paths, window=tail_start(2000))
+    assert hist.shape == (100, 1000)
+    assert len(calls) <= 40 and sum(calls) == 20 + 1000
+
+
+def test_start_rows_past_the_float_range_are_scaled_by_a_power_of_two():
+    # each generator is g times an orthogonal matrix, so ||x A(n)|| = ||x|| g**n;
+    # the squares of the big rows pass the float range at the first step
+    paths = np.random.default_rng(10).integers(1, 4, size=(2, 130))
+    exact = np.arange(1, 131) * np.log(2.0)
+    family = MatrixSet.from_list(
+        [2.0 * np.eye(2), 2.0 * rotation(np.pi / 2), 2.0 * np.diag([1.0, -1.0])]
+    )
+    xs = np.array([[1e160, 0.0], [0.6, 0.8], [3e300, -4e300], [-1e-300, 1e300]])
+    stack = np.repeat(xs, 2, axis=0)
+    sizes = [np.log(1e160), 0.0, np.log(5e300), np.log(1e300)]
+    for window in (0, 7, tail_start(130)):
+        hist = log_norm_histories(family, paths, stack, window)
+        np.testing.assert_allclose(
+            hist, np.repeat(sizes, 2)[:, None] + exact[window:], rtol=1e-12
+        )
+        # the scaled rows leave the others' bits alone
+        np.testing.assert_array_equal(
+            hist[2:4], oracle_step_kernel(family.matrices, paths, stack[2:4], window)
+        )
+        np.testing.assert_array_equal(
+            hist[2:4], log_norm_histories(family, paths, stack[2:4], window)
+        )
+    with np.errstate(over="ignore"):
+        assert np.isinf(oracle_step_kernel(family.matrices, paths, stack[:2])).all()
+
+
+@pytest.mark.parametrize("g", [1e160, 1e300])
+def test_a_family_whose_square_overflows_is_scaled_by_a_power_of_two(g):
+    # one-step segments cannot keep a row's squares in range once g**2 is
+    # past it; the SVD of the products scales itself, so they keep their bits
+    family = MatrixSet.from_list([g * np.eye(2), g * rotation(np.pi / 2)])
+    paths = np.random.default_rng(11).integers(1, 3, size=(3, 120))
+    xs = np.array([[0.6, 0.8], [1e160, 0.0]])
+    exact = np.arange(1, 121) * np.log(g)
+    for window in (0, tail_start(120)):
+        mat = log_norm_histories(family, paths, window=window)
+        vec = log_norm_histories(family, paths, np.repeat(xs, 3, axis=0), window)
+        np.testing.assert_array_equal(
+            mat, oracle_step_kernel(family.matrices, paths, None, window)
+        )
+        np.testing.assert_allclose(mat, np.tile(exact[window:], (3, 1)), rtol=1e-12)
+        np.testing.assert_allclose(vec[:3], mat, rtol=1e-12)
+        np.testing.assert_allclose(vec[3:], mat + np.log(1e160), rtol=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.repeat(xs[:1], 3, axis=0)
+        assert not np.isfinite(oracle_step_kernel(family.matrices, paths, start)).any()
 
 
 def test_nilpotent_rows_dead_before_the_window_stay_dead():
