@@ -12,7 +12,6 @@ import numpy as np
 
 from mjlslab import (
     MarkovChain,
-    cylinder_measure,
     ergodic_decomposition,
     is_irreducible,
     shift_invariance_defect,
@@ -37,8 +36,9 @@ print("class weights:    ", dec.weights)
 print("zero-mass states match the transient set:", dec.zero_mass_matches_transient)
 
 # the measure of a cylinder is the initial mass times the transition product
-print("\nmu([1]) =", cylinder_measure(chain, [1]))
-print("mu([3, 1]) =", cylinder_measure(chain, [3, 1]))
+p, t = chain.initial, chain.transition
+print("\nmu([1]) =", float(p[0]))
+print("mu([3, 1]) =", float(p[2] * t[2, 0]))
 
 # stationarity makes the measure shift invariant; the defect is the largest
 # violation over all short cylinders

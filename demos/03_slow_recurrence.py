@@ -13,7 +13,6 @@ import numpy as np
 from mjlslab import (
     MatrixSet,
     SwitchingSequence,
-    birkhoff_frequency,
     classify_recurrence,
     quadratic_gap_lengths,
     vector_log_norm_history,
@@ -43,6 +42,6 @@ print("return counts by cylinder length:", verdict.counts)
 
 # a periodic word, by contrast, returns with a fixed positive frequency
 periodic = SwitchingSequence.periodic([1, 2, 2])
-for L in (1, 2, 3):
-    f = birkhoff_frequency(periodic, L, horizon=300)
+freqs = classify_recurrence(periodic, max_cylinder_len=3, horizon=300).frequencies
+for L, f in enumerate(freqs, start=1):
     print(f"periodic (1,2,2): length-{L} return frequency {f:.4f}")

@@ -29,6 +29,7 @@ from .config import (
     SystemConfig,
     build_mjls,
     build_sequence,
+    check_analysis_int,
     check_chain,
     load_config,
 )
@@ -215,7 +216,7 @@ def cmd_split(cfg: SystemConfig):
                     "stable_distance": grassmann_distance(split.stable, exact.stable),
                     "center_distance": grassmann_distance(split.center, exact.center),
                 }
-        except AmbiguousSplitError as exc:
+        except (AmbiguousSplitError, ProductOverflowError) as exc:
             warns.append(f"gate: {exc}")
     return results, warns
 
@@ -405,11 +406,7 @@ def main(argv=None) -> int:
         for key in _OVERRIDES:
             value = getattr(args, key)
             if value is not None:
-                if key == "seed" and value < 0:
-                    raise ConfigError("--seed: must be nonnegative")
-                if key != "seed" and value < 1:
-                    raise ConfigError(f"--{key}: must be positive")
-                cfg.analysis[key] = value
+                cfg.analysis[key] = check_analysis_int(key, value, f"--{key}")
         results, warns = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

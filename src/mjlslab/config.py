@@ -126,6 +126,11 @@ def _int(value, path: str, minimum: int) -> int:
     return value
 
 
+def check_analysis_int(key: str, value, path: str) -> int:
+    """Check an integer analysis value against the minimum a config file obeys."""
+    return _int(value, path, _INT_KEYS[key])
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -254,7 +259,7 @@ def _parse_analysis(data: dict) -> dict:
     for key, value in block.items():
         path = f"analysis.{key}"
         if key in _INT_KEYS:
-            out[key] = _int(value, path, _INT_KEYS[key])
+            out[key] = check_analysis_int(key, value, path)
         elif key in _POSITIVE_FLOAT_KEYS:
             v = _number(value, path)
             if v <= 0.0:

@@ -2,8 +2,8 @@
 
 The whole package uses the row convention: vectors multiply matrices from the
 left, x -> x A, so "invariant subspace" always means left-invariant. This
-module provides operator norms, spectral radii, eigenvalue-band splits into
-invariant subspaces, and a metric between subspaces.
+module provides operator norms, eigenvalue-band splits into invariant
+subspaces, and a metric between subspaces.
 """
 
 from __future__ import annotations
@@ -61,17 +61,6 @@ def induced_norm2(a) -> float:
         return float(np.linalg.norm(a, 2))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - depends on LAPACK
         raise EigenSolverError("singular value iteration did not converge") from exc
-
-
-def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus. Raises EigenSolverError instead of
-    returning a silently wrong value when the QR iteration fails."""
-    a = as_matrix(a)
-    try:
-        ev = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError("eigenvalue iteration did not converge") from exc
-    return float(np.max(np.abs(ev))) if ev.size else 0.0
 
 
 def idempotency_defect(a) -> float:
@@ -154,14 +143,6 @@ def _directed_sphere_distance(vb: np.ndarray, wb: np.ndarray) -> float:
         sv = np.linalg.svd(vb @ wb.T, compute_uv=False)
         smallest = float(np.clip(sv, 0.0, 1.0)[-1])
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * smallest)))
-
-
-def principal_angles(v: Subspace, w: Subspace) -> np.ndarray:
-    """Principal angles between two nonzero subspaces, ascending."""
-    if v.dim == 0 or w.dim == 0:
-        raise ValueError("principal angles need nonzero subspaces")
-    sv = np.linalg.svd(v.basis @ w.basis.T, compute_uv=False)
-    return np.arccos(np.clip(sv, 0.0, 1.0))
 
 
 def grassmann_distance(v: Subspace, w: Subspace) -> float:

@@ -2,7 +2,8 @@
 
 Covers validation of (initial, transition) pairs, irreducibility, the
 decomposition of a stationary chain into recurrent classes plus transient
-states, cylinder measures on the path space, and seeded trajectory sampling.
+states, the shift-invariance defect of the path measure, and seeded
+trajectory sampling.
 Irreducibility and the recurrent classes are both read off one reachability
 matrix, the boolean closure of the positive-transition digraph, computed by
 repeated squaring with numpy alone.
@@ -193,24 +194,6 @@ def ergodic_decomposition(chain: MarkovChain) -> ErgodicDecomposition:
         conditional_chains=tuple(conditionals),
         zero_mass_matches_transient=zero_mass == set(transient),
     )
-
-
-def cylinder_measure(chain: MarkovChain, word) -> float:
-    """Measure of the cylinder fixing the first symbols to `word` (1-indexed).
-
-    Empty word gives 1. The value is p[w1] times the product of transition
-    probabilities along the word.
-    """
-    word = [int(s) for s in word]
-    for s in word:
-        if not 1 <= s <= chain.num_states:
-            raise ValueError(f"symbol {s} outside 1..{chain.num_states}")
-    if not word:
-        return 1.0
-    out = float(chain.initial[word[0] - 1])
-    for a, b in zip(word, word[1:]):
-        out *= float(chain.transition[a - 1, b - 1])
-    return out
 
 
 def shift_invariance_defect(chain: MarkovChain, max_len: int) -> float:

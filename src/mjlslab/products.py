@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import FRO_MARGIN, EigenSolverError, as_matrix, as_row_vector
+from .linalg import FRO_MARGIN, EigenSolverError, as_matrix
 from .rng import unit_vectors
 
 ENUM_BUDGET = 10**6
@@ -100,7 +100,8 @@ def _level_products(s: MatrixSet, max_depth: int, budget: int):
 
     Stops before a level that would exceed the budget (counted in products)
     or the per-level memory cap; the caller detects truncation by comparing
-    the last yielded depth with max_depth.
+    the last yielded depth with max_depth. Products that overflow are yielded
+    as they are, without a numpy warning; the callers report them.
     """
     k, d = s.num_matrices, s.dim
     used = 0
@@ -109,7 +110,8 @@ def _level_products(s: MatrixSet, max_depth: int, budget: int):
         count = arr.shape[0] * k
         if used + count > budget or count * d * d * 8 > _LEVEL_MEMORY_CAP:
             return
-        arr = np.matmul(arr[:, None], s.matrices[None]).reshape(count, d, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = np.matmul(arr[:, None], s.matrices[None]).reshape(count, d, d)
         used += count
         yield depth, arr
 
@@ -346,27 +348,6 @@ def rho_extremes(s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUD
     return min_val, min_word, max_val, max_word, len(levels), len(levels) < max_len
 
 
-def _preextremal_batch(
-    s: MatrixSet, xs: np.ndarray, depth: int, budget: int
-) -> np.ndarray:
-    """Row n: running maxima of ||x S_w|| over |w| <= n for a stack of rows x."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    m, d = xs.shape
-    k = s.num_matrices
-    total = sum(m * k**level for level in range(1, depth + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"pre-extremal enumeration needs {total} vector products, budget is {budget}"
-        )
-    best = [np.linalg.norm(xs, axis=1)]
-    vecs = xs[:, None, :]  # (m, words, d)
-    for _ in range(depth):
-        vecs = np.einsum("mwd,kde->mwke", vecs, s.matrices).reshape(m, -1, d)
-        best.append(np.maximum(best[-1], np.linalg.norm(vecs, axis=2).max(axis=1)))
-    return np.array(best)
-
-
 def preextremal_norm(s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET):
     """Truncated sup-norm: max of ||x S_w||_2 over all words with |w| <= depth.
 
@@ -375,20 +356,26 @@ def preextremal_norm(s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET):
     enumeration budget raises; a silently truncated maximum would be a wrong
     value, not an approximation.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     xs = np.atleast_2d(arr)
-    if xs.shape[1] != s.dim:
-        raise ValueError(f"vector length {xs.shape[1]} does not match dimension {s.dim}")
-    out = _preextremal_batch(s, xs, depth, budget)[-1]
-    return float(out[0]) if single else out
-
-
-def preextremal_profile(
-    s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET
-) -> np.ndarray:
-    """Values of the truncated sup-norm at every depth 0..depth (nondecreasing)."""
-    return _preextremal_batch(s, as_row_vector(x, s.dim)[None], depth, budget)[:, 0]
+    m, d = xs.shape
+    if d != s.dim:
+        raise ValueError(f"vector length {d} does not match dimension {s.dim}")
+    k = s.num_matrices
+    total = sum(m * k**level for level in range(1, depth + 1))
+    if total > budget:
+        raise BudgetExceededError(
+            f"pre-extremal enumeration needs {total} vector products, budget is {budget}"
+        )
+    best = np.linalg.norm(xs, axis=1)
+    vecs = xs[:, None, :]  # (m, words, d)
+    for _ in range(depth):
+        vecs = np.einsum("mwd,kde->mwke", vecs, s.matrices).reshape(m, -1, d)
+        best = np.maximum(best, np.linalg.norm(vecs, axis=2).max(axis=1))
+    return float(best[0]) if single else best
 
 
 @dataclass

@@ -178,18 +178,6 @@ def _return_count(seq: SwitchingSequence, L: int, horizon: int) -> int:
     return int(_match_times(symbols, L, min(horizon, scan - L)).size)
 
 
-def birkhoff_frequency(seq: SwitchingSequence, L: int, horizon: int) -> float:
-    """Fraction of times n <= horizon at which the initial cylinder returns.
-
-    The window for a return at n extends to n + L, so up to horizon + L
-    symbols are read when the sequence has them; finite sequences are scanned
-    as far as they go.
-    """
-    if L < 1 or horizon < 1:
-        raise ValueError("need L >= 1 and horizon >= 1")
-    return _return_count(seq, L, horizon) / horizon
-
-
 @dataclass
 class RecurrenceVerdict:
     """Per-cylinder-length return counts and the overall desk verdict.

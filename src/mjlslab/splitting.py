@@ -56,8 +56,9 @@ class IdempotentNotFoundError(RuntimeError):
 class ProductOverflowError(ArithmeticError):
     """A product met by the splitting construction is not finite.
 
-    The return-time products, their closure or a candidate's square overflowed,
-    so the products are not bounded at this horizon and no splitting is read off.
+    The return-time products, their closure, a candidate's square or the period
+    product of a periodic word overflowed, so the products are not bounded and
+    no splitting is read off.
     """
 
 
@@ -545,9 +546,13 @@ def periodic_split(s: MatrixSet, word, band_tol: float = 1e-6) -> Splitting:
     is the projection onto the center band along the other two. Expanding
     directions (modulus above 1 + band_tol) do not occur for product-bounded
     families, but when present they are returned in `unstable` rather than
-    silently merged.
+    silently merged. A period product that overflows raises
+    ProductOverflowError.
     """
-    m = word_product(s, word)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = word_product(s, word)
+    if not np.isfinite(m).all():
+        raise ProductOverflowError("the period product of the word overflows")
     bands = spectral_split(m, band_tol)
     d = s.dim
     c = bands.center.dim
@@ -589,37 +594,6 @@ def sequence_split(
     lps = limit_points(s, seq, cylinder_len, horizon, cluster_tol)
     p = find_idempotent(lps, idem_tol, closure_rounds, budget)
     return split_from_idempotent(p, rank_tol, idem_tol, source="semigroup-numeric")
-
-
-@dataclass
-class LyapunovEstimate:
-    """Time-average exponent of one vector along one switching sequence.
-
-    value is log ||x A(horizon)|| / horizon; tail_fit is the least-squares
-    slope of the log-norm history over its trailing half. A product that
-    kills the vector exactly gives -inf in both and sets underflow.
-    """
-
-    horizon: int
-    value: float
-    tail_fit: float
-    final_log_norm: float
-    underflow: bool
-
-
-def vector_lyapunov_exponent(
-    s: MatrixSet, seq: SwitchingSequence, x, horizon: int
-) -> LyapunovEstimate:
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    hist = vector_log_norm_history(s, seq.prefix(horizon), x)
-    return LyapunovEstimate(
-        horizon=horizon,
-        value=float(hist[-1] / horizon),
-        tail_fit=tail_slope(hist),
-        final_log_norm=float(hist[-1]),
-        underflow=bool(np.isneginf(hist).any()),
-    )
 
 
 _MAX_NORM_CHECKPOINTS = 64

@@ -442,6 +442,21 @@ def oracle_preextremal(mats, x, depth) -> float:
     return best
 
 
+def oracle_preextremal_profile(mats, x, depth) -> list[float]:
+    """Running maxima of ||x S_w||_2 over |w| <= n, for n = 0..depth.
+
+    Each level is every word's row times every generator, in one einsum, so
+    the values carry the bits of a level-by-level walk of the words.
+    """
+    mats = np.asarray(mats, dtype=float)
+    vecs = np.asarray(x, dtype=float)[None, None, :]
+    best = [float(np.linalg.norm(vecs, axis=2).max())]
+    for _ in range(depth):
+        vecs = np.einsum("mwd,kde->mwke", vecs, mats).reshape(1, -1, mats.shape[-1])
+        best.append(max(best[-1], float(np.linalg.norm(vecs, axis=2).max())))
+    return best
+
+
 def oracle_grassmann_sampled(vb: np.ndarray, wb: np.ndarray, samples: int = 720) -> float:
     """Hausdorff distance between unit spheres by dense sampling.
 

@@ -129,7 +129,7 @@ def test_bad_override_rejected(tmp_path, capsys):
     cfg = write(tmp_path, DECOMPOSE_CFG)
     code, _, err = run(capsys, "decompose", "--config", cfg, "--trials", "0")
     assert code == 2
-    assert "must be positive" in err
+    assert "--trials: must be at least 1" in err
 
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
@@ -616,6 +616,95 @@ def test_jsr_names_the_depth_whose_norm_maximum_overflowed(tmp_path):
     assert report["results"]["finiteness"]["upper"] == "nan"
     gates = [w for w in report["warnings"] if w.startswith("gate:")]
     assert len(gates) == 1 and "length-4 products" in gates[0]
+
+
+SPLIT_OVERFLOW_DOC = {
+    "dimension": 2,
+    "matrices": [(1e160 * np.eye(2)).tolist()],
+    "sequence": {"kind": "periodic", "word": [1, 1]},
+    "analysis": {"horizon": 64},
+}
+WALK_OVERFLOW_DOC = {
+    "dimension": 2,
+    "matrices": [(1e160 * np.eye(2)).tolist(), (1e160 * rotation(np.pi / 2)).tolist()],
+    "markov": IID2_BLOCK,
+    "analysis": {"depth": 3, "trials": 4, "horizon": 40, "num_initials": 2},
+}
+EIGVALS_GATE = "gate: eigenvalue iteration failed: Array must not contain infs or NaNs"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_overflowing_period_product_is_a_gate(tmp_path, capsys):
+    # the period product 1e320 I is not finite; spectral_split refused it (exit 1)
+    cfg = write(tmp_path, json.dumps(SPLIT_OVERFLOW_DOC))
+    code, out, err = run(capsys, "split", "--config", cfg)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert "gate: the period product of the word overflows" in report["warnings"]
+    assert report["results"]["periodic_exact"] is None
+    assert report["results"]["agreement"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [("horizon", 1), ("seed", -1)])
+def test_overrides_obey_the_config_file_minima(tmp_path, capsys, key, value):
+    # --horizon 1 passed the override check, then tail_start raised (exit 1)
+    base = {"dimension": 2, "matrices": [np.eye(2).tolist()] * 2, "markov": IID2_BLOCK}
+    cfg = write(tmp_path, json.dumps(base))
+    code, out, err = run(capsys, "classify", "--config", cfg, f"--{key}", str(value))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --{key}: must be at least")
+    bad = write(tmp_path, json.dumps({**base, "analysis": {key: value}}), name="bad.json")
+    file_code, _, file_err = run(capsys, "classify", "--config", bad)
+    assert file_code == 2
+    assert err == file_err.replace(f"analysis.{key}", f"--{key}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, gates",
+    [
+        ("jsr", [EIGVALS_GATE]),
+        (
+            "classify",
+            [
+                EIGVALS_GATE,
+                "gate: equivalence boundedness gate: singular value iteration did "
+                "not converge",
+                EIGVALS_GATE,
+            ],
+        ),
+    ],
+)
+def test_overflowing_word_walk_warns_only_in_the_report(tmp_path, capsys, command, gates):
+    # the level matmul printed numpy overflow and invalid-value warnings
+    cfg = write(tmp_path, json.dumps(WALK_OVERFLOW_DOC))
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == 0 and err == ""
+    warns = json.loads(out)["warnings"]
+    assert [w for w in warns if w.startswith("gate:")] == gates
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, code",
+    [
+        ("split", SPLIT_OVERFLOW_DOC, [], 0),
+        ("jsr", WALK_OVERFLOW_DOC, [], 0),
+        ("classify", WALK_OVERFLOW_DOC, ["--horizon", "1"], 2),
+    ],
+)
+def test_mended_inputs_leave_stderr_clean(tmp_path, command, doc, extra, code):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mjlslab", command,
+         "--config", write(tmp_path, json.dumps(doc)), *extra],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_split_budget_warning_leaves_the_demo_split_alone(tmp_path, capsys):

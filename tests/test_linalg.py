@@ -9,8 +9,6 @@ from mjlslab import (
     grassmann_distance,
     idempotency_defect,
     induced_norm2,
-    principal_angles,
-    spectral_radius,
     spectral_split,
 )
 from oracles import oracle_grassmann_sampled, oracle_norm2, rotation
@@ -30,18 +28,11 @@ def test_induced_norm2_matches_svd_oracle():
         assert induced_norm2(a) == pytest.approx(oracle_norm2(a), abs=1e-12)
 
 
-def test_spectral_radius_frozen_cases():
-    assert spectral_radius(np.diag([0.25, -0.75])) == 0.75
-    assert spectral_radius(rotation(np.pi / 6)) == pytest.approx(1.0, abs=1e-14)
-    # nilpotent
-    assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
-
-
 def test_matrix_validation_rejects_bad_input():
     with pytest.raises(ValueError):
         induced_norm2(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        spectral_radius([[np.nan, 0.0], [0.0, 1.0]])
+        induced_norm2([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_idempotency_defect():
@@ -113,12 +104,6 @@ def test_grassmann_zero_subspace_conventions():
     assert grassmann_distance(z, z) == 0.0
     with pytest.warns(UserWarning):
         assert grassmann_distance(z, e1) == pytest.approx(np.sqrt(2.0))
-
-
-def test_principal_angles_orthogonal_pair():
-    e1 = Subspace.from_rows([1.0, 0.0])
-    e2 = Subspace.from_rows([0.0, 1.0])
-    assert principal_angles(e1, e2)[0] == pytest.approx(np.pi / 2.0, abs=1e-12)
 
 
 def test_spectral_split_half_shear():

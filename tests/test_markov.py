@@ -1,4 +1,4 @@
-"""Markov chains: validation, decomposition, cylinder measures, sampling."""
+"""Markov chains: validation, decomposition, shift invariance, sampling."""
 
 from unittest import mock
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import mjlslab.markov
 from mjlslab import (
     MarkovChain,
-    cylinder_measure,
     ergodic_decomposition,
     is_irreducible,
     sample_trajectories,
@@ -21,7 +20,6 @@ from mjlslab import (
 from mjlslab.rng import philox_stream
 from oracles import (
     oracle_classes,
-    oracle_cylinder,
     oracle_sample_trajectory,
     oracle_shift_defect,
     oracle_shift_defect_words,
@@ -126,25 +124,6 @@ def test_conditional_chains_are_stationary_restrictions():
         ix = [s - 1 for s in cls]
         assert np.allclose(sub.transition, t[np.ix_(ix, ix)])
         assert np.allclose(sub.initial, stationary_distribution(sub.transition), atol=1e-10)
-
-
-def test_cylinder_measure_frozen_and_oracle():
-    chain = MarkovChain([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
-    assert cylinder_measure(chain, []) == 1.0
-    assert cylinder_measure(chain, [1]) == 0.5
-    assert cylinder_measure(chain, [1, 2, 1]) == 0.5
-    assert cylinder_measure(chain, [1, 1]) == 0.0
-    with pytest.raises(ValueError):
-        cylinder_measure(chain, [3])
-
-    rng = np.random.default_rng(12)
-    p, t = random_structured_chain(rng, max_states=5)
-    k = len(p)
-    for _ in range(20):
-        word = rng.integers(1, k + 1, size=rng.integers(1, 5)).tolist()
-        assert cylinder_measure(MarkovChain(p, t), word) == pytest.approx(
-            oracle_cylinder(p, t, word), abs=1e-15
-        )
 
 
 def test_shift_invariance_defect_matches_enumeration_oracle():

@@ -15,7 +15,6 @@ from mjlslab import (
     jsr_bounds,
     preextremal_contraction_check,
     preextremal_norm,
-    preextremal_profile,
     rho_extremes,
     spectral_finiteness_probe,
     word_from_index,
@@ -27,6 +26,7 @@ from oracles import (
     oracle_jsr_bounds,
     oracle_level_norm_maxima,
     oracle_preextremal,
+    oracle_preextremal_profile,
     oracle_rho_extremes,
     oracle_rho_root,
     oracle_word_product,
@@ -160,8 +160,7 @@ def test_preextremal_norm_frozen_and_oracle():
 
 
 def test_preextremal_profile_nondecreasing():
-    prof = preextremal_profile(SHEAR, [1.0, 0.0], 6)
-    assert prof.shape == (7,)
+    prof = [preextremal_norm(SHEAR, [1.0, 0.0], m) for m in range(7)]
     assert np.all(np.diff(prof) >= -1e-12)
     assert prof[0] == pytest.approx(1.0)
 
@@ -212,22 +211,21 @@ def test_jsr_bounds_property_lower_below_upper(s, depth):
 @given(matrix_sets(), st.data(), st.integers(0, 4))
 def test_preextremal_profile_property_nondecreasing(s, data, depth):
     x = data.draw(st.lists(ENTRY, min_size=s.dim, max_size=s.dim))
-    prof = preextremal_profile(s, x, depth)
+    prof = [preextremal_norm(s, x, m) for m in range(depth + 1)]
     assert np.all(np.diff(prof) >= 0.0)
 
 
 @given(matrix_sets(), st.data(), st.integers(0, 4))
 def test_preextremal_profile_equals_per_depth_norms(s, data, depth):
     x = data.draw(st.lists(ENTRY, min_size=s.dim, max_size=s.dim))
-    prof = preextremal_profile(s, x, depth)
     per_depth = [preextremal_norm(s, x, m) for m in range(depth + 1)]
-    assert prof.tolist() == per_depth
-    # the budget covers the deepest level or the whole profile is refused
+    assert per_depth == oracle_preextremal_profile(s.matrices, x, depth)
+    # the budget covers every level up to depth or the value is refused
     total = sum(s.num_matrices**n for n in range(1, depth + 1))
-    assert preextremal_profile(s, x, depth, budget=total).tolist() == per_depth
+    assert preextremal_norm(s, x, depth, budget=total) == per_depth[-1]
     if depth:
         with pytest.raises(BudgetExceededError):
-            preextremal_profile(s, x, depth, budget=total - 1)
+            preextremal_norm(s, x, depth, budget=total - 1)
 
 
 @given(

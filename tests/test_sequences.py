@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mjlslab import (
     MarkovChain,
     SwitchingSequence,
-    birkhoff_frequency,
     classify_recurrence,
     quadratic_gap_lengths,
     return_times,
@@ -68,12 +67,13 @@ def test_return_times_periodic():
 
 def test_birkhoff_frequency_periodic_exact():
     seq = SwitchingSequence.periodic([1, 2, 2])
-    for L in (1, 2, 3):
-        assert birkhoff_frequency(seq, L, horizon=300) == pytest.approx(1.0 / 3.0)
+    freqs = classify_recurrence(seq, max_cylinder_len=3, horizon=300).frequencies
+    assert freqs == pytest.approx([1.0 / 3.0] * 3)
 
 
 def test_birkhoff_frequency_gap_word():
-    assert birkhoff_frequency(GAP4, 15, horizon=255) == pytest.approx(1.0 / 255.0)
+    freqs = classify_recurrence(GAP4, max_cylinder_len=15, horizon=255).frequencies
+    assert freqs[14] == pytest.approx(1.0 / 255.0)
 
 
 def test_classify_recurrence_gap_word():

@@ -17,11 +17,10 @@ from mjlslab import (
     pointwise_convergence_estimate,
     pointwise_equivalence_harness,
     spectral_finiteness_probe,
-    spectral_radius,
     word_levels,
     word_product,
 )
-from oracles import rotation
+from oracles import oracle_rho_root, rotation
 
 IID2 = MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
 IID1 = MarkovChain([1.0], [[1.0]])
@@ -119,7 +118,7 @@ def test_probe_best_value_recomputes_from_best_word():
         for probe_fn in (periodic_stability_probe, consistent_convergence_probe):
             probe = probe_fn(s, max_len=5)
             w = probe.best_word
-            direct = spectral_radius(word_product(s, w)) ** (1.0 / len(w))
+            direct = oracle_rho_root(s.matrices, w)
             assert probe.best_value == pytest.approx(direct, abs=1e-9)
 
 
