@@ -268,6 +268,8 @@ def cmd_classify(cfg: SystemConfig):
         results["consistent_probe"] = jsonable(
             consistent_convergence_probe(walk, a["depth"])
         )
+        if walk.completed < a["depth"]:
+            warns.append(f"budget: word walk truncated at depth {walk.completed}")
 
     try:
         harness = pointwise_equivalence_harness(
@@ -292,7 +294,6 @@ def cmd_classify(cfg: SystemConfig):
 
     if walk is None:
         results["almost_sure"] = None
-        warns.append(walk_warning)
     else:
         almost = almost_sure_exponential_estimate(consistent, walk, a["depth"])
         results["almost_sure"] = jsonable(almost)

@@ -334,8 +334,8 @@ def load_config(path) -> tuple[SystemConfig, bytes]:
 def check_chain(chain: MarkovChain) -> MarkovChain:
     """The chain itself, or ConfigError naming its first structural defect.
 
-    A non-stationary initial distribution passes; row sums, negative entries
-    and the initial mass do not, since sampling from such a pair is undefined.
+    A non-stationary initial distribution passes; the defects that
+    structural_issues names do not, since such a pair is no law on paths.
     """
     issues = structural_issues(chain)
     if issues:

@@ -3,7 +3,7 @@
 Covers validation of (initial, transition) pairs, irreducibility, the
 decomposition of a stationary chain into recurrent classes plus transient
 states, the shift-invariance defect of the path measure, and seeded
-trajectory sampling.
+trajectory sampling; these two refuse a pair that is no law on paths.
 Irreducibility and the recurrent classes are both read off one reachability
 matrix, the boolean closure of the positive-transition digraph, computed by
 repeated squaring with numpy alone.
@@ -14,7 +14,6 @@ internally.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +33,9 @@ class MarkovChain:
     """Initial distribution and transition matrix; shape checks only here.
 
     Stochasticity, nonnegativity and stationarity are reported by
-    validate_chain rather than enforced, so mildly defective inputs can still
-    be analyzed and their defects quantified.
+    validate_chain rather than enforced, so defective inputs can still be
+    built and their defects quantified. Sampling and the shift-invariance
+    defect refuse a pair with a structural defect.
     """
 
     initial: np.ndarray
@@ -76,8 +76,8 @@ class ValidationReport:
 def structural_issues(chain: MarkovChain) -> list[str]:
     """Defects that stop the pair from being a probability law on paths.
 
-    Row sums away from 1, negative entries and an initial mass away from 1;
-    a non-stationary initial distribution is not one of them.
+    Row sums away from 1, negative entries, entries above 1 and an initial
+    mass away from 1; a non-stationary initial distribution is not one of them.
     """
     p, t = chain.initial, chain.transition
     row_defects = np.abs(t.sum(axis=1) - 1.0)
@@ -90,6 +90,9 @@ def structural_issues(chain: MarkovChain) -> list[str]:
     min_entry = min(p.min(), t.min())
     if min_entry < 0.0:
         issues.append(f"negative entry {float(min_entry):.17g}")
+    max_entry = max(p.max(), t.max())
+    if max_entry > 1.0:
+        issues.append(f"entry {float(max_entry):.17g} above 1")
     if abs(p.sum() - 1.0) > DIST_SUM_TOL:
         issues.append(f"initial distribution sums to {p.sum():.17g}, expected 1")
     return issues
@@ -196,34 +199,27 @@ def ergodic_decomposition(chain: MarkovChain) -> ErgodicDecomposition:
     )
 
 
+def _require_law(chain: MarkovChain) -> None:
+    """ValueError naming the first structural defect of the chain, if any."""
+    issues = structural_issues(chain)
+    if issues:
+        raise ValueError(issues[0])
+
+
 def shift_invariance_defect(chain: MarkovChain, max_len: int) -> float:
     """max over words w, |w| <= max_len, of |mu([w]) - sum_k mu([k w])|.
 
-    Zero (to rounding) exactly when the initial distribution is stationary.
-    A word starting with a has the defect |p_a tau - (pP)_a tau|, tau its tail
-    product, so only the largest |tau| per start counts. Rounding is
-    monotone, so the max-times recursion tau[a, j] = max_i tau[a, i] |t[i, j]|
-    gives it exactly, in O(max_len K**3) work. A stochastic chain has every
-    tail at most 1, so in exact arithmetic the maximum sits at length 1.
-    With entries in [-1, 1] the result equals the word-by-word maximum bit for
-    bit; above 1, equal tails that round apart can leave it below that
-    maximum by the rounding of p_a tau.
+    A word starting with a has the defect |p_a - (pP)_a| tau, tau the product
+    of its transition probabilities. Every tau is at most 1 and the one-letter
+    words have tau = 1, so the maximum is the stationarity defect max |pP - p|
+    for every max_len, and it is zero exactly when p is stationary. Raises
+    ValueError on a chain with a structural defect.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    p, t = chain.initial, chain.transition
-    p_shift = p @ t
-    abs_t = np.abs(t)
-    tau = np.eye(chain.num_states)
-    worst = 0.0
-    for length in range(1, max_len + 1):
-        if length > 1:
-            # one start row at a time keeps the memory at K**2
-            tau = np.array([(row[:, None] * abs_t).max(axis=0) for row in tau])
-        top = tau.max(axis=1)
-        # max() replaces only on `>`, so a nan defect is skipped
-        worst = max(worst, *np.abs(p * top - p_shift * top).tolist())
-    return worst
+    _require_law(chain)
+    p = chain.initial
+    return float(np.max(np.abs(p @ chain.transition - p)))
 
 
 def _pick_table(probs: np.ndarray) -> np.ndarray:
@@ -234,28 +230,11 @@ def _pick_table(probs: np.ndarray) -> np.ndarray:
     boundary selects the lower index. A raw index on a zero-mass symbol moves
     up to the next positive-mass symbol, and one past the row or above the
     last positive mass moves down to that last one, so zero-mass symbols are
-    never selected. Every entry is K when no symbol has positive mass.
+    never selected. The row must have positive mass.
     """
-    k = len(probs)
     mass = np.flatnonzero(probs > 0.0)
-    if not mass.size:
-        return np.full(k + 1, k, dtype=np.int64)
-    above = np.searchsorted(mass, np.arange(k + 1), side="left")
+    above = np.searchsorted(mass, np.arange(len(probs) + 1), side="left")
     return mass[np.minimum(above, mass.size - 1)]
-
-
-def _bisect_rows(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Left bisection of each u into `cum`, as if each were searched alone.
-
-    Over many keys `np.searchsorted` starts each search from the previous
-    key's answer, which finds the same index only on a nondecreasing row; a
-    row that negative entries make non-monotone is bisected one u at a time.
-    """
-    if np.all(cum[1:] >= cum[:-1]):
-        return np.searchsorted(cum, us, side="left")
-    row = cum.tolist()
-    raw = [bisect_left(row, u) for u in us.ravel().tolist()]
-    return np.array(raw, dtype=np.int64).reshape(us.shape)
 
 
 def sample_trajectories(
@@ -267,14 +246,12 @@ def sample_trajectories(
     streams[i]), so a row depends only on its own stream, and a longer
     horizon with the same key extends it.
 
-    Draw contract: step n bisects the cumulative row of the current state
-    from the left for u_n, with the comparisons of a lone
-    `np.searchsorted(side="left")` call; on a nondecreasing row that is the
-    first index whose cumulative sum is >= u_n, so a u_n on a boundary goes to
-    the lower index. An index past the row or on a zero-mass symbol moves to
-    a positive-mass symbol as `_pick_table` says; the first state is drawn the
-    same way from the initial distribution. Drawing from a distribution with
-    no positive mass raises ValueError.
+    Draw contract: step n takes the first index whose cumulative sum in the
+    current state's row is >= u_n (the left bisection of u_n), so a u_n on a
+    boundary goes to the lower index. An index past the row or on a zero-mass
+    symbol moves to a positive-mass symbol as `_pick_table` says; the first
+    state is drawn the same way from the initial distribution. A chain with a
+    structural defect (see structural_issues) raises ValueError.
 
     The uniforms are bisected for every state at once, a block of steps at a
     time (the block's table holds about SAMPLE_TABLE_ENTRIES entries), and
@@ -282,19 +259,20 @@ def sample_trajectories(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    _require_law(chain)
     gens = [philox_stream(seed, stream) for stream in streams]
     rows, k = len(gens), chain.num_states
     out = np.empty((rows, horizon), dtype=np.int64)
     if not rows:
         return out
     p, t = chain.initial, chain.transition
+    # nonnegative rows have nondecreasing cumulative sums, which one
+    # searchsorted call over many uniforms bisects as if each were alone
     cum_t = np.cumsum(t, axis=1)
     picks = [_pick_table(row) for row in t]
-    # row i in state s sits at position s * rows + i, and state k stands for a
-    # draw from a massless distribution: it keeps every row that enters it
+    # row i in state s sits at position s * rows + i
     offsets = np.arange(rows)
-    trapped = k * rows + offsets
-    step = max(1, min(horizon, SAMPLE_TABLE_ENTRIES // ((k + 1) * rows)))
+    step = max(1, min(horizon, SAMPLE_TABLE_ENTRIES // (k * rows)))
     us = np.empty((rows, step))
     for lo in range(0, horizon, step):
         width = min(step, horizon - lo)
@@ -302,20 +280,17 @@ def sample_trajectories(
         for gen, row in zip(gens, block):
             gen.random(out=row)
         # table[j, s * rows + i]: row i's position after step lo + j from state s
-        table = np.empty((width, k + 1, rows), dtype=np.int64)
+        table = np.empty((width, k, rows), dtype=np.int64)
         for s in range(k):
-            table[:, s] = picks[s][_bisect_rows(cum_t[s], block.T)] * rows + offsets
-        table[:, k] = trapped
-        table = table.reshape(width, (k + 1) * rows)
+            table[:, s] = picks[s][np.searchsorted(cum_t[s], block.T)] * rows + offsets
+        table = table.reshape(width, k * rows)
         walk = np.empty((width, rows), dtype=np.int64)
         if lo == 0:
-            first = _pick_table(p)[_bisect_rows(np.cumsum(p), block[:, 0])]
+            first = _pick_table(p)[np.searchsorted(np.cumsum(p), block[:, 0])]
             walk[0] = pos = first * rows + offsets
         for j in range(1 if lo == 0 else 0, width):
             pos = walk[j] = table[j][pos]
         out[:, lo : lo + width] = (walk // rows).T
-    if (out[:, -1] == k).any():
-        raise ValueError("distribution has no positive mass")
     out += 1
     return out
 

@@ -664,28 +664,25 @@ def verify_splitting(
 
     last = int(rt.times[-1]) - 1 if rt.times.size else -1
 
-    center_dev_min = []
-    center_dev_final = []
-    center_pre_dev = []
-    for row in split.center.basis:
-        if snaps.size:
-            off = row @ snaps - row
-            # batched dot products: the same bits as np.linalg.norm of each row
-            dev = np.sqrt((off[:, None] @ off[..., None]).ravel())
-            center_dev_min.append(float(dev.min()))
-            center_dev_final.append(float(dev[-1]))
-            base = preextremal_norm(s, row, preextremal_depth)
-            pre = np.array(
-                [
-                    abs(preextremal_norm(s, row @ a, preextremal_depth) - base)
-                    for a in snaps
-                ]
-            )
-            center_pre_dev.append(float(pre.max()))
-        else:
-            center_dev_min.append(np.inf)
-            center_dev_final.append(np.inf)
-            center_pre_dev.append(np.inf)
+    basis, c = split.center.basis, split.center.dim
+    if c and snaps.size:
+        # moved[i, j] is center row i carried by snapshot j
+        moved = (basis[:, None, None] @ snaps)[:, :, 0]
+        off = moved - basis[:, None]
+        # batched dot products: the same bits as np.linalg.norm of each row
+        dev = np.sqrt((off[..., None, :] @ off[..., None])[..., 0, 0])
+        rows = np.vstack([basis, moved.reshape(-1, d)])
+        # blocks of rows keep each call's word stack inside a one-row budget
+        words = sum(s.num_matrices**n for n in range(1, preextremal_depth + 1))
+        step = max(1, ENUM_BUDGET // max(words, 1))
+        pre = np.concatenate([
+            preextremal_norm(s, rows[i : i + step], preextremal_depth)
+            for i in range(0, len(rows), step)
+        ])
+        center_pre_dev = np.abs(pre[c:].reshape(dev.shape) - pre[:c, None]).max(axis=1)
+        center_dev_min, center_dev_final = dev.min(axis=1), dev[:, -1]
+    else:
+        center_dev_min = center_dev_final = center_pre_dev = np.full(c, np.inf)
 
     offs = []
     for x in unit_vectors(d, samples, seed, stream_offset=1):
@@ -707,9 +704,9 @@ def verify_splitting(
         stable_initial_norms=np.ones(split.stable.dim),
         stable_final_norms=np.exp(stable_hist[:, last]),
         stable_tail_fits=tail_slope(stable_hist),
-        center_return_deviation_min=np.array(center_dev_min),
-        center_return_deviation_final=np.array(center_dev_final),
-        center_preextremal_deviation_max=np.array(center_pre_dev),
+        center_return_deviation_min=center_dev_min,
+        center_return_deviation_final=center_dev_final,
+        center_preextremal_deviation_max=center_pre_dev,
         identity_return_min=identity_return_min,
         off_stable_min_norms=np.exp(off_hist.min(axis=1)),
     )

@@ -249,21 +249,42 @@ def test_budget_below_family_size_nulls_fields(tmp_path, capsys, command, nulled
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert [doc["results"][key] for key in nulled] == [None] * len(nulled)
-    # one message for every walk that completes nothing; jsr walks once
+    # one message for every walk that completes nothing
     budget = "budget: budget 1 does not cover even depth 1 (2 products)"
     expected = {
         "jsr": [budget],
         "classify": [
             "note: horizon * delta does not cover |log eps|; an exponential "
             "trial may not reach eps inside the horizon",
-            budget,  # periodic and consistent probes
+            budget,  # the word walk of the probes and the almost-sure gate
             budget,  # equivalence gate
-            budget,  # almost-sure gate
         ],
     }
     assert doc["warnings"] == expected[command]
 
     code, _, _ = run(capsys, command, "--config", cfg, "--strict")
+    assert code == 3
+
+
+def test_classify_warns_when_its_word_walk_is_truncated(tmp_path, capsys):
+    # levels of 2, 4, 8 and 16 products: a budget of 30 completes depth 4 of 8
+    doc = {
+        "dimension": 2,
+        "matrices": [(0.5 * np.eye(2)).tolist(), [[0.0, 0.5], [-0.5, 0.0]]],
+        "markov": IID2_BLOCK,
+        "analysis": {"budget": 30, "depth": 8, "trials": 4, "horizon": 60},
+    }
+    cfg = write(tmp_path, json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--config", cfg)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    for probe in ("periodic_probe", "consistent_probe"):
+        assert report["results"][probe]["truncated"] is True
+        assert report["results"][probe]["depth"] == 4
+    budget = [w for w in report["warnings"] if w.startswith("budget:")]
+    assert budget == ["budget: word walk truncated at depth 4"]
+
+    code, _, _ = run(capsys, "classify", "--config", cfg, "--strict")
     assert code == 3
 
 
@@ -671,7 +692,6 @@ def test_overrides_obey_the_config_file_minima(tmp_path, capsys, key, value):
                 EIGVALS_GATE,
                 "gate: equivalence boundedness gate: singular value iteration did "
                 "not converge",
-                EIGVALS_GATE,
             ],
         ),
     ],
@@ -814,8 +834,10 @@ def _markov_cfg(initial, transition, matrices=(np.eye(2), np.diag([0.5, 1.0]))):
     [
         ([[0.2, 0.2], [-0.5, 0.3]], "transition row 2 sums to"),
         ([[0.5, 0.5], [-0.5, 1.5]], "negative entry"),
+        # its row sum is inside the tolerance
+        ([[1 + 5e-13, 0.0], [0.5, 0.5]], f"entry {1 + 5e-13:.17g} above 1"),
     ],
-    ids=["row_sums", "negative_entry"],
+    ids=["row_sums", "negative_entry", "entry_above_one"],
 )
 def test_sampling_commands_reject_invalid_chains(
     tmp_path, capsys, command, transition, defect

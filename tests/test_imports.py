@@ -15,7 +15,7 @@ PACKAGE = ROOT / "src" / "mjlslab"
 DEMOS = ROOT / "demos" / "configs"
 
 # cli scores the pointwise row through these until stability grows one public
-# entry point for the classify pipeline (ROADMAP item 1); the benchmark tracer
+# entry point for the classify pipeline (ROADMAP item 2); the benchmark tracer
 # patches them. The product history comes from consistent_convergence_estimate
 ALLOWED = {
     ("cli", "stability", "_build_report"),

@@ -1,5 +1,6 @@
 """Markov chains: validation, decomposition, shift invariance, sampling."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from mjlslab import (
     sample_trajectories,
     sample_trajectory,
     shift_invariance_defect,
+    structural_issues,
     validate_chain,
 )
 from mjlslab.rng import philox_stream
@@ -150,9 +152,9 @@ def _criterion1_chains():
     return chains
 
 
-# the decompose demo chain (REDUCIBLE), then an absorbing chain, a 2-cycle
-# with a tilted start, a chain whose largest tail runs through a negative
-# entry below -1, and one whose first row sums above 1
+# the decompose demo chain (REDUCIBLE), then an absorbing chain and a 2-cycle
+# with a tilted start; a chain with a negative entry below -1 and one whose
+# first row sums above 1 are no probability law on paths and are refused
 SHIFT_CHAINS = {
     "criterion_01": _criterion1_chains(),
     "decompose_demo": [REDUCIBLE],
@@ -168,22 +170,14 @@ SHIFT_CHAINS = {
 @pytest.mark.parametrize("name", sorted(SHIFT_CHAINS))
 def test_shift_invariance_defect_equals_word_loop(name):
     for chain in SHIFT_CHAINS[name]:
-        for max_len in range(1, 5):
+        issues = structural_issues(chain)
+        for max_len in range(1, 6):
+            if issues:
+                with pytest.raises(ValueError, match=re.escape(issues[0])):
+                    shift_invariance_defect(chain, max_len)
+                continue
             got = shift_invariance_defect(chain, max_len)
             assert got == oracle_shift_defect_words(chain.initial, chain.transition, max_len)
-
-
-def test_shift_invariance_defect_rounding_tie_above_one():
-    # words 1121 and 1211 have the same three factors, rounded in two orders;
-    # the smaller tail gives the larger rounded defect, which the recursion
-    # never evaluates
-    chain = MarkovChain(
-        [0.6229062736921731, 0.4927164798661021],
-        [[1.2176043460950312, 1.030147798273991], [1.513395445550962, 0.0]],
-    )
-    got = shift_invariance_defect(chain, 4)
-    want = oracle_shift_defect_words(chain.initial, chain.transition, 4)
-    assert got < want <= got + np.spacing(got)
 
 
 def test_shift_invariance_defect_of_stochastic_chain_sits_at_length_one():
@@ -224,11 +218,10 @@ def test_sample_trajectory_empirical_frequencies():
     assert abs(freq - 0.5) < 0.02
 
 
-# the criterion 7 and 8 drivers, an absorbing chain, then the edge cases: a
-# row short of mass whose last symbol has none (the index past the row moves
-# down to symbol 2), negative entries (one making a cumulative row
-# non-monotone, where only the exact bisection order reproduces the draw),
-# and a first state with zero mass
+# the criterion 7 and 8 drivers, an absorbing chain and a first state with
+# zero mass; then chains that are no probability law on paths and are
+# refused: a row short of mass, negative entries, and cumulative rows that
+# negative entries make non-monotone
 SAMPLER_CHAINS = {
     "iid": MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]),
     "reducible": MarkovChain(
@@ -257,6 +250,12 @@ SAMPLER_CHAINS = {
 @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
 def test_sample_trajectory_matches_scalar_oracle(name):
     chain = SAMPLER_CHAINS[name]
+    issues = structural_issues(chain)
+    if issues:
+        for sample in (sample_trajectory, lambda *a: sample_trajectories(*a, range(3))):
+            with pytest.raises(ValueError, match=re.escape(issues[0])):
+                sample(chain, 2000, 7)
+        return
     for stream in range(3):
         got = sample_trajectory(chain, 2000, seed=7, stream=stream)
         want = oracle_sample_trajectory(chain.initial, chain.transition, 2000, 7, stream)
@@ -346,44 +345,60 @@ def test_sample_trajectories_edge_shapes():
     first = sample_trajectories(chain, 1, 3, range(6))[:, 0]
     assert first.tolist() == [sample_trajectory(chain, 1, 3, t)[0] for t in range(6)]
     for name in sorted(SAMPLER_CHAINS):
-        # non-contiguous and repeated stream ids
-        _assert_rows_match_oracle(SAMPLER_CHAINS[name], 700, 7, [9, 0, 4, 9], 40)
+        if not structural_issues(SAMPLER_CHAINS[name]):
+            # non-contiguous and repeated stream ids
+            _assert_rows_match_oracle(SAMPLER_CHAINS[name], 700, 7, [9, 0, 4, 9], 40)
     with pytest.raises(ValueError, match="horizon"):
         sample_trajectories(chain, 0, 0, [0])
 
 
-def test_sampling_refuses_a_massless_row_only_when_it_is_drawn_from():
-    # state 2's row has no mass; it is never entered from state 1
-    unreached = MarkovChain([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
-    assert sample_trajectories(unreached, 30, 0, range(3)).tolist() == [[1] * 30] * 3
-    entered = MarkovChain([1.0, 0.0], [[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="no positive mass"):
-        sample_trajectories(entered, 30, 0, range(3))
-    with pytest.raises(ValueError, match="no positive mass"):
-        sample_trajectory(MarkovChain([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), 5, 0)
+def test_pick_table_moves_off_zero_mass_and_past_the_row():
+    # a row of K symbols has raw indices 0..K, and K is past the row; a valid
+    # row can fall short of 1 by rounding, so a u above its last sum gets K
+    pick = mjlslab.markov._pick_table
+    assert pick(np.array([0.2, 0.5, 0.0])).tolist() == [0, 1, 1, 1]
+    assert pick(np.array([0.0, 0.3, 0.0, 0.7])).tolist() == [1, 1, 3, 3, 3]
+    assert pick(np.array([1.0])).tolist() == [0, 0]
 
 
-@st.composite
-def signed_chains(draw):
-    """Chains with zeroed entries in [-2, 2]: stochastic ones and defective ones."""
-    if draw(st.booleans()):
-        return draw(sparse_chains())
-    n = draw(st.integers(1, 5))
-    entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
-    p = draw(st.lists(entry, min_size=n, max_size=n))
-    t = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    return MarkovChain(p, t)
+# one chain per defect that structural_issues names
+DEFECTIVE_CHAINS = {
+    "massless_row": (
+        MarkovChain([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]),
+        "transition row 2 sums to 0",
+    ),
+    "negative_entry": (
+        MarkovChain([0.5, 0.5], [[0.5, 0.5], [-0.5, 1.5]]),
+        "negative entry -0.5",
+    ),
+    "entry_above_one": (
+        MarkovChain([0.5, 0.5], [[1 + 5e-13, 0.0], [0.5, 0.5]]),
+        f"entry {1 + 5e-13:.17g} above 1",
+    ),
+    "initial_mass": (
+        MarkovChain([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        "initial distribution sums to 0",
+    ),
+}
 
 
-@given(signed_chains(), st.integers(1, 5))
+@pytest.mark.parametrize("name", sorted(DEFECTIVE_CHAINS))
+def test_sampling_and_shift_defect_refuse_each_structural_defect(name):
+    chain, defect = DEFECTIVE_CHAINS[name]
+    assert structural_issues(chain)[0].startswith(defect)
+    calls = (
+        lambda: sample_trajectories(chain, 30, 0, range(3)),
+        lambda: sample_trajectories(chain, 30, 0, []),
+        lambda: sample_trajectory(chain, 5, 0),
+        lambda: shift_invariance_defect(chain, 1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(defect)):
+            call()
+
+
+@given(sparse_chains(), st.integers(1, 5))
 def test_shift_invariance_defect_property_matches_word_loop(chain, max_len):
     got = shift_invariance_defect(chain, max_len)
-    want = oracle_shift_defect_words(chain.initial, chain.transition, max_len)
-    # the recursion's value is the defect of one of the words
-    assert got <= want
-    if np.abs(chain.transition).max() <= 1.0:
-        assert got == want
-    else:
-        # equal tails above 1 may round apart (see the rounding-tie test);
-        # |(pP)_a tau| <= 20 * 2**4 here, so 1e-12 is about 17 of its ulps
-        assert want - got <= 1e-12
+    assert got == oracle_shift_defect_words(chain.initial, chain.transition, max_len)
+    assert got == validate_chain(chain).stationarity_defect

@@ -15,6 +15,8 @@ from mjlslab import (
     LimitPointSet,
     MarkovChain,
     MatrixSet,
+    Splitting,
+    Subspace,
     SwitchingSequence,
     cocycle_products_at,
     find_idempotent,
@@ -24,6 +26,8 @@ from mjlslab import (
     log_norm_histories,
     matrix_log_norm_history,
     periodic_split,
+    preextremal_norm,
+    return_times,
     sample_trajectory,
     sequence_split,
     split_from_idempotent,
@@ -32,7 +36,13 @@ from mjlslab import (
     vector_log_norm_history,
     verify_splitting,
 )
-from mjlslab.splitting import RENORM_EVERY, _closure, _first_come_reps, _row_norms
+from mjlslab.splitting import (
+    RENORM_EVERY,
+    _checkpoint,
+    _closure,
+    _first_come_reps,
+    _row_norms,
+)
 from oracles import (
     oracle_best_idempotent,
     oracle_closure,
@@ -672,3 +682,58 @@ def test_verify_splitting_evidence_quality():
     assert ev.stable_tail_fits.max() <= np.log(0.5) + 1e-6
     assert ev.center_return_deviation_final.max() <= 1e-9
     assert ev.off_stable_min_norms.min() > 0.05
+
+
+def _center_scores_per_row(s, symbols, times, basis, depth):
+    """verify_splitting's center scores, one row and one snapshot at a time."""
+    snaps = cocycle_products_at(s, symbols, times)
+    scores = []
+    for row in basis:
+        if not snaps.size:
+            scores.append((np.inf, np.inf, np.inf))
+            continue
+        dev = [float(np.linalg.norm(row @ a - row)) for a in snaps]
+        base = preextremal_norm(s, row, depth)
+        pre = [abs(preextremal_norm(s, row @ a, depth) - base) for a in snaps]
+        scores.append((min(dev), dev[-1], max(pre)))
+    return np.array(scores, dtype=float).reshape(len(basis), 3).T
+
+
+# a 3-letter family on a random word with 64 checkpointed returns, a 3 x 3
+# pair, and a word whose first symbol never returns (no snapshots)
+CENTER_CASES = {
+    "family3": (FAMILY3, np.random.default_rng(41).integers(1, 4, 400)),
+    "dim3": (
+        MatrixSet.from_list(
+            [np.random.default_rng(42).normal(size=(3, 3)) * 0.6 for _ in range(2)]
+        ),
+        np.random.default_rng(43).integers(1, 3, 120),
+    ),
+    "no_return": (FAMILY3, np.array([3] + [1, 2] * 30)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_CASES))
+@pytest.mark.parametrize("budget", [mjlslab.splitting.ENUM_BUDGET, 40])
+def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeypatch):
+    # a small budget splits the stacked rows into blocks of one call each
+    monkeypatch.setattr(mjlslab.splitting, "ENUM_BUDGET", budget)
+    s, symbols = CENTER_CASES[name]
+    seq = SwitchingSequence.explicit(symbols)
+    times = _checkpoint(return_times(seq, 1, symbols.size).times)
+    assert (times.size == 0) == (name == "no_return")
+    d = s.dim
+    full = np.linalg.qr(np.random.default_rng(44).normal(size=(d, d)))[0]
+    for c in range(d + 1):  # a center of every dimension, 0 included
+        center, stable = full[:c], full[c:]
+        split = Splitting(np.eye(d), 0.0, Subspace(d, stable), Subspace(d, center), "test")
+        for depth in (0, 1, 3):
+            ev = verify_splitting(s, seq, split, symbols.size, preextremal_depth=depth)
+            got = np.array([
+                ev.center_return_deviation_min,
+                ev.center_return_deviation_final,
+                ev.center_preextremal_deviation_max,
+            ])
+            want = _center_scores_per_row(s, symbols, times, center, depth)
+            assert got.shape == want.shape == (3, c)
+            assert got.tobytes() == want.tobytes()
