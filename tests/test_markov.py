@@ -218,7 +218,7 @@ def test_sample_trajectory_empirical_frequencies():
     assert abs(freq - 0.5) < 0.02
 
 
-# the criterion 7 and 8 drivers, an absorbing chain and a first state with
+# the criterion 7 and 8 chains, an absorbing chain and a first state with
 # zero mass; then chains that are no probability law on paths and are
 # refused: a row short of mass, negative entries, and cumulative rows that
 # negative entries make non-monotone
