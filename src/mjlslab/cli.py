@@ -98,8 +98,10 @@ def cmd_jsr(cfg: SystemConfig):
     s = _require_system(cfg)
     a = cfg.analysis
     depth, bdepth = a["depth"], a["boundedness_depth"]
-    try:  # one walk over the words serves all three reports
-        walk = word_levels(s, depth, max(depth, a["jsr_depth"], bdepth), a["budget"])
+    try:  # one walk over the words serves all three reports, none reads the minima
+        walk = word_levels(
+            s, depth, max(depth, a["jsr_depth"], bdepth), a["budget"], minima=False
+        )
     except BudgetExceededError as exc:
         return dict.fromkeys(("jsr", "boundedness", "finiteness")), [f"budget: {exc}"]
     except EigenSolverError as exc:

@@ -14,6 +14,14 @@ below the level's largest Frobenius norm over sqrt(d) cannot hold the largest
 2-norm; only the others, in word order, go through the batched SVD. The SVD
 gives each matrix the same bits whatever else is in the batch, so the value,
 and the first word that attains it, are those of an SVD of the whole level.
+
+A walk without the rho minima finds a level's largest spectral radius the same
+way (Gripenberg's branch and bound, Linear Algebra Appl. 234, 1996): rho(A) <=
+||A||_F, so the products are eigendecomposed in descending Frobenius order, in
+chunks, until the next chunk's largest norm is below the best radius so far.
+No skipped product can reach or tie that radius, and the eigenvalues of a
+matrix do not depend on the batch either, so the value and its first word are
+those of the whole level. A walk with the minima eigendecomposes every product.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ from .rng import unit_vectors
 ENUM_BUDGET = 10**6
 _LEVEL_MEMORY_CAP = 256 * 2**20  # bytes of stacked products kept per level
 _SCREEN_BLOCK = 4096  # products scaled at a time by the norm screen
+_RHO_CHUNK = 64  # first chunk of the rho screen; each later chunk doubles
+# the rho screen stops early only when the best radius is a normal float far
+# above the rounding floor of the scaled Frobenius norms
+_RHO_FLOOR, _RHO_REL_FLOOR = 2.0**-900, 2.0**-400
 
 
 class BudgetExceededError(RuntimeError):
@@ -117,31 +129,55 @@ def _level_products(s: MatrixSet, max_depth: int, budget: int):
 
 
 def _batch_norm2(arr: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix; NaN where a matrix holds +-inf.
+
+    A matrix with an inf entry never reaches LAPACK, which would print
+    DLASCL errors on stdout and return NaN for it; a NaN entry raises, as
+    LAPACK's failure does.
+    """
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if finite.all():
+        return _svd_max(arr)
+    if np.isnan(arr).any():
+        raise EigenSolverError("singular value iteration did not converge")
+    out = np.full(arr.shape[0], np.nan)
+    out[finite] = _svd_max(arr[finite])
+    return out
+
+
+def _svd_max(arr: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(arr, compute_uv=False)[:, 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - depends on LAPACK
         raise EigenSolverError("singular value iteration did not converge") from exc
 
 
-def _norm_candidates(arr: np.ndarray) -> np.ndarray:
-    """Mask of the products in arr that can hold its largest 2-norm.
+def _scaled_frobenius(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Frobenius norms of arr over its largest |entry|, and that entry.
 
-    ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F, so a product whose Frobenius norm
-    is below the largest one over sqrt(d), by more than a rounding margin, has
-    a smaller 2-norm than the product that holds that Frobenius norm. The
-    norms are taken on arr over its largest |entry| so the squares neither
-    overflow nor underflow, a block at a time so that no copy of the whole
-    stack is made. A stack that is all zero or holds inf or NaN gives a NaN
-    threshold and keeps every product.
+    The scaling keeps the squares from overflowing or underflowing; the norms
+    are taken a block at a time so that no copy of the whole stack is made.
+    A stack that is all zero or holds inf or NaN gives NaN norms.
     """
-    d = arr.shape[-1]
     top = np.maximum(arr.max(), -arr.min())
     fro = np.empty(arr.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, arr.shape[0], _SCREEN_BLOCK):
             block = arr[lo : lo + _SCREEN_BLOCK] / top
             fro[lo : lo + _SCREEN_BLOCK] = np.einsum("kij,kij->k", block, block)
-        np.sqrt(fro, out=fro)
+    return np.sqrt(fro, out=fro), float(top)
+
+
+def _norm_candidates(fro: np.ndarray, d: int) -> np.ndarray:
+    """Mask of the products that can hold the largest 2-norm, from their
+    scaled Frobenius norms.
+
+    ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F, so a product whose Frobenius norm
+    is below the largest one over sqrt(d), by more than a rounding margin, has
+    a smaller 2-norm than the product that holds that Frobenius norm. NaN
+    norms give a NaN threshold and keep every product.
+    """
+    with np.errstate(invalid="ignore"):
         return ~(fro < fro.max() / np.sqrt(d) * (1.0 - FRO_MARGIN * d))
 
 
@@ -152,6 +188,46 @@ def _batch_rho(arr: np.ndarray) -> np.ndarray:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
+def _rho_max(arr: np.ndarray, depth: int, fro: np.ndarray, top: float):
+    """(value, index) of the largest rho(A)^(1/depth) over arr, first index on a tie.
+
+    fro and top are _scaled_frobenius(arr). The products go through _batch_rho
+    in descending Frobenius order, in chunks of _RHO_CHUNK, 2 _RHO_CHUNK, ...;
+    the walk stops before a chunk whose largest (fro top)^(1/depth) is below
+    the best value so far by more than FRO_MARGIN d. The computed rho of a
+    matrix is the exact rho of a matrix within a few ulps of it in norm, so it
+    is at most ||A||_F to rounding; every skipped product then has a smaller
+    value than the best one, and cannot tie it. The stop also needs the best
+    radius itself to be a normal float well above the scaled norms' underflow.
+    A stack holding inf or NaN goes to _batch_rho whole, which raises.
+    """
+    root = 1.0 / depth
+    if not np.isfinite(top) or arr.shape[0] <= _RHO_CHUNK:
+        vals = _batch_rho(arr) ** root
+        j = int(np.argmax(vals))
+        return float(vals[j]), j
+    order = np.argsort(-fro, kind="stable")
+    cut = 1.0 - FRO_MARGIN * arr.shape[-1]
+    best, best_raw, first = -np.inf, 0.0, 0
+    lo, size = 0, _RHO_CHUNK
+    while lo < order.size:
+        if best_raw >= max(_RHO_FLOOR, top * _RHO_REL_FLOOR):
+            with np.errstate(over="ignore"):
+                if (fro[order[lo]] * top) ** root < best * cut:
+                    break
+        idx = order[lo : lo + size]
+        raw = _batch_rho(arr[idx])
+        vals = raw ** root
+        top_val = vals.max()
+        if top_val >= best:
+            tied = int(idx[vals == top_val].min())
+            first = tied if top_val > best else min(first, tied)
+            best = top_val
+        best_raw = max(best_raw, float(raw.max()))
+        lo, size = lo + size, 2 * size
+    return float(best), first
+
+
 @dataclass(frozen=True)
 class WordLevels:
     """Extremes per level n of one walk: rho[n-1] = (min, min_word, max, max_word)
@@ -160,7 +236,10 @@ class WordLevels:
     Ties go to the lexicographically first word. The norm maxima come from an
     SVD of only the products that pass the Frobenius screen of
     `_norm_candidates`; every product that can hold the maximum passes it, so
-    they equal the maxima of an SVD of the whole level bit for bit."""
+    they equal the maxima of an SVD of the whole level bit for bit. A walk
+    built without minima holds None for min and min_word, and its rho maxima
+    come from the screen of `_rho_max`, equal to those of an eigendecomposition
+    of the whole level bit for bit."""
 
     family: MatrixSet
     rho_depth: int
@@ -169,6 +248,7 @@ class WordLevels:
     completed: int
     rho: list[tuple]
     norms: list[tuple]
+    minima: bool = True
 
     def norm_root(self, depth: int):
         """(max ||S_w||^(1/n), w) at the deepest completed level n <= depth."""
@@ -178,30 +258,45 @@ class WordLevels:
 
 
 def word_levels(
-    s: MatrixSet | WordLevels, rho_depth: int, norm_depth: int, budget: int = ENUM_BUDGET
+    s: MatrixSet | WordLevels,
+    rho_depth: int,
+    norm_depth: int,
+    budget: int = ENUM_BUDGET,
+    minima: bool = True,
 ) -> WordLevels:
     """Walk the words once, eigenvalues to rho_depth and singular values to norm_depth.
 
-    A level past the budget ends the walk; not completing even depth 1 raises
-    BudgetExceededError. A walk passed as s that reaches both depths is returned.
+    With minima=False the per-level rho minima are not taken, and each level's
+    rho maximum eigendecomposes only the products that can hold it. A level
+    past the budget ends the walk; not completing even depth 1 raises
+    BudgetExceededError. A walk passed as s that reaches both depths, and
+    holds the minima when they are asked for, is returned.
     """
     if isinstance(s, WordLevels):
         if rho_depth > s.rho_depth or norm_depth > s.norm_depth:
             raise ValueError("the walk does not reach the requested depths")
+        if minima and rho_depth and not s.minima:
+            raise ValueError("the walk holds no rho minima")
         return s
     if max(rho_depth, norm_depth) < 1:
         raise ValueError("a walk needs a depth of at least 1")
-    k = s.num_matrices
+    k, d = s.num_matrices, s.dim
     rho, norms = [], []
     completed = 0
     for completed, arr in _level_products(s, max(rho_depth, norm_depth), budget):
-        if completed <= rho_depth:
+        screened = completed <= rho_depth and not minima
+        if screened or completed <= norm_depth:
+            fro, top = _scaled_frobenius(arr)
+        if screened:
+            val, j = _rho_max(arr, completed, fro, top)
+            rho.append((None, None, val, word_from_index(j, completed, k)))
+        elif completed <= rho_depth:
             vals = _batch_rho(arr) ** (1.0 / completed)
             i, j = int(np.argmin(vals)), int(np.argmax(vals))
             rho.append((float(vals[i]), word_from_index(i, completed, k),
                         float(vals[j]), word_from_index(j, completed, k)))
         if completed <= norm_depth:
-            kept = np.flatnonzero(_norm_candidates(arr))
+            kept = np.flatnonzero(_norm_candidates(fro, d))
             vals = _batch_norm2(arr[kept])
             j = int(np.argmax(vals))
             norms.append((float(vals[j]), word_from_index(int(kept[j]), completed, k)))
@@ -209,7 +304,7 @@ def word_levels(
         raise BudgetExceededError(
             f"budget {budget} does not cover even depth 1 ({k} products)"
         )
-    return WordLevels(s, rho_depth, norm_depth, budget, completed, rho, norms)
+    return WordLevels(s, rho_depth, norm_depth, budget, completed, rho, norms, minima)
 
 
 GROWTH_WINDOW = 5
@@ -315,8 +410,8 @@ def jsr_bounds(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    walk = word_levels(s, depth, depth, budget)
-    _, _, lower, lower_word, completed, truncated = rho_extremes(walk, depth)
+    walk = word_levels(s, depth, depth, budget, minima=False)
+    _, _, lower, lower_word, completed, truncated = rho_extremes(walk, depth, minima=False)
     upper, upper_word = walk.norm_root(depth)
     return JsrBounds(
         depth=depth,
@@ -331,20 +426,26 @@ def jsr_bounds(
     )
 
 
-def rho_extremes(s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET):
+def rho_extremes(
+    s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET, minima: bool = True
+):
     """Min and max of rho(S_w)^(1/|w|) over 1 <= |w| <= max_len, one pass.
 
     Returns (min_value, min_word, max_value, max_word, completed_length,
-    truncated). Ties keep the earliest find, so shorter words win and within
-    a length the lexicographically smallest word wins. Raises
-    BudgetExceededError when not even length 1 fits the budget.
+    truncated); with minima=False the min and its word are None and the walk
+    skips the products that cannot hold the max. Ties keep the earliest find,
+    so shorter words win and within a length the lexicographically smallest
+    word wins. Raises BudgetExceededError when not even length 1 fits the
+    budget, and ValueError for minima from a walk built without them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    levels = word_levels(s, max_len, 0, budget).rho[:max_len]
+    levels = word_levels(s, max_len, 0, budget, minima).rho[:max_len]
     # min and max return the first extreme level, so ties keep the earliest find
-    min_val, min_word, _, _ = min(levels, key=lambda level: level[0])
     _, _, max_val, max_word = max(levels, key=lambda level: level[2])
+    min_val = min_word = None
+    if minima:
+        min_val, min_word, _, _ = min(levels, key=lambda level: level[0])
     return min_val, min_word, max_val, max_word, len(levels), len(levels) < max_len
 
 

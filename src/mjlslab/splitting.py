@@ -36,6 +36,7 @@ RANK_TOL = 1e-8
 RENORM_EVERY = 50
 MAX_SQUARINGS = 20
 _POOL_CAP = 1024
+_NEAR_FLOATS = 2**18  # floats of pairwise differences that _near_many holds at once
 
 
 class IdempotentNotFoundError(RuntimeError):
@@ -351,36 +352,64 @@ def limit_points(
     )
 
 
-def _near_any(x: np.ndarray, members: np.ndarray, tol: float) -> bool:
-    """Whether some member lies within tol of x in the induced 2-norm.
+def _near_many(xs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
+    """For each x of xs, whether some member lies within tol of it in the induced 2-norm.
 
-    Exact without an SVD per pair: ||D||_2 <= ||D||_F <= sqrt(d) ||D||_2, so
-    a Frobenius norm up to tol means within and one above sqrt(d) tol means
-    beyond, both with a relative margin against rounding. Only when no member
-    is within by the first test do the pairs in between get the SVD, in one
-    batched call.
+    Exact without an SVD per pair. Every entry obeys |D_ij| <= ||D||_2, so a
+    pair whose (0,0) entries differ by more than tol is beyond; the others
+    get their Frobenius norm, and ||D||_2 <= ||D||_F <= sqrt(d) ||D||_2, so a
+    Frobenius norm up to tol means within and one above sqrt(d) tol means
+    beyond. All three tests keep a relative margin against rounding. Only the
+    pairs in between, of an x that no member is within by the second test,
+    get the SVD, in one batched call. Each pair's verdict is the SVD's, so it
+    does not depend on the other pairs. The xs go in blocks that keep the
+    (xs, members, d, d) differences under _NEAR_FLOATS floats.
     """
-    diff = x - members
-    fro = np.sqrt(np.einsum("kij,kij->k", diff, diff))
-    d = x.shape[-1]
+    near = np.zeros(len(xs), dtype=bool)
+    if not len(members):
+        return near
+    d = xs.shape[-1]
     margin = FRO_MARGIN * d
-    if (fro <= tol * (1.0 - margin)).any():
-        return True
-    band = fro <= np.sqrt(d) * tol * (1.0 + margin)
-    if not band.any():
-        return False
-    return bool((np.linalg.norm(diff[band], 2, axis=(1, 2)) <= tol).any())
+    step = max(1, _NEAR_FLOATS // (len(members) * d * d))
+    for lo in range(0, len(xs), step):
+        block = xs[lo : lo + step]
+        gap = np.abs(block[:, None, 0, 0] - members[None, :, 0, 0])
+        rows, cols = np.nonzero(gap <= tol * (1.0 + margin))
+        diff = block[rows] - members[cols]
+        fro = np.sqrt(np.einsum("kij,kij->k", diff, diff))
+        inside = near[lo : lo + step]  # a view: writes land in near
+        inside[rows[fro <= tol * (1.0 - margin)]] = True
+        band = (fro <= np.sqrt(d) * tol * (1.0 + margin)) & ~inside[rows]
+        if band.any():
+            hit = np.linalg.norm(diff[band], 2, axis=(1, 2)) <= tol
+            inside[rows[band][hit]] = True
+    return near
+
+
+def _first_come(xs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
+    """Indices, in order, of the xs farther than tol from every member and from
+    every earlier x so picked.
+
+    All xs are tested against the members in one call. Then the first open x
+    is picked, and every x after it is tested against it in one call, until
+    none is open: an x is closed by the first pick within tol of it. Each
+    (x, pick) verdict is the one _near_many gives that pair alone, so the
+    picks are those of a loop that tests each x against every earlier pick.
+    """
+    open_ = ~_near_many(xs, members, tol)
+    picks = []
+    start = 0
+    while open_[start:].any():
+        pick = start + int(np.argmax(open_[start:]))
+        picks.append(pick)
+        start = pick + 1
+        open_[start:] &= ~_near_many(xs[start:], xs[pick:start], tol)
+    return np.array(picks, dtype=np.int64)
 
 
 def _first_come_reps(products: np.ndarray, tol: float) -> np.ndarray:
     """Products, in order, that lie farther than tol from every earlier pick."""
-    reps = np.empty_like(products)
-    count = 0
-    for a in products:
-        if not _near_any(a, reps[:count], tol):
-            reps[count] = a
-            count += 1
-    return reps[:count].copy()
+    return products[_first_come(products, products[:0], tol)]
 
 
 def _closure(reps: np.ndarray, tol: float, rounds: int, budget: int) -> np.ndarray:
@@ -392,6 +421,11 @@ def _closure(reps: np.ndarray, tol: float, rounds: int, budget: int) -> np.ndarr
     product against a pool of m members costs m comparisons; the product
     that would take the total past budget is not tested, and the closure
     stops there with a ClosureBudgetWarning.
+
+    The 2 m products of one a are clustered at once (_first_come) against
+    the pool as it stood before them, up to the first that is not finite or
+    that the budget cannot reach even if nothing joins; the walk over them
+    then charges each its comparisons, raises or stops in order.
     """
     size, d = reps.shape[0], reps.shape[-1]
     pool = np.empty((max(size, _POOL_CAP), d, d))
@@ -406,7 +440,14 @@ def _closure(reps: np.ndarray, tol: float, rounds: int, budget: int) -> np.ndarr
             with np.errstate(over="ignore", invalid="ignore"):
                 prods = np.stack([a @ current, current @ a], axis=1).reshape(-1, d, d)
             finite = np.isfinite(prods).all(axis=(1, 2))
-            for prod, ok in zip(prods, finite):
+            # each product costs at least size comparisons; none is tested
+            # past the first that is not finite
+            limit = min(len(prods), max(0, budget - spent) // size)
+            if not finite[:limit].all():
+                limit = int(np.argmin(finite))
+            joins = np.zeros(len(prods), dtype=bool)
+            joins[_first_come(prods[:limit], pool[:size], tol)] = True
+            for prod, ok, join in zip(prods, finite, joins):
                 if spent + size > budget:
                     warnings.warn(
                         f"split closure stopped after {spent} comparisons (budget "
@@ -418,7 +459,7 @@ def _closure(reps: np.ndarray, tol: float, rounds: int, budget: int) -> np.ndarr
                 if not ok:
                     raise ProductOverflowError("a product in the closure overflows")
                 spent += size
-                if not _near_any(prod, pool[:size], tol):
+                if join:
                     pool[size] = prod
                     size += 1
                     if size >= _POOL_CAP:

@@ -227,7 +227,9 @@ def periodic_stability_probe(
     this maximum is below 1; the verdict keeps the so-far qualifier since
     longer words are unexplored. A walk passed as s brings its own budget.
     """
-    _, _, max_val, max_word, completed, truncated = rho_extremes(s, max_len, budget)
+    _, _, max_val, max_word, completed, truncated = rho_extremes(
+        s, max_len, budget, minima=False
+    )
     stable = max_val < 1.0 - PROBE_MARGIN
     return WordProbeResult(
         objective="max-over-words",
@@ -247,7 +249,8 @@ def consistent_convergence_probe(
     A single word with rho(S_w) < 1 makes the periodic repetition of w drive
     every initial vector to zero, so finding one certifies consistent
     convergence; not finding one within max_len proves nothing. A walk passed
-    as s brings its own budget.
+    as s brings its own budget, and one built without the minima raises
+    ValueError.
     """
     min_val, min_word, _, _, completed, truncated = rho_extremes(s, max_len, budget)
     found = min_val < 1.0 - PROBE_MARGIN
@@ -286,7 +289,7 @@ def spectral_finiteness_probe(
     """JSR lower bound to max_len against the norm bound at jsr_depth, one walk."""
     if min(max_len, jsr_depth) < 1:
         raise ValueError("max_len and jsr_depth must be at least 1")
-    walk = word_levels(s, max_len, max(max_len, jsr_depth), budget)
+    walk = word_levels(s, max_len, max(max_len, jsr_depth), budget, minima=False)
     shallow = jsr_bounds(walk, max_len)
     upper, _ = walk.norm_root(jsr_depth)
     gap = upper - shallow.lower

@@ -406,9 +406,14 @@ def oracle_level_norm_maxima(mats, depth) -> list:
 
 
 def oracle_rho_root(mats, word) -> float:
-    """rho(S_w)^(1/|w|) of one word, by a plain product."""
+    """rho(S_w)^(1/|w|) of one word, by a plain product.
+
+    The root is taken by numpy's array power, as the word walk takes it: the
+    C library's pow can round it an ulp apart, so values compare bit for bit.
+    """
     prod = oracle_word_product(mats, word)
-    return float(np.max(np.abs(np.linalg.eigvals(prod)))) ** (1.0 / len(word))
+    rho = np.abs(np.linalg.eigvals(prod)).max(keepdims=True)
+    return float((rho ** (1.0 / len(word)))[0])
 
 
 def oracle_rho_extremes(mats, max_len):

@@ -725,6 +725,37 @@ def test_mended_inputs_leave_stderr_clean(tmp_path, command, doc, extra, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    if code == 0:
+        json.loads(proc.stdout)  # the report alone: nothing else is printed
+    else:
+        assert proc.stdout == ""
+
+
+def test_overflowing_3x3_jsr_prints_only_the_report(tmp_path):
+    # the level-2 products hold +-inf; their SVD went to LAPACK, whose DLASCL
+    # printed 8 "illegal value" lines on stdout ahead of the JSON report
+    mats = 1e160 * np.random.default_rng(5).standard_normal((2, 3, 3))
+    doc = {
+        "dimension": 3,
+        "matrices": mats.tolist(),
+        "analysis": {"depth": 1, "jsr_depth": 2, "boundedness_depth": 2},
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "mjlslab", "jsr", "--config", write(tmp_path, json.dumps(doc))],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    report, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:] == "\n"
+    assert report["results"]["boundedness"]["verdict"] == "growth-detected"
+    assert report["results"]["boundedness"]["max_norm_per_depth"][1] == "nan"
+    assert report["warnings"][-1] == (
+        "gate: the largest 2-norm of the length-2 products is not finite; "
+        "norm bounds from that depth on are not finite"
+    )
 
 
 def test_split_budget_warning_leaves_the_demo_split_alone(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Word products, growth probes, spectral radius bounds, truncated norms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -379,3 +381,119 @@ def test_word_walk_svds_only_the_screened_products(monkeypatch):
     assert len(seen) == 8
     assert sum(seen) < sum(3**n for n in range(1, 9))
     assert _bits(walk.norms) == _bits(oracle_level_norm_maxima(list(mats), 8))
+
+
+def _rho_max_bits(walk):
+    """Each level's rho maximum and its word, the value as float64 bytes."""
+    return _bits([level[2:] for level in walk.rho])
+
+
+def _assert_rho_max_matches_oracle(mats, depth, chunk):
+    """The max-only walk, with first chunk `chunk`, gives the full walk's and the
+    oracle's rho maxima bit for bit, or the same EigenSolverError."""
+    s = MatrixSet.from_list(mats)
+    try:
+        full = word_levels(s, depth, 0)
+    except EigenSolverError as exc:
+        with mock.patch.object(mjlslab.products, "_RHO_CHUNK", chunk):
+            with pytest.raises(EigenSolverError) as screened_exc:
+                word_levels(s, depth, 0, minima=False)
+        assert str(screened_exc.value) == str(exc)
+        return
+    with mock.patch.object(mjlslab.products, "_RHO_CHUNK", chunk):
+        screened = word_levels(s, depth, 0, minima=False)
+    assert [level[:2] for level in screened.rho] == [(None, None)] * depth
+    assert _rho_max_bits(screened) == _rho_max_bits(full)
+    _, _, value, word, _, _ = rho_extremes(screened, depth, minima=False)
+    _, _, o_value, o_word = oracle_rho_extremes(list(s.matrices), depth)
+    assert (np.float64(value).tobytes(), word) == (np.float64(o_value).tobytes(), o_word)
+
+
+@st.composite
+def rho_families(draw):
+    """1 to 3 matrices of size 1 to 3: drawn entries; diagonal ones from a few
+    values, whose words tie within and across lengths; or 2 x 2 rotations
+    times 1 or 1/2, whose words of one length share a Frobenius norm."""
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["drawn", "diagonal", "rotation"]))
+    if kind == "rotation":
+        return [
+            draw(st.sampled_from([1.0, 0.5])) * rotation(draw(st.floats(0.0, 6.3)))
+            for _ in range(k)
+        ]
+    d = draw(st.integers(1, 3))
+    if kind == "diagonal":
+        diag = st.lists(st.sampled_from([0.0, 0.25, -0.5, 0.5, 1.0]), min_size=d, max_size=d)
+        return [np.diag(draw(diag)) for _ in range(k)]
+    row = st.lists(ENTRY, min_size=d, max_size=d)
+    return draw(st.lists(st.lists(row, min_size=d, max_size=d), min_size=k, max_size=k))
+
+
+@given(rho_families(), st.integers(1, 5), st.sampled_from([1, 2, 5, 64]))
+def test_screened_rho_maxima_equal_the_oracle(mats, depth, chunk):
+    _assert_rho_max_matches_oracle(mats, depth, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize(
+    "mats, depth",
+    [
+        pytest.param([np.diag([0.5, 0.25]), np.diag([0.25, 0.5])], 5, id="ties"),
+        pytest.param([np.eye(2), np.diag([1.0, 0.5]), -np.eye(2)], 4, id="ties-at-one"),
+        pytest.param([rotation(1.0)], 7, id="one-matrix"),
+        pytest.param([np.zeros((3, 3))], 3, id="all-zero-levels"),
+        pytest.param([np.zeros((2, 2)), BASE[0]], 5, id="zero-generator"),
+        pytest.param(NILPOTENT.matrices, 5, id="nilpotent-pair"),
+        pytest.param([rotation(1.0), rotation(2.0), rotation(-0.5)], 5, id="rotations"),
+        pytest.param(1e-160 * BASE, 3, id="scaled-down"),
+        pytest.param(1e150 * BASE, 2, id="scaled-up"),
+        pytest.param(1e100 * BASE, 4, id="overflow-to-inf"),
+    ],
+)
+def test_screened_rho_maxima_edge_cases(mats, depth, chunk):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_rho_max_matches_oracle(mats, depth, chunk)
+
+
+def test_max_only_walk_eigendecomposes_only_the_screened_products(monkeypatch):
+    seen = []
+    batch_rho = mjlslab.products._batch_rho
+
+    def counted(arr):
+        seen.append(arr.shape[0])
+        return batch_rho(arr)
+
+    monkeypatch.setattr(mjlslab.products, "_batch_rho", counted)
+    # the benchmark's jsr family, whose walk eigendecomposes words to depth 9
+    mats = np.random.default_rng([0, 11]).standard_normal((3, 3, 3)) / 2.0
+    s = MatrixSet.from_list(mats)
+    screened = word_levels(s, 9, 0, minima=False)
+    assert sum(seen) < 1000
+    seen.clear()
+    full = word_levels(s, 9, 0)
+    assert sum(seen) == sum(3**n for n in range(1, 10)) == 29523
+    assert _rho_max_bits(screened) == _rho_max_bits(full)
+
+
+def test_a_walk_without_minima_refuses_them():
+    walk = word_levels(SWAP_SHRINK, 3, 0, minima=False)
+    assert rho_extremes(walk, 3, minima=False)[:2] == (None, None)
+    with pytest.raises(ValueError, match="no rho minima"):
+        rho_extremes(walk, 3)
+    # a walk with minima serves a max-only caller as it is
+    full = word_levels(SWAP_SHRINK, 3, 0)
+    assert word_levels(full, 3, 0, minima=False) is full
+
+
+def test_batch_norm2_keeps_inf_and_nan_from_lapack():
+    finite = np.random.default_rng(3).standard_normal((4, 3, 3))
+    stack = finite.copy()
+    stack[1, 0, 2] = np.inf
+    stack[3] = -np.inf
+    got = mjlslab.products._batch_norm2(stack)
+    want = np.linalg.svd(finite, compute_uv=False)[:, 0]
+    assert np.isnan(got[[1, 3]]).all()
+    assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(EigenSolverError, match="singular value iteration"):
+        mjlslab.products._batch_norm2(stack)

@@ -1,6 +1,7 @@
 """Cocycle products, limit points, idempotents, and the induced splitting."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -551,6 +552,63 @@ def test_batched_closure_and_scoring_match_the_pairwise_loops(
             find_idempotent(lps, idem_tol=-1.0, closure_rounds=rounds, budget=budget)
     np.testing.assert_array_equal(exc.value.best, best)
     assert exc.value.defect == defect
+
+
+@given(
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 40),
+    floats=st.sampled_from([1, 7, 50, 2**18]),
+)
+def test_clustering_in_blocks_matches_the_pairwise_loop(d, seed, count, floats):
+    # _NEAR_FLOATS sets how many products share a call: one, a few that do
+    # not divide the count, or all; later products fall near picks made from
+    # the same call
+    rng = np.random.default_rng(seed)
+    tol = 1e-4
+    corner = np.zeros((d, d))
+    corner[0, 0] = 1.0
+    offsets = []
+    for kind in rng.integers(0, 3, count):
+        edge = tol * EDGES[rng.integers(3)]
+        if kind == 0:  # only the (0,0) entry moves: the entry screen's edge
+            offsets.append(edge * rng.choice([-1.0, 1.0]) * corner)
+        elif kind == 1:  # on an edge of the Frobenius band
+            offsets.append(edge * _unit_offset(rng, d, bool(rng.integers(2))))
+        else:
+            offsets.append(2 * tol * rng.standard_normal((d, d)))
+    # around the zero matrix the offsets are exact; around the others, loose
+    centers = np.concatenate([np.zeros((1, d, d)), rng.standard_normal((2, d, d))])
+    products = centers[rng.integers(0, 3, count)] + np.stack(offsets)
+    with mock.patch.object(mjlslab.splitting, "_NEAR_FLOATS", floats):
+        got = _first_come_reps(products, tol)
+    _assert_same_stack(got, oracle_cluster_reps(products, tol))
+
+
+@given(
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    count=st.integers(2, 5),
+    tol=st.sampled_from([0.05, 0.2]),
+    rounds=st.integers(1, 3),
+    budget=st.integers(0, 6000),
+    floats=st.sampled_from([1, 7, 2**18]),
+)
+def test_closure_in_blocks_stops_where_the_pairwise_loop_stops(
+    d, seed, count, tol, rounds, budget, floats
+):
+    # contractions whose products crowd together, so some join and some do
+    # not; the budget stops the walk anywhere within a generator's products
+    rng = np.random.default_rng(seed)
+    reps = rng.standard_normal((count, d, d))
+    reps /= np.linalg.norm(reps, 2, axis=(1, 2))[:, None, None]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with mock.patch.object(mjlslab.splitting, "_NEAR_FLOATS", floats):
+            pool = _closure(reps, tol, rounds, budget)
+    want, stopped = oracle_closure(list(reps), tol, rounds, 1024, budget)
+    _assert_same_stack(pool, want)
+    assert [w.category for w in caught] == [ClosureBudgetWarning] * stopped
 
 
 def test_clustering_is_exact_where_frobenius_and_svd_round_apart():

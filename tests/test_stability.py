@@ -122,6 +122,14 @@ def test_probe_best_value_recomputes_from_best_word():
             assert probe.best_value == pytest.approx(direct, abs=1e-9)
 
 
+def test_probes_read_a_walk_without_minima_only_for_the_max():
+    walk = word_levels(SHRINK_ROT, 5, 0, minima=False)
+    want = periodic_stability_probe(SHRINK_ROT, max_len=5)
+    assert periodic_stability_probe(walk, max_len=5) == want
+    with pytest.raises(ValueError, match="no rho minima"):
+        consistent_convergence_probe(walk, max_len=5)
+
+
 def test_consistent_probe_finds_contracting_word():
     probe = consistent_convergence_probe(SHRINK_ROT, max_len=3)
     assert probe.verdict == "consistently-convergent"
