@@ -44,6 +44,7 @@ from .splitting import (
     ClosureBudgetWarning,
     IdempotentNotFoundError,
     ProductOverflowError,
+    limit_points,
     periodic_split,
     sequence_split,
     tail_start,
@@ -165,7 +166,8 @@ def cmd_split(cfg: SystemConfig):
     with warnings.catch_warnings(record=True) as caught:
         # the empty-limit-set warning duplicates the gate warning above
         warnings.filterwarnings("ignore", message="no return times", category=UserWarning)
-        try:
+        try:  # one limit point set serves the splitting and its verification
+            limits = limit_points(s, seq, a["cylinder_len"], horizon, a["cluster_tol"])
             split = sequence_split(
                 s,
                 seq,
@@ -175,6 +177,7 @@ def cmd_split(cfg: SystemConfig):
                 idem_tol=a["idem_tol"],
                 rank_tol=a["rank_tol"],
                 budget=a["budget"],
+                limits=limits,
             )
         except (IdempotentNotFoundError, AmbiguousRankError, ProductOverflowError) as exc:
             failure = f"gate: {exc}"
@@ -197,6 +200,7 @@ def cmd_split(cfg: SystemConfig):
             preextremal_depth=a["preextremal_depth"],
             samples=a["verify_samples"],
             seed=a["seed"],
+            limits=limits,
         )
         results["verification"] = jsonable(evidence)
     else:

@@ -22,6 +22,26 @@ chunks, until the next chunk's largest norm is below the best radius so far.
 No skipped product can reach or tie that radius, and the eigenvalues of a
 matrix do not depend on the batch either, so the value and its first word are
 those of the whole level. A walk with the minima eigendecomposes every product.
+
+Past the rho levels the walk does not build every word either. Once a level
+n >= rho_depth below norm_depth is reduced, only the rows that can still
+reach or tie the largest norm of some deeper level n + j are extended
+(`_extended_rows`). Submultiplicativity gives the chain
+
+    ||P S_q||_2 <= ||P||_F ||S_q||_2 <= ub(P) U_j,
+
+with ub(P) the row's scaled Frobenius norm times the level's largest entry
+and U_j the walk's own level-j maximum (min over a + b = j of U_a U_b past
+level n), and a row is dropped when ub(P) U_j < L_j for every j, L_j being
+the 2-norm of a real level-(n + j) product: the greedy chain that extends the
+level's largest Frobenius product by its largest Frobenius child, SVD'd in
+the level's one `_batch_norm2` call. Every factor carries the relative
+margin FRO_MARGIN d, the rounding of the products gets an absolute term, and
+a level with a non-finite bound, top or chain product, or a chain norm near
+underflow, extends every row. The rows kept stay in word order with their
+lexicographic index, so each maximum and its first word are those of the
+full walk, bit for bit. The budget and the memory cap still charge every
+level in full.
 """
 
 from __future__ import annotations
@@ -37,8 +57,8 @@ ENUM_BUDGET = 10**6
 _LEVEL_MEMORY_CAP = 256 * 2**20  # bytes of stacked products kept per level
 _SCREEN_BLOCK = 4096  # products scaled at a time by the norm screen
 _RHO_CHUNK = 64  # first chunk of the rho screen; each later chunk doubles
-# the rho screen stops early only when the best radius is a normal float far
-# above the rounding floor of the scaled Frobenius norms
+# the rho screen stops early, and the walk drops a row, only when the value to
+# beat is a normal float far above the rounding floor of the scaled norms
 _RHO_FLOOR, _RHO_REL_FLOOR = 2.0**-900, 2.0**-400
 
 
@@ -107,23 +127,34 @@ def word_from_index(index: int, length: int, num_symbols: int) -> tuple[int, ...
     return tuple(word)
 
 
-def _level_products(s: MatrixSet, max_depth: int, budget: int):
+def _level_products(s: MatrixSet, max_depth: int, budget: int, *, extend=None):
     """Yield (depth, products) with products in lexicographic word order.
 
     Stops before a level that would exceed the budget (counted in products)
     or the per-level memory cap; the caller detects truncation by comparing
     the last yielded depth with max_depth. Products that overflow are yielded
     as they are, without a numpy warning; the callers report them.
+
+    extend(depth, products), called before the next level is built, names
+    the rows of the level just yielded whose children make that level, in
+    order; None, like the default, extends every row. word_levels names the
+    rows P with ub(P) U_j >= L_j for some deeper level n + j, each factor
+    with the margin 1 + FRO_MARGIN d (module docstring). The budget and the
+    cap charge every level in full, K^depth products, whatever rows it
+    extends.
     """
     k, d = s.num_matrices, s.dim
-    used = 0
+    used, count = 0, 1
     arr = np.eye(d)[None]
     for depth in range(1, max_depth + 1):
-        count = arr.shape[0] * k
+        count *= k
         if used + count > budget or count * d * d * 8 > _LEVEL_MEMORY_CAP:
             return
+        rows = None if extend is None or depth == 1 else extend(depth - 1, arr)
+        if rows is not None:
+            arr = arr[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            arr = np.matmul(arr[:, None], s.matrices[None]).reshape(count, d, d)
+            arr = np.matmul(arr[:, None], s.matrices[None]).reshape(-1, d, d)
         used += count
         yield depth, arr
 
@@ -228,6 +259,68 @@ def _rho_max(arr: np.ndarray, depth: int, fro: np.ndarray, top: float):
     return float(best), first
 
 
+def _greedy_chain(s: MatrixSet, start: np.ndarray, length: int) -> np.ndarray:
+    """Products of `length` words below start's, one per level: each is the child
+    of the one before with the largest Frobenius norm, first on a tie. An
+    empty stack when one of them is not finite.
+
+    Each child comes from the same matmul as in _level_products, so the
+    chain's products have the walk's bits for their words."""
+    chain = np.empty((length,) + start.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(length):
+            children = np.matmul(start[None, None], s.matrices[None])[0]
+            start = chain[i] = children[np.argmax(np.einsum("kij,kij->k", children, children))]
+    return chain if np.isfinite(chain).all() else chain[:0]
+
+
+def _extended_rows(s: MatrixSet, fro, top, maxima, chain_norms):
+    """Rows of level n whose children can still reach or tie the largest 2-norm
+    of a deeper level, in order; None extends every row.
+
+    fro and top are _scaled_frobenius of level n, maxima the walk's largest
+    2-norms of levels 1..n, chain_norms[j-1] the 2-norm of a product of level
+    n + j (so at most that level's largest, L_j); F bounds the Frobenius norm
+    of every generator of s. Row P is dropped when, for every j,
+    ub(P) B_j + e_j < L_j, where ub(P) = fro top >= ||P||_F and:
+    - U_j, the exact largest 2-norm of a length-j word, is at most the walk's
+      maximum of level j times a rounding margin, plus r_j + e_j: the
+      rounding of j products, r_j = j d FRO_MARGIN F^j of their first
+      factor's norm, and their underflow, e_j = j d^2 2^-1074 max(1, F)^j.
+      A level deeper than n takes min over a + b = j of U_a U_b;
+    - a computed product of P and j generators has a 2-norm, and an SVD
+      value, of at most ub(P) (U_j + r_j) + e_j, times a rounding margin:
+      B_j = U_j + r_j with margins.
+    So no descendant of a dropped row reaches or ties L_j, nor its level's
+    largest norm. Every factor carries the relative margin 1 + FRO_MARGIN d,
+    scaled norms below _RHO_REL_FLOOR count as that floor and L_j must be at
+    least _RHO_FLOOR. Rows are only dropped when no product below the level
+    can overflow (top d max(1, F)^j is finite), so a dropped row hides no inf
+    or NaN from the level's maximum either.
+    """
+    n, depth, d = len(maxima), chain_norms.size, s.dim
+    slack = 1.0 + FRO_MARGIN * d
+    steps = np.arange(1, depth + 1)
+    gen_fro, gen_top = _scaled_frobenius(s.matrices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen_fro = gen_fro.max() * gen_top * slack
+        growth = max(1.0, gen_fro) ** steps
+        drift = steps * (FRO_MARGIN * d) * gen_fro**steps
+        tiny = steps * (d * d * 2.0**-1074) * growth * slack
+        reach = np.empty(depth)
+        for j in range(1, depth + 1):
+            if j <= n:
+                reach[j - 1] = maxima[j - 1][0] * slack + drift[j - 1] + tiny[j - 1]
+            else:
+                reach[j - 1] = slack * min(reach[a - 1] * reach[j - a - 1] for a in range(1, j))
+        bound = (reach + drift) * slack**3
+        finite = np.isfinite([*bound, *chain_norms, top * d * growth[-1] * slack**2])
+        if not finite.all() or chain_norms.min() < _RHO_FLOOR:
+            return None
+        cut = ((chain_norms - tiny) / bound / top).min()
+    return np.flatnonzero(np.maximum(fro, _RHO_REL_FLOOR) >= cut)
+
+
 @dataclass(frozen=True)
 class WordLevels:
     """Extremes per level n of one walk: rho[n-1] = (min, min_word, max, max_word)
@@ -239,7 +332,12 @@ class WordLevels:
     they equal the maxima of an SVD of the whole level bit for bit. A walk
     built without minima holds None for min and min_word, and its rho maxima
     come from the screen of `_rho_max`, equal to those of an eigendecomposition
-    of the whole level bit for bit."""
+    of the whole level bit for bit. Past rho_depth a level holds only the
+    children of the rows `_extended_rows` kept, those whose norm bound times
+    the bound on j more steps, ub(P) U_j, reaches a real level-(n + j) norm
+    L_j for some j, both with rounding margins; no product that reaches or
+    ties a deeper maximum is dropped, so the norm maxima and their words are
+    still those of every word, and `completed` counts whole levels."""
 
     family: MatrixSet
     rho_depth: int
@@ -283,7 +381,18 @@ def word_levels(
     k, d = s.num_matrices, s.dim
     rho, norms = [], []
     completed = 0
-    for completed, arr in _level_products(s, max(rho_depth, norm_depth), budget):
+    rows = None  # rows of the level that the next level extends; None is every row
+    index = None  # lexicographic position of each row in its level; None: its row number
+    # _level_products asks for `rows` after the body below has set it
+    levels = _level_products(
+        s, max(rho_depth, norm_depth), budget, extend=lambda depth, arr: rows
+    )
+    for completed, arr in levels:
+        if rows is not None:
+            index = rows if index is None else index[rows]
+        if index is not None:
+            index = (index[:, None] * k + np.arange(k)).ravel()
+        rows = None
         screened = completed <= rho_depth and not minima
         if screened or completed <= norm_depth:
             fro, top = _scaled_frobenius(arr)
@@ -297,9 +406,15 @@ def word_levels(
                         float(vals[j]), word_from_index(j, completed, k)))
         if completed <= norm_depth:
             kept = np.flatnonzero(_norm_candidates(fro, d))
-            vals = _batch_norm2(arr[kept])
-            j = int(np.argmax(vals))
-            norms.append((float(vals[j]), word_from_index(int(kept[j]), completed, k)))
+            chain = arr[:0]
+            if rho_depth <= completed < norm_depth and np.isfinite(top) and top > 0.0:
+                chain = _greedy_chain(s, arr[np.argmax(fro)], norm_depth - completed)
+            vals = _batch_norm2(np.concatenate([arr[kept], chain]))
+            i = int(np.argmax(vals[: kept.size]))
+            j = int(kept[i]) if index is None else int(index[kept[i]])
+            norms.append((float(vals[i]), word_from_index(j, completed, k)))
+            if chain.size:
+                rows = _extended_rows(s, fro, top, norms, vals[kept.size :])
     if completed == 0:
         raise BudgetExceededError(
             f"budget {budget} does not cover even depth 1 ({k} products)"

@@ -630,21 +630,34 @@ def sequence_split(
     rank_tol: float = RANK_TOL,
     closure_rounds: int = 3,
     budget: int = ENUM_BUDGET,
+    *,
+    limits: LimitPointSet | None = None,
 ) -> Splitting:
-    """Numeric splitting from the limit points of one switching sequence."""
-    lps = limit_points(s, seq, cylinder_len, horizon, cluster_tol)
-    p = find_idempotent(lps, idem_tol, closure_rounds, budget)
+    """Numeric splitting from the limit points of one switching sequence.
+
+    limits, when given, is limit_points(s, seq, cylinder_len, horizon,
+    cluster_tol), built once by the caller and not built again here.
+    """
+    if limits is None:
+        limits = limit_points(s, seq, cylinder_len, horizon, cluster_tol)
+    _check_limits(limits, cylinder_len, horizon)
+    p = find_idempotent(limits, idem_tol, closure_rounds, budget)
     return split_from_idempotent(p, rank_tol, idem_tol, source="semigroup-numeric")
 
 
 _MAX_NORM_CHECKPOINTS = 64
 
 
-def _checkpoint(times: np.ndarray, cap: int = _MAX_NORM_CHECKPOINTS) -> np.ndarray:
-    if times.size <= cap:
-        return times
-    picks = np.linspace(0, times.size - 1, cap).round().astype(int)
-    return times[np.unique(picks)]
+def _check_limits(limits: LimitPointSet, cylinder_len: int, horizon: int) -> None:
+    if (limits.cylinder_len, limits.horizon) != (cylinder_len, horizon):
+        raise ValueError("the limit point set was built for another cylinder or horizon")
+
+
+def _checkpoint(count: int, cap: int = _MAX_NORM_CHECKPOINTS) -> np.ndarray:
+    """Positions of at most cap return times, spread evenly, first and last kept."""
+    if count <= cap:
+        return np.arange(count)
+    return np.unique(np.linspace(0, count - 1, cap).round().astype(int))
 
 
 @dataclass
@@ -683,17 +696,26 @@ def verify_splitting(
     preextremal_depth: int = 6,
     samples: int = 10,
     seed: int = 0,
+    *,
+    limits: LimitPointSet | None = None,
 ) -> SplittingEvidence:
     """Measure the decay/recurrence claims of a splitting along the sequence.
 
     Pre-extremal deviations are evaluated at up to 64 return times to keep the
     cost of the word enumeration bounded; changing preextremal_depth changes
     the measured numbers but never the subspaces, which are fixed inputs here.
+    The checkpoint products are read off limits, the limit point set of the
+    same cylinder and horizon, when it is given; otherwise the cocycle is
+    walked again to them, with the same bits.
     """
     symbols = seq.prefix(horizon)
-    rt = return_times(seq, cylinder_len, horizon)
-    snap_times = _checkpoint(rt.times)
-    snaps = cocycle_products_at(s, symbols, snap_times)
+    if limits is not None:
+        _check_limits(limits, cylinder_len, horizon)
+        times = limits.return_times
+        snaps = limits.products[_checkpoint(times.size)]
+    else:
+        times = return_times(seq, cylinder_len, horizon).times
+        snaps = cocycle_products_at(s, symbols, times[_checkpoint(times.size)])
 
     d = s.dim
     eye = np.eye(d)
@@ -703,7 +725,7 @@ def verify_splitting(
         else np.inf
     )
 
-    last = int(rt.times[-1]) - 1 if rt.times.size else -1
+    last = int(times[-1]) - 1 if times.size else -1
 
     basis, c = split.center.basis, split.center.dim
     if c and snaps.size:
@@ -741,7 +763,7 @@ def verify_splitting(
         horizon=horizon,
         cylinder_len=cylinder_len,
         preextremal_depth=preextremal_depth,
-        return_count=int(rt.times.size),
+        return_count=int(times.size),
         stable_initial_norms=np.ones(split.stable.dim),
         stable_final_norms=np.exp(stable_hist[:, last]),
         stable_tail_fits=tail_slope(stable_hist),

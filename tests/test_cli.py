@@ -13,6 +13,7 @@ import pytest
 
 import mjlslab.markov
 import mjlslab.products
+import mjlslab.splitting
 import mjlslab.stability
 from mjlslab import (
     MarkovChain,
@@ -292,9 +293,9 @@ def test_jsr_walks_the_words_once(tmp_path, capsys, monkeypatch):
     walks = []
     level_products = mjlslab.products._level_products
 
-    def counted(s, max_depth, budget):
+    def counted(s, max_depth, budget, **kwargs):
         walks.append(max_depth)
-        yield from level_products(s, max_depth, budget)
+        yield from level_products(s, max_depth, budget, **kwargs)
 
     monkeypatch.setattr(mjlslab.products, "_level_products", counted)
     cfg = json.loads(JSR_CFG)
@@ -308,9 +309,9 @@ def test_classify_walks_the_words_once(tmp_path, capsys, monkeypatch):
     walks = []
     level_products = mjlslab.products._level_products
 
-    def counted(s, max_depth, budget):
+    def counted(s, max_depth, budget, **kwargs):
         walks.append(max_depth)
-        yield from level_products(s, max_depth, budget)
+        yield from level_products(s, max_depth, budget, **kwargs)
 
     monkeypatch.setattr(mjlslab.products, "_level_products", counted)
     # generator norms <= 1, so the pruned boundedness gate walks nothing
@@ -453,6 +454,23 @@ def test_split_periodic_reports_route_agreement(tmp_path, capsys):
     agreement = doc["results"]["agreement"]
     assert agreement["center_distance"] <= 1e-6
     assert agreement["stable_distance"] <= 1e-6
+
+
+def test_split_walks_the_cocycle_once(capsys, monkeypatch):
+    calls = []
+    cocycle_products_at = mjlslab.splitting.cocycle_products_at
+
+    def counted(s, symbols, times):
+        calls.append(len(times))
+        return cocycle_products_at(s, symbols, times)
+
+    monkeypatch.setattr(mjlslab.splitting, "cocycle_products_at", counted)
+    cfg = str(ROOT / "demos/configs/split_shear_periodic.json")
+    code, out, _ = run(capsys, "split", "--config", cfg)
+    assert code == 0
+    # the limit points hold every return time; the checkpoints are read off them
+    assert calls == [4095]
+    assert json.loads(out)["results"]["verification"]["return_count"] == 4095
 
 
 def _cli_subprocess(tmp_path, command: str, doc: dict, timeout: float):
@@ -904,3 +922,121 @@ def test_floats_serialize_round_trip(tmp_path, capsys):
     # 17 significant digits reproduce the double exactly
     direct = np.linalg.norm(np.linalg.matrix_power(np.array([[1.0, 0.0], [1.0, 1.0]]), 12), 2) ** (1 / 12)
     assert upper == direct
+
+
+# --- every command refuses bad input with exit 2, never a traceback -------------
+
+FUZZ_COMMANDS = ("decompose", "jsr", "split", "classify", "example46")
+FUZZ_RUNS = 40  # configs per command
+
+
+def _fuzz_matrices(rng, d: int, k: int) -> list:
+    """k generators of size d: drawn, diagonal or nilpotent, times 0, 1e-200, 1 or 1e160."""
+    kind = rng.choice(["drawn", "diagonal", "nilpotent"])
+    mats = rng.standard_normal((k, d, d))
+    if kind == "diagonal":
+        mats *= np.eye(d)
+    elif kind == "nilpotent":
+        mats = np.triu(mats, 1)
+    return (rng.choice([0.0, 1e-200, 1.0, 1e160]) * mats).tolist()
+
+
+def _fuzz_chain(rng, k: int) -> dict:
+    """A chain on k states with zero-mass edges; now and then a row that does
+    not sum to 1 or an initial law with a negative entry."""
+    weights = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    transition = weights / weights.sum(axis=1, keepdims=True)
+    initial = rng.dirichlet(np.ones(k)) if rng.random() < 0.7 else np.eye(k)[rng.integers(k)]
+    if rng.random() < 0.1:
+        transition[0, 0] += 0.25
+    if rng.random() < 0.05:
+        initial = initial - 1.0
+    return {"initial": initial.tolist(), "transition": transition.tolist()}
+
+
+def _fuzz_sequence(rng, k: int) -> dict:
+    kind = rng.choice(["periodic", "explicit", "markov", "example46"])
+    # a symbol k + 1 now and then, which the family cannot drive
+    symbols = rng.integers(1, k + 1 + (rng.random() < 0.1), size=int(rng.integers(1, 20)))
+    if kind == "periodic":
+        return {"kind": "periodic", "word": symbols[:4].tolist()}
+    if kind == "explicit":
+        return {"kind": "explicit", "symbols": symbols.tolist()}
+    if kind == "example46":
+        return {"kind": "example46", "levels": int(rng.integers(1, 4))}
+    return {"kind": "markov"}
+
+
+def _fuzz_case(rng, command: str) -> tuple[dict, list[str]]:
+    """One small config for command and its extra command line arguments."""
+    d, k = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    doc: dict = {}
+    if command != "example46":
+        doc["markov"] = _fuzz_chain(rng, k)
+    if command in ("jsr", "split", "classify"):
+        doc["dimension"] = d
+        doc["matrices"] = _fuzz_matrices(rng, d, k)
+    if command == "split":
+        doc["sequence"] = _fuzz_sequence(rng, k)
+    analysis = {
+        "budget": int(rng.choice([1, 2, 5, 40, 10**6])),
+        "horizon": int(rng.integers(2, 81)),
+        "depth": int(rng.integers(1, 5)),
+        "jsr_depth": int(rng.integers(1, 7)),
+        "boundedness_depth": int(rng.integers(1, 7)),
+        "trials": int(rng.integers(1, 5)),
+        "num_initials": int(rng.integers(1, 4)),
+        "shift_max_len": int(rng.integers(1, 5)),
+        "cylinder_len": int(rng.integers(1, 4)),
+        "max_cylinder_len": int(rng.integers(1, 4)),
+        "preextremal_depth": int(rng.integers(0, 4)),
+        "verify_samples": int(rng.integers(1, 4)),
+        "levels": int(rng.integers(1, 7)),
+        "alpha": float(rng.choice([0.25, 0.5, 0.9])),
+    }
+    if command == "classify" and rng.random() < 0.2:
+        analysis["initial_vector"] = [0.0] * d if rng.random() < 0.5 else [1.0] * d
+    doc["analysis"] = analysis
+    extra = []
+    for flag, low, high in (("--horizon", 1, 81), ("--trials", 0, 5), ("--depth", 0, 6)):
+        if rng.random() < 0.25:
+            extra += [flag, str(rng.integers(low, high))]
+    if rng.random() < 0.3:
+        extra.append("--strict")
+    return doc, extra
+
+
+def _fuzz_cases(command: str) -> list[tuple[dict, list[str]]]:
+    rng = np.random.default_rng([20, FUZZ_COMMANDS.index(command)])
+    return [_fuzz_case(rng, command) for _ in range(FUZZ_RUNS)]
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_every_command_exits_0_2_or_3_on_generated_configs(tmp_path, capsys, command):
+    codes = set()
+    with np.errstate(all="ignore"):
+        for i, (doc, extra) in enumerate(_fuzz_cases(command)):
+            cfg = write(tmp_path, json.dumps(doc), f"cfg{i}.json")
+            code, out, err = run(capsys, command, "--config", cfg, *extra)
+            assert code in (0, 2, 3), (doc, extra, err)
+            if code == 2:
+                assert out == "" and err.startswith("error: ")
+            else:
+                json.loads(out)
+            codes.add(code)
+    assert 0 in codes
+
+
+def test_a_generated_config_leaves_no_traceback(tmp_path):
+    doc, extra = _fuzz_cases("split")[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mjlslab", "split",
+         "--config", write(tmp_path, json.dumps(doc)), *extra],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mjlslab.products
@@ -497,3 +497,93 @@ def test_batch_norm2_keeps_inf_and_nan_from_lapack():
     stack[2, 1, 1] = np.nan
     with pytest.raises(EigenSolverError, match="singular value iteration"):
         mjlslab.products._batch_norm2(stack)
+
+
+@st.composite
+def walk_families(draw):
+    """1 to 3 matrices of size 1 to 4: Gaussian, drawn or integer entries,
+    signed permutations (every word ties), a zero generator beside drawn ones,
+    or the nilpotent pair; times 1, 1e160 (level 2 overflows) or 1e-160
+    (subnormal)."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    kinds = ["normal", "drawn", "integer", "permutation", "zero", "nilpotent"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "normal":
+        mats = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((k, d, d))
+    elif kind == "nilpotent":
+        mats = NILPOTENT.matrices
+    elif kind == "permutation":
+        signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)
+        mats = [np.diag(draw(signs))[draw(st.permutations(range(d)))] for _ in range(k)]
+    else:
+        entry = st.integers(-2, 2).map(float) if kind == "integer" else ENTRY
+        row = st.lists(entry, min_size=d, max_size=d)
+        mats = draw(st.lists(st.lists(row, min_size=d, max_size=d), min_size=k, max_size=k))
+        if kind == "zero":
+            mats[0] = np.zeros((d, d))
+    return draw(st.sampled_from([1.0, 1.0, 1.0, 1e160, 1e-160])) * np.asarray(mats, dtype=float)
+
+
+def _one_nan(norms):
+    """Levels with NaN maxima made equal: a matrix with an inf entry gets +NaN
+    from the walk and -NaN from LAPACK, and reports write both as nan."""
+    return [(np.nan if np.isnan(val) else val, word) for val, word in norms]
+
+
+@settings(max_examples=150)
+@given(walk_families(), st.integers(0, 4), st.integers(0, 8), st.booleans(), st.data())
+def test_pruned_walk_equals_the_oracles(mats, rho_depth, norm_depth, minima, data):
+    """The walk that extends only the rows that can reach a deeper maximum has
+    the norm maxima, their words, the rho extremes and the depth reached of
+    every word, bit for bit, also when the budget stops it partway."""
+    walk_depth = max(rho_depth, norm_depth)
+    assume(walk_depth >= 1)
+    k = len(mats)
+    sizes = np.cumsum([k**n for n in range(1, walk_depth + 1)])
+    budget = data.draw(st.one_of(st.just(mjlslab.products.ENUM_BUDGET), st.integers(k, int(sizes[-1]))))
+    reached = int(np.searchsorted(sizes, budget, side="right"))
+    norm_levels, rho_levels = min(reached, norm_depth), min(reached, rho_depth)
+    s = MatrixSet.from_list(mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            norms = oracle_level_norm_maxima(list(s.matrices), norm_levels)
+            rho = oracle_rho_extremes(list(s.matrices), rho_levels) if rho_levels else None
+        except np.linalg.LinAlgError:
+            with pytest.raises(EigenSolverError):
+                word_levels(s, rho_depth, norm_depth, budget, minima)
+            return
+        walk = word_levels(s, rho_depth, norm_depth, budget, minima)
+    assert walk.completed == reached
+    assert _bits(_one_nan(walk.norms)) == _bits(_one_nan(norms))
+    if rho is None:
+        return
+    lo, lo_word, hi, hi_word, _, _ = rho_extremes(walk, rho_levels, minima=minima)
+    assert _bits([(hi, hi_word)]) == _bits([rho[2:]])
+    if minima:
+        assert _bits([(lo, lo_word)]) == _bits([rho[:2]])
+
+
+def test_jsr_walk_builds_only_the_prefixes_that_can_reach_a_deeper_maximum(monkeypatch):
+    seen = []
+    level_products = mjlslab.products._level_products
+
+    def counted(s, max_depth, budget, **kwargs):
+        for depth, arr in level_products(s, max_depth, budget, **kwargs):
+            seen.append(arr.shape[0])
+            yield depth, arr
+
+    # the benchmark's jsr family: rho maxima to depth 9, norm maxima to 11
+    mats = np.random.default_rng([0, 11]).standard_normal((3, 3, 3)) / 2.0
+    s = MatrixSet.from_list(mats)
+    monkeypatch.setattr(mjlslab.products, "_level_products", counted)
+    pruned = word_levels(s, 9, 11, minima=False)
+    assert seen[:9] == [3**n for n in range(1, 10)]  # the rho levels are whole
+    assert sum(seen) < 40_000
+    seen.clear()
+    monkeypatch.setattr(mjlslab.products, "_extended_rows", lambda *args: None)
+    full = word_levels(s, 9, 11, minima=False)
+    assert sum(seen) == 265_719
+    assert pruned.completed == full.completed == 11
+    assert _bits(pruned.norms) == _bits(full.norms)
+    assert _rho_max_bits(pruned) == _rho_max_bits(full)

@@ -37,6 +37,7 @@ from mjlslab import (
     vector_log_norm_history,
     verify_splitting,
 )
+from mjlslab.reports import jsonable
 from mjlslab.splitting import (
     RENORM_EVERY,
     _checkpoint,
@@ -778,7 +779,8 @@ def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeyp
     monkeypatch.setattr(mjlslab.splitting, "ENUM_BUDGET", budget)
     s, symbols = CENTER_CASES[name]
     seq = SwitchingSequence.explicit(symbols)
-    times = _checkpoint(return_times(seq, 1, symbols.size).times)
+    returns = return_times(seq, 1, symbols.size).times
+    times = returns[_checkpoint(returns.size)]
     assert (times.size == 0) == (name == "no_return")
     d = s.dim
     full = np.linalg.qr(np.random.default_rng(44).normal(size=(d, d)))[0]
@@ -795,3 +797,20 @@ def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeyp
             want = _center_scores_per_row(s, symbols, times, center, depth)
             assert got.shape == want.shape == (3, c)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_CASES))
+def test_verify_splitting_reads_the_limit_points_it_is_given(name):
+    s, symbols = CENTER_CASES[name]
+    seq, n = SwitchingSequence.explicit(symbols), symbols.size
+    d = s.dim
+    basis = np.linalg.qr(np.random.default_rng(45).normal(size=(d, d)))[0]
+    split = Splitting(np.eye(d), 0.0, Subspace(d, basis[1:]), Subspace(d, basis[:1]), "test")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="no return times")
+        limits = limit_points(s, seq, 1, n)
+    walked = verify_splitting(s, seq, split, n, preextremal_depth=2)
+    read = verify_splitting(s, seq, split, n, preextremal_depth=2, limits=limits)
+    assert jsonable(read) == jsonable(walked)
+    with pytest.raises(ValueError, match="another cylinder or horizon"):
+        verify_splitting(s, seq, split, n - 1, limits=limits)
