@@ -365,7 +365,9 @@ def word_levels(
     """Walk the words once, eigenvalues to rho_depth and singular values to norm_depth.
 
     With minima=False the per-level rho minima are not taken, and each level's
-    rho maximum eigendecomposes only the products that can hold it. A level
+    rho maximum eigendecomposes only the products that can hold it. Past
+    rho_depth a level holds only the products whose words can still reach or
+    tie a deeper level's largest norm (see the module docstring). A level
     past the budget ends the walk; not completing even depth 1 raises
     BudgetExceededError. A walk passed as s that reaches both depths, and
     holds the minima when they are asked for, is returned.

@@ -541,7 +541,8 @@ def test_pruned_walk_equals_the_oracles(mats, rho_depth, norm_depth, minima, dat
     assume(walk_depth >= 1)
     k = len(mats)
     sizes = np.cumsum([k**n for n in range(1, walk_depth + 1)])
-    budget = data.draw(st.one_of(st.just(mjlslab.products.ENUM_BUDGET), st.integers(k, int(sizes[-1]))))
+    partway = st.integers(k, int(sizes[-1]))
+    budget = data.draw(st.one_of(st.just(mjlslab.products.ENUM_BUDGET), partway))
     reached = int(np.searchsorted(sizes, budget, side="right"))
     norm_levels, rho_levels = min(reached, norm_depth), min(reached, rho_depth)
     s = MatrixSet.from_list(mats)
