@@ -456,6 +456,26 @@ def test_split_periodic_reports_route_agreement(tmp_path, capsys):
     assert agreement["stable_distance"] <= 1e-6
 
 
+# sha256 of each demo config's report bytes; a change that alters a report on
+# purpose updates its digest here and names the changed fields
+DEMO_REPORT_SHA256 = {
+    "classify_rotmix": "6433a1264dcbccb2d9034a67ab5db3471c98d20b03e3d8f733df7a49b273d07d",
+    "decompose_reducible": "49a1e8ba29c2fa54a949e5248509e3c38fc573bf25891ffe2ce4445be128aada",
+    "example46": "4c221ee68471c7c5847369d6f1aae4eb188d62d0e066babf1bfd9b7834139847",
+    "jsr_shear": "9b8fdf5a6a3d9b3af629bb0eeac5dae7a5509270f326faa22eb0700252707a3f",
+    "split_shear_periodic": "84ee6ae2e25480aa0999763224cd03702c62f7f987e01b380858667ad087c33d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_REPORT_SHA256))
+def test_demo_config_reports_keep_their_bytes(tmp_path, name):
+    command = name.split("_")[0]
+    out = tmp_path / "report.json"
+    cfg = str(ROOT / "demos/configs" / f"{name}.json")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_REPORT_SHA256[name]
+
+
 def test_split_walks_the_cocycle_once(capsys, monkeypatch):
     calls = []
     cocycle_products_at = mjlslab.splitting.cocycle_products_at
