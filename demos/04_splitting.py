@@ -15,6 +15,7 @@ from mjlslab import (
     MatrixSet,
     SwitchingSequence,
     grassmann_distance,
+    limit_points,
     periodic_split,
     sequence_split,
     verify_splitting,
@@ -36,7 +37,8 @@ for name, mats, word in CASES:
     family = MatrixSet.from_list(mats)
     seq = SwitchingSequence.periodic(word)
 
-    numeric = sequence_split(family, seq, cylinder_len=1, horizon=4096)
+    limits = limit_points(family, seq, cylinder_len=1, horizon=4096)
+    numeric = sequence_split(limits)
     exact = periodic_split(family, tuple(word))
 
     print(f"\n{name}")
@@ -46,7 +48,7 @@ for name, mats, word in CASES:
     d_stable = grassmann_distance(numeric.stable, exact.stable)
     print(f"  route agreement: center {d_center:.3e}, stable {d_stable:.3e}")
 
-    evidence = verify_splitting(family, seq, numeric, horizon=4096)
+    evidence = verify_splitting(family, seq, numeric, limits)
     if evidence.stable_tail_fits.size:
         print(f"  worst stable tail fit {evidence.stable_tail_fits.max():.4f}")
     if evidence.center_return_deviation_min.size:

@@ -168,17 +168,7 @@ def cmd_split(cfg: SystemConfig):
         warnings.filterwarnings("ignore", message="no return times", category=UserWarning)
         try:  # one limit point set serves the splitting and its verification
             limits = limit_points(s, seq, a["cylinder_len"], horizon, a["cluster_tol"])
-            split = sequence_split(
-                s,
-                seq,
-                a["cylinder_len"],
-                horizon,
-                cluster_tol=a["cluster_tol"],
-                idem_tol=a["idem_tol"],
-                rank_tol=a["rank_tol"],
-                budget=a["budget"],
-                limits=limits,
-            )
+            split = sequence_split(limits, a["idem_tol"], a["rank_tol"], budget=a["budget"])
         except (IdempotentNotFoundError, AmbiguousRankError, ProductOverflowError) as exc:
             failure = f"gate: {exc}"
     for w in caught:
@@ -195,12 +185,10 @@ def cmd_split(cfg: SystemConfig):
             s,
             seq,
             split,
-            horizon,
-            cylinder_len=a["cylinder_len"],
+            limits,
             preextremal_depth=a["preextremal_depth"],
             samples=a["verify_samples"],
             seed=a["seed"],
-            limits=limits,
         )
         results["verification"] = jsonable(evidence)
     else:

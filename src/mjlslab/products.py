@@ -12,8 +12,10 @@ A level's largest 2-norm is found without an SVD of every product. Since
 ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F, a product whose Frobenius norm is
 below the level's largest Frobenius norm over sqrt(d) cannot hold the largest
 2-norm; only the others, in word order, go through the batched SVD. The SVD
-gives each matrix the same bits whatever else is in the batch, so the value,
-and the first word that attains it, are those of an SVD of the whole level.
+gives each matrix the same bits whatever else is in the batch, so a finite
+value, and the first word that attains it, are those of an SVD of the whole
+level. A level holding an inf product reports NaN, whose sign bit need not be
+LAPACK's.
 
 A walk without the rho minima finds a level's largest spectral radius the same
 way (Gripenberg's branch and bound, Linear Algebra Appl. 234, 1996): rho(A) <=
@@ -230,10 +232,10 @@ def _rho_max(arr: np.ndarray, depth: int, fro: np.ndarray, top: float):
     is at most ||A||_F to rounding; every skipped product then has a smaller
     value than the best one, and cannot tie it. The stop also needs the best
     radius itself to be a normal float well above the scaled norms' underflow.
-    A stack holding inf or NaN goes to _batch_rho whole, which raises.
+    arr is finite: word_levels refuses a level holding inf or NaN first.
     """
     root = 1.0 / depth
-    if not np.isfinite(top) or arr.shape[0] <= _RHO_CHUNK:
+    if arr.shape[0] <= _RHO_CHUNK:
         vals = _batch_rho(arr) ** root
         j = int(np.argmax(vals))
         return float(vals[j]), j
@@ -329,7 +331,8 @@ class WordLevels:
     Ties go to the lexicographically first word. The norm maxima come from an
     SVD of only the products that pass the Frobenius screen of
     `_norm_candidates`; every product that can hold the maximum passes it, so
-    they equal the maxima of an SVD of the whole level bit for bit. A walk
+    a finite maximum equals that of an SVD of the whole level bit for bit. A
+    level holding an inf product reports NaN (`_batch_norm2`). A walk
     built without minima holds None for min and min_word, and its rho maxima
     come from the screen of `_rho_max`, equal to those of an eigendecomposition
     of the whole level bit for bit. Past rho_depth a level holds only the
@@ -369,8 +372,9 @@ def word_levels(
     rho_depth a level holds only the products whose words can still reach or
     tie a deeper level's largest norm (see the module docstring). A level
     past the budget ends the walk; not completing even depth 1 raises
-    BudgetExceededError. A walk passed as s that reaches both depths, and
-    holds the minima when they are asked for, is returned.
+    BudgetExceededError. A level up to rho_depth that holds inf or NaN raises
+    EigenSolverError naming its length. A walk passed as s that reaches both
+    depths, and holds the minima when they are asked for, is returned.
     """
     if isinstance(s, WordLevels):
         if rho_depth > s.rho_depth or norm_depth > s.norm_depth:
@@ -395,6 +399,11 @@ def word_levels(
         if index is not None:
             index = (index[:, None] * k + np.arange(k)).ravel()
         rows = None
+        if completed <= rho_depth and not np.isfinite(arr).all():
+            raise EigenSolverError(
+                f"the length-{completed} products are not finite; their eigenvalues "
+                "cannot be taken"
+            )
         screened = completed <= rho_depth and not minima
         if screened or completed <= norm_depth:
             fro, top = _scaled_frobenius(arr)

@@ -76,13 +76,9 @@ def _symbols(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
     return symbols
 
 
-def _indices(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
-    return _symbols(symbols, num_matrices) - 1
-
-
 def cocycle_products_at(s: MatrixSet, symbols: np.ndarray, times) -> np.ndarray:
     """Products A(n) = S_{i_1} ... S_{i_n} snapshotted at the given times."""
-    idx = _indices(symbols, s.num_matrices)
+    idx = _symbols(symbols, s.num_matrices) - 1
     times = np.asarray(times, dtype=np.int64)
     if times.size and (times.min() < 1 or times.max() > idx.size):
         raise ValueError("snapshot times outside the available prefix")
@@ -325,18 +321,13 @@ def limit_points(
     cluster_tol: float = CLUSTER_TOL,
 ) -> LimitPointSet:
     rt = return_times(seq, cylinder_len, horizon)
-    symbols = seq.prefix(horizon)
-    if rt.times.size == 0:
+    if rt.times.size == 0:  # the products and representatives are then empty
         warnings.warn(
             "no return times inside the horizon; the limit point set is empty",
             stacklevel=2,
         )
-        empty = np.empty((0, s.dim, s.dim))
-        return LimitPointSet(
-            cylinder_len, horizon, cluster_tol, rt.times, empty, empty.copy()
-        )
     with np.errstate(over="ignore", invalid="ignore"):
-        products = cocycle_products_at(s, symbols, rt.times)
+        products = cocycle_products_at(s, seq.prefix(horizon), rt.times)
     finite = np.isfinite(products).all(axis=(1, 2))
     if not finite.all():
         raise ProductOverflowError(
@@ -621,36 +612,18 @@ def periodic_split(s: MatrixSet, word, band_tol: float = 1e-6) -> Splitting:
 
 
 def sequence_split(
-    s: MatrixSet,
-    seq: SwitchingSequence,
-    cylinder_len: int,
-    horizon: int,
-    cluster_tol: float = CLUSTER_TOL,
+    limits: LimitPointSet,
     idem_tol: float = IDEM_TOL,
     rank_tol: float = RANK_TOL,
     closure_rounds: int = 3,
     budget: int = ENUM_BUDGET,
-    *,
-    limits: LimitPointSet | None = None,
 ) -> Splitting:
-    """Numeric splitting from the limit points of one switching sequence.
-
-    limits, when given, is limit_points(s, seq, cylinder_len, horizon,
-    cluster_tol), built once by the caller and not built again here.
-    """
-    if limits is None:
-        limits = limit_points(s, seq, cylinder_len, horizon, cluster_tol)
-    _check_limits(limits, cylinder_len, horizon)
+    """Numeric splitting from the limit points of one switching sequence."""
     p = find_idempotent(limits, idem_tol, closure_rounds, budget)
     return split_from_idempotent(p, rank_tol, idem_tol, source="semigroup-numeric")
 
 
 _MAX_NORM_CHECKPOINTS = 64
-
-
-def _check_limits(limits: LimitPointSet, cylinder_len: int, horizon: int) -> None:
-    if (limits.cylinder_len, limits.horizon) != (cylinder_len, horizon):
-        raise ValueError("the limit point set was built for another cylinder or horizon")
 
 
 def _checkpoint(count: int, cap: int = _MAX_NORM_CHECKPOINTS) -> np.ndarray:
@@ -691,31 +664,22 @@ def verify_splitting(
     s: MatrixSet,
     seq: SwitchingSequence,
     split: Splitting,
-    horizon: int,
-    cylinder_len: int = 1,
+    limits: LimitPointSet,
     preextremal_depth: int = 6,
     samples: int = 10,
     seed: int = 0,
-    *,
-    limits: LimitPointSet | None = None,
 ) -> SplittingEvidence:
     """Measure the decay/recurrence claims of a splitting along the sequence.
 
-    Pre-extremal deviations are evaluated at up to 64 return times to keep the
-    cost of the word enumeration bounded; changing preextremal_depth changes
-    the measured numbers but never the subspaces, which are fixed inputs here.
-    The checkpoint products are read off limits, the limit point set of the
-    same cylinder and horizon, when it is given; otherwise the cocycle is
-    walked again to them, with the same bits.
+    limits is the limit point set of seq; its horizon, cylinder, return times
+    and products are the ones measured here. Pre-extremal deviations are
+    evaluated at up to 64 return times to keep the cost of the word
+    enumeration bounded; changing preextremal_depth changes the measured
+    numbers but never the subspaces, which are fixed inputs here.
     """
-    symbols = seq.prefix(horizon)
-    if limits is not None:
-        _check_limits(limits, cylinder_len, horizon)
-        times = limits.return_times
-        snaps = limits.products[_checkpoint(times.size)]
-    else:
-        times = return_times(seq, cylinder_len, horizon).times
-        snaps = cocycle_products_at(s, symbols, times[_checkpoint(times.size)])
+    symbols = seq.prefix(limits.horizon)
+    times = limits.return_times
+    snaps = limits.products[_checkpoint(times.size)]
 
     d = s.dim
     eye = np.eye(d)
@@ -760,8 +724,8 @@ def verify_splitting(
     stable_hist, off_hist = hist[: split.stable.dim], hist[split.stable.dim :]
 
     return SplittingEvidence(
-        horizon=horizon,
-        cylinder_len=cylinder_len,
+        horizon=limits.horizon,
+        cylinder_len=limits.cylinder_len,
         preextremal_depth=preextremal_depth,
         return_count=int(times.size),
         stable_initial_norms=np.ones(split.stable.dim),

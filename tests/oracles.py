@@ -246,8 +246,10 @@ def oracle_best_idempotent(pool, squarings: int = 20):
 def oracle_word_product(mats, word) -> np.ndarray:
     d = mats[0].shape[0]
     out = np.eye(d)
-    for s in word:
-        out = out @ mats[s - 1]
+    # families scaled near the float range overflow here on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in word:
+            out = out @ mats[s - 1]
     return out
 
 

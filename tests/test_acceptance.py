@@ -27,6 +27,7 @@ from mjlslab import (
     greedy_pointwise_search,
     induced_norm2,
     jsr_bounds,
+    limit_points,
     periodic_split,
     pointwise_equivalence_harness,
     preextremal_contraction_check,
@@ -145,7 +146,7 @@ def test_criterion_04_splitting_two_routes_agree():
             MatrixSet.from_list([[[0.5, 1.0], [0.0, 1.0]]]),
         ]
         for fam in cases:
-            numeric = sequence_split(fam, word1, cylinder_len=1, horizon=4096)
+            numeric = sequence_split(limit_points(fam, word1, cylinder_len=1, horizon=4096))
             exact = periodic_split(fam, (1,))
             assert grassmann_distance(numeric.center, exact.center) <= 1e-6
             assert grassmann_distance(numeric.stable, exact.stable) <= 1e-6
@@ -153,16 +154,15 @@ def test_criterion_04_splitting_two_routes_agree():
             assert exact.defect <= 1e-10
 
         # rotation by pi/6: the twelfth power closes to the identity
-        rot_numeric = sequence_split(
-            MatrixSet.from_list([rotation(np.pi / 6)]), word1, cylinder_len=1, horizon=4096
-        )
+        rot = MatrixSet.from_list([rotation(np.pi / 6)])
+        rot_numeric = sequence_split(limit_points(rot, word1, cylinder_len=1, horizon=4096))
         assert np.allclose(rot_numeric.idempotent, np.eye(2), atol=1e-9)
-        rot_exact = periodic_split(MatrixSet.from_list([rotation(np.pi / 6)]), (1,) * 12)
+        rot_exact = periodic_split(rot, (1,) * 12)
         assert np.allclose(rot_exact.idempotent, np.eye(2), atol=1e-12)
 
         # the slow-recurrence system, against its known exact splitting
         seq = SwitchingSequence.quadratic_gap(4, zero_symbol=1, one_symbol=2)
-        split = sequence_split(GAP_FAMILY, seq, cylinder_len=1, horizon=255)
+        split = sequence_split(limit_points(GAP_FAMILY, seq, cylinder_len=1, horizon=255))
         assert split.defect <= 1e-6
         assert np.allclose(split.idempotent, np.diag([0.0, 1.0]), atol=1e-6)
         assert split.center.contains([0.0, 1.0])

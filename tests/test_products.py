@@ -528,6 +528,9 @@ def walk_families(draw):
 def _one_nan(norms):
     """Levels with NaN maxima made equal: a matrix with an inf entry gets +NaN
     from the walk and -NaN from LAPACK, and reports write both as nan."""
+    # the walk claims its maxima bit for bit only where they are finite; a
+    # level holding an inf product reports NaN, and which NaN is not part of
+    # the claim, so the walk does not copy LAPACK's sign bit
     return [(np.nan if np.isnan(val) else val, word) for val, word in norms]
 
 

@@ -37,7 +37,6 @@ from mjlslab import (
     vector_log_norm_history,
     verify_splitting,
 )
-from mjlslab.reports import jsonable
 from mjlslab.splitting import (
     RENORM_EVERY,
     _checkpoint,
@@ -707,7 +706,7 @@ def test_periodic_split_reports_unstable_part():
 def test_sequence_split_agrees_with_periodic_split():
     seq = SwitchingSequence.periodic([1])
     for fam in (SHRINK, HALF_SHEAR, ROT):
-        numeric = sequence_split(fam, seq, cylinder_len=1, horizon=2048)
+        numeric = sequence_split(limit_points(fam, seq, cylinder_len=1, horizon=2048))
         exact = periodic_split(fam, (1,))
         assert grassmann_distance(numeric.center, exact.center) <= 1e-6
         assert grassmann_distance(numeric.stable, exact.stable) <= 1e-6
@@ -717,7 +716,7 @@ def test_sequence_split_agrees_with_periodic_split():
 def test_sequence_split_quadratic_gap():
     seq = SwitchingSequence.quadratic_gap(4, zero_symbol=1, one_symbol=2)
     fam = MatrixSet.from_list([np.eye(2), np.diag([0.5, 1.0])])
-    split = sequence_split(fam, seq, cylinder_len=1, horizon=255)
+    split = sequence_split(limit_points(fam, seq, cylinder_len=1, horizon=255))
     assert np.allclose(split.idempotent, np.diag([0.0, 1.0]), atol=1e-12)
     assert split.center.contains([0.0, 1.0])
     assert split.stable.contains([1.0, 0.0])
@@ -736,7 +735,8 @@ def test_vector_lyapunov_exponent_frozen():
 def test_verify_splitting_evidence_quality():
     seq = SwitchingSequence.periodic([1])
     split = periodic_split(HALF_SHEAR, (1,))
-    ev = verify_splitting(HALF_SHEAR, seq, split, horizon=2048)
+    limits = limit_points(HALF_SHEAR, seq, cylinder_len=1, horizon=2048)
+    ev = verify_splitting(HALF_SHEAR, seq, split, limits)
     assert ev.return_count == 2047
     assert ev.stable_tail_fits.max() <= np.log(0.5) + 1e-6
     assert ev.center_return_deviation_final.max() <= 1e-9
@@ -782,13 +782,16 @@ def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeyp
     returns = return_times(seq, 1, symbols.size).times
     times = returns[_checkpoint(returns.size)]
     assert (times.size == 0) == (name == "no_return")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="no return times")
+        limits = limit_points(s, seq, 1, symbols.size)
     d = s.dim
     full = np.linalg.qr(np.random.default_rng(44).normal(size=(d, d)))[0]
     for c in range(d + 1):  # a center of every dimension, 0 included
         center, stable = full[:c], full[c:]
         split = Splitting(np.eye(d), 0.0, Subspace(d, stable), Subspace(d, center), "test")
         for depth in (0, 1, 3):
-            ev = verify_splitting(s, seq, split, symbols.size, preextremal_depth=depth)
+            ev = verify_splitting(s, seq, split, limits, preextremal_depth=depth)
             got = np.array([
                 ev.center_return_deviation_min,
                 ev.center_return_deviation_final,
@@ -801,16 +804,20 @@ def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeyp
 
 @pytest.mark.parametrize("name", sorted(CENTER_CASES))
 def test_verify_splitting_reads_the_limit_points_it_is_given(name):
+    # horizon, cylinder and return times all come from the limit point set
     s, symbols = CENTER_CASES[name]
-    seq, n = SwitchingSequence.explicit(symbols), symbols.size
+    seq = SwitchingSequence.explicit(symbols)
     d = s.dim
     basis = np.linalg.qr(np.random.default_rng(45).normal(size=(d, d)))[0]
     split = Splitting(np.eye(d), 0.0, Subspace(d, basis[1:]), Subspace(d, basis[:1]), "test")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="no return times")
-        limits = limit_points(s, seq, 1, n)
-    walked = verify_splitting(s, seq, split, n, preextremal_depth=2)
-    read = verify_splitting(s, seq, split, n, preextremal_depth=2, limits=limits)
-    assert jsonable(read) == jsonable(walked)
-    with pytest.raises(ValueError, match="another cylinder or horizon"):
-        verify_splitting(s, seq, split, n - 1, limits=limits)
+    for cylinder_len, horizon in ((1, symbols.size), (2, symbols.size - 7)):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="no return times")
+            limits = limit_points(s, seq, cylinder_len, horizon)
+        ev = verify_splitting(s, seq, split, limits, preextremal_depth=2)
+        assert (ev.horizon, ev.cylinder_len) == (horizon, cylinder_len)
+        assert ev.return_count == limits.return_times.size
+        if limits.return_times.size:
+            last = limits.return_times[-1]
+            want = vector_log_norm_history(s, symbols[:last], split.stable.basis)[:, -1]
+            assert ev.stable_final_norms.tobytes() == np.exp(want).tobytes()
