@@ -232,10 +232,10 @@ def _rho_max(arr: np.ndarray, depth: int, fro: np.ndarray, top: float):
     is at most ||A||_F to rounding; every skipped product then has a smaller
     value than the best one, and cannot tie it. The stop also needs the best
     radius itself to be a normal float well above the scaled norms' underflow.
-    arr is finite: word_levels refuses a level holding inf or NaN first.
+    A stack holding inf or NaN goes to _batch_rho whole, which raises.
     """
     root = 1.0 / depth
-    if arr.shape[0] <= _RHO_CHUNK:
+    if not np.isfinite(top) or arr.shape[0] <= _RHO_CHUNK:
         vals = _batch_rho(arr) ** root
         j = int(np.argmax(vals))
         return float(vals[j]), j
@@ -399,22 +399,23 @@ def word_levels(
         if index is not None:
             index = (index[:, None] * k + np.arange(k)).ravel()
         rows = None
-        if completed <= rho_depth and not np.isfinite(arr).all():
-            raise EigenSolverError(
-                f"the length-{completed} products are not finite; their eigenvalues "
-                "cannot be taken"
-            )
         screened = completed <= rho_depth and not minima
         if screened or completed <= norm_depth:
             fro, top = _scaled_frobenius(arr)
-        if screened:
-            val, j = _rho_max(arr, completed, fro, top)
-            rho.append((None, None, val, word_from_index(j, completed, k)))
-        elif completed <= rho_depth:
-            vals = _batch_rho(arr) ** (1.0 / completed)
-            i, j = int(np.argmin(vals)), int(np.argmax(vals))
-            rho.append((float(vals[i]), word_from_index(i, completed, k),
-                        float(vals[j]), word_from_index(j, completed, k)))
+        try:
+            if screened:
+                val, j = _rho_max(arr, completed, fro, top)
+                rho.append((None, None, val, word_from_index(j, completed, k)))
+            elif completed <= rho_depth:
+                vals = _batch_rho(arr) ** (1.0 / completed)
+                i, j = int(np.argmin(vals)), int(np.argmax(vals))
+                rho.append((float(vals[i]), word_from_index(i, completed, k),
+                            float(vals[j]), word_from_index(j, completed, k)))
+        except EigenSolverError as exc:  # a failed level alone is scanned, to name it
+            if np.isfinite(arr).all():
+                raise
+            raise EigenSolverError(f"the length-{completed} products are not finite; "
+                                   "their eigenvalues cannot be taken") from exc
         if completed <= norm_depth:
             kept = np.flatnonzero(_norm_candidates(fro, d))
             chain = arr[:0]

@@ -672,9 +672,10 @@ def verify_splitting(
     """Measure the decay/recurrence claims of a splitting along the sequence.
 
     limits is the limit point set of seq; its horizon, cylinder, return times
-    and products are the ones measured here. Pre-extremal deviations are
-    evaluated at up to 64 return times to keep the cost of the word
-    enumeration bounded; changing preextremal_depth changes the measured
+    and products are the ones measured here. s and seq must be those limits was
+    built from; limits records neither, so nothing checks it. Pre-extremal
+    deviations are evaluated at up to 64 return times to keep the cost of the
+    word enumeration bounded; changing preextremal_depth changes the measured
     numbers but never the subspaces, which are fixed inputs here.
     """
     symbols = seq.prefix(limits.horizon)
