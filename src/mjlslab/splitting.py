@@ -122,6 +122,26 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _top_singular_values(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (..., d, d) stack, shape (..., 1).
+
+    At d = 2, sigma_1 of [[a, b], [c, d]] is (hypot(a + d, b - c) +
+    hypot(a - d, b + c)) / 2: both terms are nonnegative, so the sum does not
+    cancel, and it lies within 2 ulps of its long-double value. A matrix whose
+    closed form is not finite (entries near the float range) and every other
+    d take LAPACK's SVD, which scales internally.
+    """
+    if a.shape[-1] != 2:
+        return np.linalg.svd(a, compute_uv=False)[..., :1]
+    p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+    bad = ~np.isfinite(top)
+    if bad.any():
+        top[bad] = np.linalg.svd(a[bad], compute_uv=False)[:, 0]
+    return top[..., None]
+
+
 def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.ndarray:
     """Log-norm histories of the cocycle along each row of `paths`.
 
@@ -145,15 +165,16 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     step's product into a (k, trials, m, d) buffer; the two hold RENORM_EVERY
     x trials x (m + d) x d floats. The row norms of the buffer's steps from
     the window on and of the segment's last step are then taken together, a
-    column at a time (_row_norms), or without start one SVD call takes their
-    largest singular values. A row's norm or a matrix's SVD does not depend
-    on the batch around it, so each equals a call per step bit for bit, and
-    the kept columns window..n-1 equal those of window 0 bit for bit. Once
-    per segment the kernel marks each row that has read a zero norm (an
-    exact zero product, or squares that underflowed) as dead for good, logs
-    the norms, writes them into the history and renormalizes the running
-    state; a dead row is divided by inf, so it is zero from then on and the
-    rest of its history is -inf.
+    column at a time (_row_norms), or without start their largest singular
+    values are taken in one call (_top_singular_values: the closed form at
+    d = 2, one batched SVD otherwise). A row's norm or a matrix's sigma_1
+    does not depend on the batch around it, so each equals a call per step
+    bit for bit, and the kept columns window..n-1 equal those of window 0 bit
+    for bit. Once per segment the kernel marks each row that has read a zero
+    norm (an exact zero product, or squares that underflowed) as dead for
+    good, logs the norms, writes them into the history and renormalizes the
+    running state; a dead row is divided by inf, so it is zero from then on
+    and the rest of its history is -inf.
 
     A segment is RENORM_EVERY steps, or if fewer the most steps k with
     g**(2 k) finite, g the family's largest 2-norm: a norm squares a state
@@ -162,8 +183,11 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     a power of two 2**j (to g in [1/2, 1)), and step n gets n j ln 2 back;
     a start row whose norm reads inf or NaN in a segment runs again divided
     by the power of two 2**e that brings its norm below 1, and gets e ln 2
-    back. No other family or row is scaled, so their bits stay. The SVD
-    scales internally, so the products never overflow a norm.
+    back. No other family or row is scaled, so their bits stay. Nor are the
+    products: a segment keeps their entries below about 1e154, unless one
+    step of a family with g past that brings them near g, and a product whose
+    d = 2 closed form reads inf or NaN there goes to the SVD, which scales
+    internally.
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2:
@@ -213,7 +237,7 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
                 state = np.matmul(state, seg_mats[j], out=buf[j])
             kept = buf[first - lo : hi - lo]
             if start is None:
-                seg = np.linalg.svd(kept, compute_uv=False)[..., :1]
+                seg = _top_singular_values(kept)
             else:
                 seg = _row_norms(kept[:, :, :reps])
             live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive

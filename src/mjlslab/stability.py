@@ -41,9 +41,11 @@ DELTA_DEFAULT = 1e-3
 PROBE_MARGIN = 1e-9
 FINITENESS_GAP_TOL = 1e-6
 POSITIVE_EVIDENCE_TRIALS = 5
-# the harness stacks initial vectors into kernel calls of at most this many
-# rows; a step's cost barely grows with its rows (one matrix-matrix product
-# per trial), so the bound is the history buffer, rows x half the horizon
+# the harness walks every initial vector on a chunk of trials per kernel call,
+# max(1, STACK_ROWS // num_initials) trials, so a call holds at most this many
+# rows unless there are more initials. A step costs one matrix-matrix product
+# per trial whatever its rows, so fewer trials per call means fewer products;
+# the bound is the history buffer, rows x half the horizon
 STACK_ROWS = 400
 GATE_DEPTH_DEFAULT = 8
 PROBE_LEN_DEFAULT = 8
@@ -125,6 +127,18 @@ class ConvergenceReport:
     pairing_ok: bool
 
 
+def _check_rates(eps: float, delta: float) -> None:
+    if eps <= 0 or delta <= 0:
+        raise ValueError("eps and delta must be positive")
+
+
+def _scores(hist: np.ndarray, horizon: int, eps: float, delta: float):
+    """Tail fits and the converged and exponential masks of a windowed history."""
+    fits = tail_slope(hist, horizon)
+    converged = hist[:, -1] < np.log(eps)
+    return fits, converged, converged & (fits < -delta)
+
+
 def _build_report(
     kind: str,
     initial,
@@ -135,12 +149,9 @@ def _build_report(
     delta: float,
     hist: np.ndarray,
 ) -> ConvergenceReport:
-    if eps <= 0 or delta <= 0:
-        raise ValueError("eps and delta must be positive")
-    fits = tail_slope(hist, horizon)
+    _check_rates(eps, delta)
+    fits, converged, exponential = _scores(hist, horizon, eps, delta)
     finals = hist[:, -1].copy()
-    converged = finals < np.log(eps)
-    exponential = converged & (fits < -delta)
     cc = int(converged.sum())
     ec = int(exponential.sum())
     return ConvergenceReport(
@@ -424,6 +435,17 @@ def pointwise_equivalence_harness(
     gate_depth: int = GATE_DEPTH_DEFAULT,
     budget: int = ENUM_BUDGET,
 ) -> EquivalenceReport:
+    """Pointwise and exponential fractions of num_initials unit vectors on one draw.
+
+    The boundedness probe walks the products to gate_depth first; its
+    verdict is the gate. Every initial is scored on the same `trials` paths,
+    seeded by seed, with the counts of pointwise_convergence_estimate, bit for
+    bit. The kernel walks all initials on a chunk of max(1, STACK_ROWS //
+    num_initials) trials per call, and each initial's counts over a chunk are
+    added up from its own block of rows. eps or delta not positive raises
+    ValueError before any of this runs.
+    """
+    _check_rates(eps, delta)
     gate = boundedness_probe(m.system, gate_depth, budget, prune=True)
     gate_passed = gate.verdict == "bounded-so-far"
     notes: list[str] = []
@@ -435,22 +457,18 @@ def pointwise_equivalence_harness(
         )
     trajs = _symbol_paths(m, trials, horizon, seed)
     initials = unit_vectors(m.system.dim, num_initials, seed, stream_offset=3)
-    fc = np.empty(num_initials)
-    fe = np.empty(num_initials)
-    cc = np.empty(num_initials, dtype=np.int64)
-    ec = np.empty(num_initials, dtype=np.int64)
-    window, per_call = tail_start(horizon), max(1, STACK_ROWS // trials)
-    for lo in range(0, num_initials, per_call):
-        chunk = initials[lo : lo + per_call]
-        hist = _vector_histories(m.system, trajs, chunk, window)
-        for i, block in enumerate(hist.reshape(len(chunk), trials, -1), start=lo):
-            rep = _build_report(
-                "vector", initials[i], trials, horizon, seed, eps, delta, block
-            )
-            fc[i] = rep.fraction_converged
-            fe[i] = rep.fraction_exponential
-            cc[i] = rep.converged_count
-            ec[i] = rep.exponential_count
+    cc = np.zeros(num_initials, dtype=np.int64)
+    ec = np.zeros(num_initials, dtype=np.int64)
+    window, per_call = tail_start(horizon), max(1, STACK_ROWS // num_initials)
+    for lo in range(0, trials, per_call):
+        chunk = trajs[lo : lo + per_call]
+        hist = _vector_histories(m.system, chunk, initials, window)
+        # one initial's block at a time keeps the fit's temporaries small
+        for i, block in enumerate(hist.reshape(num_initials, len(chunk), -1)):
+            _, converged, exponential = _scores(block, horizon, eps, delta)
+            cc[i] += converged.sum()
+            ec[i] += exponential.sum()
+    fc, fe = cc / trials, ec / trials
     implied = bool(np.all((fc == 0.0) | (fe > 0.0)))
     return EquivalenceReport(
         trials=trials,

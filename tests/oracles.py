@@ -268,6 +268,26 @@ def oracle_log_norm_history(mats, symbols, x=None) -> np.ndarray:
     return np.array(out)
 
 
+def oracle_top_singular_values(states):
+    """Largest singular value of each matrix of a (..., d, d) stack, one at a time.
+
+    At d = 2 each is (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, or the
+    SVD's when that is not finite; other d take the SVD. Shape (...).
+    """
+    states = np.asarray(states, dtype=float)
+    if states.shape[-1] != 2:
+        return np.linalg.svd(states, compute_uv=False)[..., 0]
+    out = np.empty(states.shape[:-2])
+    for idx in np.ndindex(out.shape):
+        (a, b), (c, d) = states[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+        if not np.isfinite(top):
+            top = np.linalg.svd(states[idx], compute_uv=False)[0]
+        out[idx] = top
+    return out
+
+
 def oracle_row_kernel(mats, paths, start=None, window: int = 0, renorm_every: int = 50):
     """Log-norm histories one row at a time: the kernel as it was before trial blocks.
 
@@ -297,7 +317,7 @@ def oracle_row_kernel(mats, paths, start=None, window: int = 0, renorm_every: in
         if n < window and not renorm:
             continue
         if start is None:
-            nrm = np.linalg.svd(state, compute_uv=False)[..., 0].reshape(rows)
+            nrm = oracle_top_singular_values(state).reshape(rows)
         else:
             nrm = np.linalg.norm(state, axis=-1).reshape(rows)
         alive &= nrm > 0.0
@@ -355,7 +375,7 @@ def oracle_step_kernel(mats, paths, start=None, window: int = 0, renorm_every: i
             if n < first:
                 continue
             if start is None:
-                norms[n - lo] = np.linalg.svd(state, compute_uv=False)[:, :1]
+                norms[n - lo] = oracle_top_singular_values(state)[:, None]
             else:
                 norms[n - lo] = np.linalg.norm(state, axis=-1)[:, :reps]
         seg = norms[first - lo : hi - lo]

@@ -43,7 +43,9 @@ from mjlslab.splitting import (
     _closure,
     _first_come_reps,
     _row_norms,
+    _top_singular_values,
 )
+import oracles
 from oracles import (
     oracle_best_idempotent,
     oracle_closure,
@@ -325,9 +327,86 @@ def test_row_norms_have_the_bits_of_numpy_norm(d):
         )
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_matmul_rows_do_not_depend_on_the_rows_beside_them(d):
+    # the kernel stacks rows into one (trials, rows, d) state and relies on
+    # each output row equalling that of a smaller stack. A lone row would go
+    # to the matrix-vector routine, which rounds differently at d >= 4, so a
+    # one-row stack is compared with the row and a zero partner, as the
+    # kernel pads it
+    rng = np.random.default_rng(40 + d)
+    mats = rng.standard_normal((3, d, d))
+    for extra in range(1, 65):
+        m = int(rng.integers(2, 41))
+        head = rng.standard_normal((3, m, d))
+        tail = rng.standard_normal((3, extra, d))
+        both = np.matmul(np.concatenate([head, tail], axis=1), mats)
+        np.testing.assert_array_equal(both[:, :m], np.matmul(head, mats))
+        if extra == 1:
+            tail = np.concatenate([tail, np.zeros((3, 1, d))], axis=1)
+        np.testing.assert_array_equal(both[:, m:], np.matmul(tail, mats)[:, :extra])
+
+
+def _long_double_sigma_1(m):
+    m = m.astype(np.longdouble)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double on this platform",
+)
+@given(
+    kind=st.sampled_from(["drawn", "rank-one", "trace-free", "rotation"]),
+    scale=st.sampled_from([1.0, 1e150, 1e-150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_sigma_1_is_within_2_ulps_of_its_long_double_value(kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((500, 2, 2))
+    if kind == "rank-one":  # nearly: singular values 1e12 apart
+        u, v = rng.standard_normal((2, 500, 2, 1))
+        m = u * v.transpose(0, 2, 1) + 1e-12 * m
+    elif kind == "trace-free":  # a = -d, where a + d cancels exactly
+        m[:, 1, 1] = -m[:, 0, 0]
+    elif kind == "rotation":  # equal singular values, where a - d, b + c cancel
+        theta = rng.uniform(0.0, 2.0 * np.pi, 500)
+        m = rng.uniform(0.1, 10.0, 500)[:, None, None] * np.stack(
+            [np.stack([np.cos(theta), np.sin(theta)], -1),
+             np.stack([-np.sin(theta), np.cos(theta)], -1)], 1
+        )
+    m = m * scale
+    got = _top_singular_values(m)[:, 0]
+    ulps = np.abs(got.astype(np.longdouble) - _long_double_sigma_1(m)) / np.spacing(got)
+    assert ulps.max() <= 2.0
+
+
+def _svd_tops(states):
+    return np.linalg.svd(np.asarray(states, dtype=float), compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("scale", [1.5e308, 1e-310])
+def test_products_at_the_ends_of_the_float_range_keep_their_svd_bits(monkeypatch, scale):
+    # near 1.5e308 the closed form's sum overflows and the product takes the
+    # SVD; near 1e-310 the entries are subnormal and the first step reads them
+    family = MatrixSet.from_list(
+        [scale * np.diag([1.0, 0.3]), scale * rotation(np.pi / 2), scale * rotation(0.3)]
+    )
+    paths = np.random.default_rng(12).integers(1, 4, size=(5, 2 * RENORM_EVERY + 20))
+    got = [log_norm_histories(family, paths, window=w) for w in (0, 60)]
+    assert np.isfinite(got[0][:, 0]).all()
+    monkeypatch.setattr(oracles, "oracle_top_singular_values", _svd_tops)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for w, hist in zip((0, 60), got):
+            expect = oracle_step_kernel(family.matrices, paths, None, w, RENORM_EVERY)
+            np.testing.assert_array_equal(hist, expect)
+
+
 def test_a_windowed_product_history_takes_one_svd_per_segment(monkeypatch):
     # 20 segments before the window read one step each, 20 after it read 50;
-    # one SVD call per step from the window on would make 1,020
+    # one SVD call per step from the window on would make 1,020. A 2x2
+    # family takes the closed form and makes none
     calls = []
     svd = np.linalg.svd
 
@@ -335,12 +414,17 @@ def test_a_windowed_product_history_takes_one_svd_per_segment(monkeypatch):
         calls.append(a.shape[0])
         return svd(a, *args, **kwargs)
 
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    family = MatrixSet.from_list([np.diag([0.5, 1.0, 0.8]), cycle])
     monkeypatch.setattr(np.linalg, "svd", counted)
-    family = MatrixSet.from_list([np.diag([0.5, 1.0]), rotation(np.pi / 2)])
     paths = np.random.default_rng(9).integers(1, 3, size=(100, 2000))
     hist = log_norm_histories(family, paths, window=tail_start(2000))
     assert hist.shape == (100, 1000)
     assert len(calls) <= 40 and sum(calls) == 20 + 1000
+    calls.clear()
+    flat = MatrixSet.from_list([np.diag([0.5, 1.0]), rotation(np.pi / 2)])
+    assert log_norm_histories(flat, paths, window=tail_start(2000)).shape == (100, 1000)
+    assert calls == []
 
 
 def test_start_rows_past_the_float_range_are_scaled_by_a_power_of_two():
@@ -373,7 +457,7 @@ def test_start_rows_past_the_float_range_are_scaled_by_a_power_of_two():
 @pytest.mark.parametrize("g", [1e160, 1e300])
 def test_a_family_whose_square_overflows_is_scaled_by_a_power_of_two(g):
     # one-step segments cannot keep a row's squares in range once g**2 is
-    # past it; the SVD of the products scales itself, so they keep their bits
+    # past it; the products' sigma_1 needs no scaling, so they keep their bits
     family = MatrixSet.from_list([g * np.eye(2), g * rotation(np.pi / 2)])
     paths = np.random.default_rng(11).integers(1, 3, size=(3, 120))
     xs = np.array([[0.6, 0.8], [1e160, 0.0]])

@@ -1,7 +1,11 @@
 """Convergence estimates, word probes, greedy search, equivalence harness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import mjlslab.stability
 from mjlslab import (
@@ -32,6 +36,14 @@ REDUCIBLE3 = MarkovChain(
 CONTRACTIONS = MatrixSet.from_list([0.8 * np.eye(2), np.diag([0.5, 0.9])])
 SHEAR = MatrixSet.from_list([[[1.0, 0.0], [1.0, 1.0]]])
 SHRINK_ROT = MatrixSet.from_list([np.diag([0.5, 1.0]), rotation(np.pi / 2)])
+# criterion 8's family: at horizon 150, eps 1e-2 and delta 2e-2 some trials
+# converge, some of those exponentially, and some neither
+MIXED = MJLS(
+    MatrixSet.from_list(
+        [0.99 * rotation(np.pi / 6), np.diag([0.9, 0.95]), 0.99 * rotation(np.pi / 6)]
+    ),
+    REDUCIBLE3,
+)
 
 # families whose products all stay bounded, for the equivalence harness
 PRODUCT_BOUNDED = [
@@ -201,14 +213,7 @@ def test_equivalence_harness_on_product_bounded_families():
     [
         (MJLS(SHRINK_ROT, IID2), 100, 1e-6, 1e-3),
         (
-            MJLS(
-                MatrixSet.from_list(
-                    [0.99 * rotation(np.pi / 6), np.diag([0.9, 0.95]),
-                     0.99 * rotation(np.pi / 6)]
-                ),
-                REDUCIBLE3,
-            ),
-            150, 1e-2, 2e-2,
+            MIXED, 150, 1e-2, 2e-2,
         ),
     ],
     ids=["criterion-7", "criterion-8"],
@@ -220,15 +225,16 @@ def test_stacked_harness_equals_separate_estimates(
     vector_histories = mjlslab.stability._vector_histories
 
     def counted(s, trajs, xs, window=0):
-        calls.append(len(xs))
+        calls.append((len(trajs), len(xs)))
         return vector_histories(s, trajs, xs, window)
 
     monkeypatch.setattr(mjlslab.stability, "STACK_ROWS", stack_rows)
     monkeypatch.setattr(mjlslab.stability, "_vector_histories", counted)
     trials, seed = 120, 5
     rep = pointwise_equivalence_harness(m, trials, horizon, 20, seed, eps=eps, delta=delta)
-    per_call = max(1, stack_rows // trials)
-    assert calls == [min(per_call, 20 - lo) for lo in range(0, 20, per_call)]
+    # every call walks all 20 initials on its chunk of trials
+    per_call = max(1, stack_rows // 20)
+    assert calls == [(min(per_call, trials - lo), 20) for lo in range(0, trials, per_call)]
     # some trials converge and some do not, so the counts are informative
     assert 0.0 < rep.fractions_converged.min() and rep.fractions_converged.max() < 1.0
     for i, x in enumerate(rep.initials):
@@ -237,6 +243,41 @@ def test_stacked_harness_equals_separate_estimates(
         assert rep.fractions_exponential[i] == single.fraction_exponential
         assert rep.converged_counts[i] == single.converged_count
         assert rep.exponential_counts[i] == single.exponential_count
+
+
+@settings(max_examples=25)
+@given(
+    trials=st.integers(1, 17),
+    num_initials=st.integers(1, 9),
+    stack_rows=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+@example(trials=7, num_initials=9, stack_rows=5, seed=3)  # more initials than rows
+@example(trials=17, num_initials=4, stack_rows=1, seed=0)
+def test_any_trial_chunking_gives_the_counts_of_separate_estimates(
+    trials, num_initials, stack_rows, seed
+):
+    # chunks of max(1, stack_rows // num_initials) trials; neither the
+    # initials nor the chunk divide what they cut, except with one-trial chunks
+    per_call = max(1, stack_rows // num_initials)
+    assume(stack_rows % num_initials and (per_call == 1 or trials % per_call))
+    with mock.patch.object(mjlslab.stability, "STACK_ROWS", stack_rows):
+        rep = pointwise_equivalence_harness(
+            MIXED, trials, 150, num_initials, seed, eps=1e-2, delta=2e-2, gate_depth=2
+        )
+    for i, x in enumerate(rep.initials):
+        single = pointwise_convergence_estimate(MIXED, x, trials, 150, 1e-2, seed, 2e-2)
+        assert rep.converged_counts[i] == single.converged_count
+        assert rep.exponential_counts[i] == single.exponential_count
+        assert rep.fractions_converged[i] == single.fraction_converged
+        assert rep.fractions_exponential[i] == single.fraction_exponential
+
+
+@pytest.mark.parametrize("eps, delta", [(0.0, 1e-3), (1e-6, -1e-3)])
+def test_harness_checks_eps_and_delta_before_any_work(monkeypatch, eps, delta):
+    _refuse(monkeypatch, "boundedness_probe", "_symbol_paths", "_vector_histories")
+    with pytest.raises(ValueError, match="eps and delta must be positive"):
+        pointwise_equivalence_harness(MIXED, 10, 100, 3, 0, eps=eps, delta=delta)
 
 
 def test_equivalence_harness_gate_rejects_growth():
