@@ -212,9 +212,7 @@ def test_equivalence_harness_on_product_bounded_families():
     "m, horizon, eps, delta",
     [
         (MJLS(SHRINK_ROT, IID2), 100, 1e-6, 1e-3),
-        (
-            MIXED, 150, 1e-2, 2e-2,
-        ),
+        (MIXED, 150, 1e-2, 2e-2),
     ],
     ids=["criterion-7", "criterion-8"],
 )
