@@ -32,6 +32,7 @@ from .config import (
     check_analysis_int,
     check_chain,
     load_config,
+    require_system,
 )
 from .linalg import AmbiguousRankError, AmbiguousSplitError, grassmann_distance
 from .linalg import EigenSolverError
@@ -68,12 +69,6 @@ from .stability import (
 EXAMPLE46_MAX_LEVELS = 5
 
 
-def _require_system(cfg: SystemConfig) -> MatrixSet:
-    if cfg.system is None:
-        raise ConfigError("matrices: this command needs a matrices block")
-    return cfg.system
-
-
 def cmd_decompose(cfg: SystemConfig):
     if cfg.chain is None:
         raise ConfigError("markov: the decompose command needs a markov block")
@@ -96,7 +91,7 @@ def cmd_decompose(cfg: SystemConfig):
 
 
 def cmd_jsr(cfg: SystemConfig):
-    s = _require_system(cfg)
+    s = require_system(cfg)
     a = cfg.analysis
     depth, bdepth = a["depth"], a["boundedness_depth"]
     try:  # one walk over the words serves all three reports, none reads the minima
@@ -132,7 +127,7 @@ def cmd_jsr(cfg: SystemConfig):
 
 
 def cmd_split(cfg: SystemConfig):
-    s = _require_system(cfg)
+    s = require_system(cfg)
     a = cfg.analysis
     seq = build_sequence(cfg)
     horizon = a["horizon"]
@@ -180,19 +175,15 @@ def cmd_split(cfg: SystemConfig):
     if failure is not None:
         warns.append(failure)
 
+    results["verification"] = None
     if split is not None:
-        evidence = verify_splitting(
-            s,
-            seq,
-            split,
-            limits,
-            preextremal_depth=a["preextremal_depth"],
-            samples=a["verify_samples"],
-            seed=a["seed"],
-        )
-        results["verification"] = jsonable(evidence)
-    else:
-        results["verification"] = None
+        try:
+            evidence = verify_splitting(
+                s, seq, split, limits, a["preextremal_depth"], a["verify_samples"], a["seed"]
+            )
+            results["verification"] = jsonable(evidence)
+        except BudgetExceededError as exc:  # the pre-extremal enumeration
+            warns.append(f"budget: {exc}")
 
     results["periodic_exact"] = None
     results["agreement"] = None
@@ -372,10 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, help="override analysis.seed")
-        p.add_argument("--depth", type=int, help="override analysis.depth")
-        p.add_argument("--horizon", type=int, help="override analysis.horizon")
-        p.add_argument("--trials", type=int, help="override analysis.trials")
+        for key in _OVERRIDES:
+            p.add_argument(f"--{key}", type=int, help=f"override analysis.{key}")
         p.add_argument(
             "--strict",
             action="store_true",

@@ -28,72 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import BAND_TOL
 from .markov import MarkovChain, structural_issues
-from .products import MatrixSet
-from .sequences import QUADRATIC_GAP_KIND, SwitchingSequence
-from .stability import MJLS
-
-# Every analysis parameter with its default; the resolved table is echoed in
-# each report so a run is self-describing. eps/delta/horizon follow the desk
-# pairing horizon * delta >= |ln eps|.
-DEFAULTS = {
-    "seed": 0,
-    "trials": 200,
-    "horizon": 10000,
-    "eps": 1e-4,
-    "delta": 1e-3,
-    "depth": 8,
-    "jsr_depth": 20,
-    "boundedness_depth": 8,
-    "budget": 10**6,
-    "shift_max_len": 4,
-    "max_cylinder_len": 4,
-    "cylinder_len": 1,
-    "freq_threshold": 1e-3,
-    "cluster_tol": 1e-4,
-    "idem_tol": 1e-6,
-    "rank_tol": 1e-8,
-    "band_tol": 1e-6,
-    "preextremal_depth": 6,
-    "verify_samples": 10,
-    "num_initials": 20,
-    "lookahead": 13,
-    "max_steps": 800,
-    "levels": 4,
-    "alpha": 0.5,
-    "initial_vector": None,
-    "trace_csv": None,
-    "trace_stride": 50,
-}
-
-_INT_KEYS = {
-    "seed": 0,
-    "trials": 1,
-    "horizon": 2,
-    "depth": 1,
-    "jsr_depth": 1,
-    "boundedness_depth": 1,
-    "budget": 1,
-    "shift_max_len": 1,
-    "max_cylinder_len": 1,
-    "cylinder_len": 1,
-    "preextremal_depth": 0,
-    "verify_samples": 1,
-    "num_initials": 1,
-    "lookahead": 1,
-    "max_steps": 1,
-    "levels": 1,
-    "trace_stride": 1,
-}
-_POSITIVE_FLOAT_KEYS = (
-    "eps",
-    "delta",
-    "freq_threshold",
-    "cluster_tol",
-    "idem_tol",
-    "rank_tol",
-    "band_tol",
-)
+from .products import ENUM_BUDGET, MatrixSet
+from .sequences import FREQ_THRESHOLD, QUADRATIC_GAP_KIND, SwitchingSequence
+from .splitting import CLUSTER_TOL, IDEM_TOL, RANK_TOL
+from .stability import DELTA_DEFAULT, GATE_DEPTH_DEFAULT, MJLS
 
 _SEQUENCE_KEYS = {
     "periodic": {"word"},
@@ -126,11 +66,6 @@ def _int(value, path: str, minimum: int) -> int:
     return value
 
 
-def check_analysis_int(key: str, value, path: str) -> int:
-    """Check an integer analysis value against the minimum a config file obeys."""
-    return _int(value, path, _INT_KEYS[key])
-
-
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -138,6 +73,84 @@ def _number(value, path: str) -> float:
     if not np.isfinite(out):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     return out
+
+
+def _at_least(minimum: int):
+    return lambda value, path: _int(value, path, minimum)
+
+
+def _positive(value, path: str) -> float:
+    v = _number(value, path)
+    if v <= 0.0:
+        raise ConfigError(f"{path}: must be positive, got {value!r}")
+    return v
+
+
+def _open_unit(value, path: str) -> float:
+    v = _number(value, path)
+    if not 0.0 < v < 1.0:
+        raise ConfigError(f"{path}: must lie strictly in (0, 1), got {value!r}")
+    return v
+
+
+def _vector_or_null(value, path: str) -> list[float] | None:
+    if value is None:
+        return None
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list or null")
+    v = [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    if not any(v):
+        raise ConfigError(f"{path}: must be nonzero")
+    return v
+
+
+def _path_or_null(value, path: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string or null")
+    return value
+
+
+# Every analysis parameter: its default and the check a given value passes.
+# The resolved table is echoed in each report, in this order, so a run is
+# self-describing. eps/delta/horizon follow the desk pairing
+# horizon * delta >= |ln eps|; the CLI's eps is coarser than the library's.
+# No command reads lookahead or max_steps; they stay while the benchmark's
+# stored reports pin every parameters key.
+ANALYSIS = {
+    "seed": (0, _at_least(0)),
+    "trials": (200, _at_least(1)),
+    "horizon": (10000, _at_least(2)),
+    "eps": (1e-4, _positive),
+    "delta": (DELTA_DEFAULT, _positive),
+    "depth": (8, _at_least(1)),
+    "jsr_depth": (20, _at_least(1)),
+    "boundedness_depth": (GATE_DEPTH_DEFAULT, _at_least(1)),
+    "budget": (ENUM_BUDGET, _at_least(1)),
+    "shift_max_len": (4, _at_least(1)),
+    "max_cylinder_len": (4, _at_least(1)),
+    "cylinder_len": (1, _at_least(1)),
+    "freq_threshold": (FREQ_THRESHOLD, _positive),
+    "cluster_tol": (CLUSTER_TOL, _positive),
+    "idem_tol": (IDEM_TOL, _positive),
+    "rank_tol": (RANK_TOL, _positive),
+    "band_tol": (BAND_TOL, _positive),
+    "preextremal_depth": (6, _at_least(0)),
+    "verify_samples": (10, _at_least(1)),
+    "num_initials": (20, _at_least(1)),
+    "lookahead": (13, _at_least(1)),
+    "max_steps": (800, _at_least(1)),
+    "levels": (4, _at_least(1)),
+    "alpha": (0.5, _open_unit),
+    "initial_vector": (None, _vector_or_null),
+    "trace_csv": (None, _path_or_null),
+    "trace_stride": (50, _at_least(1)),
+}
+DEFAULTS = {key: default for key, (default, _) in ANALYSIS.items()}
+
+
+def check_analysis_int(key: str, value, path: str) -> int:
+    """Check a CLI override of an analysis value as a config file's value is."""
+    return ANALYSIS[key][1](value, path)
 
 
 def _symbol_list(value, path: str) -> list[int]:
@@ -226,17 +239,14 @@ def _parse_sequence(data: dict, num_matrices: int | None) -> dict | None:
             f"sequence.kind: unknown kind {kind!r}, expected one of "
             f"{sorted(_SEQUENCE_KEYS)}"
         )
-    _check_keys(block, "sequence", {"kind"} | _SEQUENCE_KEYS[kind])
+    keys = _SEQUENCE_KEYS[kind]
+    # example46's levels falls back to analysis.levels; every other key is required
+    _check_keys(block, "sequence", {"kind"} | keys, keys - {"levels"})
     spec = {"kind": kind}
-    if kind == "periodic":
-        if "word" not in block:
-            raise ConfigError("sequence: missing required key 'word'")
-        spec["word"] = _symbol_list(block["word"], "sequence.word")
-    elif kind == "explicit":
-        if "symbols" not in block:
-            raise ConfigError("sequence: missing required key 'symbols'")
-        spec["symbols"] = _symbol_list(block["symbols"], "sequence.symbols")
-    elif kind == QUADRATIC_GAP_KIND and "levels" in block:
+    for key in ("word", "symbols"):
+        if key in block:
+            spec[key] = _symbol_list(block[key], f"sequence.{key}")
+    if "levels" in block:
         spec["levels"] = _int(block["levels"], "sequence.levels", 1)
     if num_matrices is not None:
         for key in ("word", "symbols"):
@@ -251,38 +261,10 @@ def _parse_sequence(data: dict, num_matrices: int | None) -> dict | None:
 
 
 def _parse_analysis(data: dict) -> dict:
-    out = dict(DEFAULTS)
-    if "analysis" not in data:
-        return out
-    block = data["analysis"]
-    _check_keys(block, "analysis", set(DEFAULTS))
+    out, block = dict(DEFAULTS), data.get("analysis", {})
+    _check_keys(block, "analysis", ANALYSIS)
     for key, value in block.items():
-        path = f"analysis.{key}"
-        if key in _INT_KEYS:
-            out[key] = check_analysis_int(key, value, path)
-        elif key in _POSITIVE_FLOAT_KEYS:
-            v = _number(value, path)
-            if v <= 0.0:
-                raise ConfigError(f"{path}: must be positive, got {value!r}")
-            out[key] = v
-        elif key == "alpha":
-            v = _number(value, path)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{path}: must lie strictly in (0, 1), got {value!r}")
-            out[key] = v
-        elif key == "initial_vector":
-            if value is None:
-                out[key] = None
-            elif isinstance(value, list) and value:
-                out[key] = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-                if not any(out[key]):
-                    raise ConfigError(f"{path}: must be nonzero")
-            else:
-                raise ConfigError(f"{path}: expected a nonempty list or null")
-        elif key == "trace_csv":
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{path}: expected a string or null")
-            out[key] = value
+        out[key] = ANALYSIS[key][1](value, f"analysis.{key}")
     return out
 
 
@@ -359,9 +341,15 @@ def build_sequence(cfg: SystemConfig) -> SwitchingSequence:
     return SwitchingSequence.quadratic_gap(levels, zero_symbol=1, one_symbol=2)
 
 
-def build_mjls(cfg: SystemConfig) -> MJLS:
+def require_system(cfg: SystemConfig) -> MatrixSet:
+    """The configured matrix family; ConfigError when there is none."""
     if cfg.system is None:
         raise ConfigError("matrices: this command needs a matrices block")
+    return cfg.system
+
+
+def build_mjls(cfg: SystemConfig) -> MJLS:
+    system = require_system(cfg)
     if cfg.chain is None:
         raise ConfigError("markov: this command needs a markov block")
-    return MJLS(cfg.system, check_chain(cfg.chain))
+    return MJLS(system, check_chain(cfg.chain))

@@ -168,16 +168,6 @@ def return_times(seq: SwitchingSequence, L: int, horizon: int) -> ReturnTimes:
     )
 
 
-def _return_count(seq: SwitchingSequence, L: int, horizon: int) -> int:
-    scan = horizon + L
-    if seq.max_length is not None:
-        scan = min(scan, seq.max_length)
-    if scan < L:
-        return 0
-    symbols = seq.prefix(scan)
-    return int(_match_times(symbols, L, min(horizon, scan - L)).size)
-
-
 @dataclass
 class RecurrenceVerdict:
     """Per-cylinder-length return counts and the overall desk verdict.
@@ -204,7 +194,10 @@ def classify_recurrence(
     counts = []
     freqs = []
     for L in range(1, max_cylinder_len + 1):
-        c = _return_count(seq, L, horizon)
+        scan = horizon + L  # a return by the horizon is matched in these symbols
+        if seq.max_length is not None:
+            scan = min(scan, seq.max_length)
+        c = return_times(seq, L, scan).times.size if scan >= L else 0
         counts.append(c)
         freqs.append(c / horizon)
     if all(f >= freq_threshold for f in freqs):

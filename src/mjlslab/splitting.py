@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    BAND_TOL,
     FRO_MARGIN,
+    RANK_TOL,
     AmbiguousRankError,
     Subspace,
     as_matrix,
@@ -32,7 +34,6 @@ from .sequences import SwitchingSequence, return_times
 
 CLUSTER_TOL = 1e-4
 IDEM_TOL = 1e-6
-RANK_TOL = 1e-8
 RENORM_EVERY = 50
 MAX_SQUARINGS = 20
 _POOL_CAP = 1024
@@ -183,11 +184,14 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     a power of two 2**j (to g in [1/2, 1)), and step n gets n j ln 2 back;
     a start row whose norm reads inf or NaN in a segment runs again divided
     by the power of two 2**e that brings its norm below 1, and gets e ln 2
-    back. No other family or row is scaled, so their bits stay. Nor are the
-    products: a segment keeps their entries below about 1e154, unless one
-    step of a family with g past that brings them near g, and a product whose
-    d = 2 closed form reads inf or NaN there goes to the SVD, which scales
-    internally.
+    back. A family whose g itself is past the float range is divided, in
+    both branches, by the 2**j that brings g to [2**509, 2**511), j read off
+    g = top ||M / top||_2 with top its largest entry; its segments are one
+    step, so a small generator beside M does not underflow. No other family
+    or row is scaled, so their bits stay. Nor are the products: a segment
+    keeps their entries below about 1e154, unless one step of a family with
+    g past that brings them near g, and a product whose d = 2 closed form
+    reads inf or NaN there goes to the SVD, which scales internally.
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2:
@@ -198,7 +202,12 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     mats, g = s.matrices, np.linalg.norm(s.matrices, 2, axis=(1, 2)).max()
     step_exp, every = 0, RENORM_EVERY
     with np.errstate(over="ignore"):
-        if start is not None and np.isinf(g * g):  # row norms square entries
+        if np.isinf(g):  # frexp(inf) has no exponent; g stays inf, so every = 1
+            top = np.abs(mats).max()
+            unit = np.linalg.norm(mats / top, 2, axis=(1, 2)).max()
+            step_exp = int(np.frexp(top)[1] + np.frexp(unit)[1]) - 511
+            mats = np.ldexp(mats, -step_exp)
+        elif start is not None and np.isinf(g * g):  # row norms square entries
             step_exp = int(np.frexp(g)[1])
             mats, g = np.ldexp(mats, -step_exp), np.ldexp(g, -step_exp)
         while every > 1 and np.isinf(g ** (2 * every)):
@@ -595,7 +604,7 @@ def split_from_idempotent(
     return split
 
 
-def periodic_split(s: MatrixSet, word, band_tol: float = 1e-6) -> Splitting:
+def periodic_split(s: MatrixSet, word, band_tol: float = BAND_TOL) -> Splitting:
     """Exact splitting for the periodic sequence repeating `word`.
 
     The period matrix is split into eigenvalue-modulus bands; the idempotent

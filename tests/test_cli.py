@@ -22,10 +22,11 @@ from mjlslab import (
     tail_slope,
     validate_chain,
 )
-from mjlslab.cli import main
+from mjlslab.cli import _OVERRIDES, main
 from mjlslab.config import DEFAULTS
 from oracles import oracle_log_norm_history, rotation
 from test_acceptance import Budget
+from test_config import INT_MINIMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -677,6 +678,50 @@ def test_jsr_names_the_depth_whose_norm_maximum_overflowed(tmp_path):
     assert len(gates) == 1 and "length-4 products" in gates[0]
 
 
+def test_classify_generator_norm_past_the_float_range_is_not_converging(tmp_path):
+    # ||M||_2 = 1.5e308 * 2 overflows, so the kernel scaled nothing: every
+    # state went to NaN and every trial read -inf and converged
+    a = 1.5e308
+    doc = {
+        "dimension": 2,
+        "matrices": [[[a, a], [1.0, 1.0]], np.eye(2).tolist()],
+        "markov": IID2_BLOCK,
+        "analysis": {"trials": 4, "horizon": 40},
+    }
+    report, _ = _cli_subprocess(tmp_path, "classify", doc, timeout=120)
+    results = report["results"]
+    pointwise = np.array(results["pointwise"]["final_log_norms"], dtype=float)
+    consistent = np.array(results["consistent"]["final_log_norms"], dtype=float)
+    # M = u v^T with u = (a, 1), v = (1, 1) is rank one, so a path with k
+    # M's ends at (a + 1)^(k - 1) M: x = (1, 1)/sqrt(2) reads k log a, and the
+    # product k log a + log(2) / 2 (a + 1 and a are one float)
+    k = pointwise / np.log(a)
+    np.testing.assert_allclose(k, np.round(k), rtol=0, atol=1e-9)
+    assert np.all((k >= 1) & (k <= 40))
+    np.testing.assert_allclose(consistent, pointwise + np.log(2) / 2, rtol=1e-12)
+    for key in ("pointwise", "consistent"):
+        assert results[key]["fraction_converged"] == 0
+
+
+def test_split_preextremal_enumeration_past_the_budget_is_a_budget_warning(tmp_path):
+    # depth 25 over two matrices and three center rows needs 67,108,862 vector
+    # products; verify_splitting raised BudgetExceededError (exit 1)
+    doc = {
+        "dimension": 2,
+        "matrices": [np.diag([1.0, 0.5]).tolist(), np.eye(2).tolist()],
+        "sequence": {"kind": "periodic", "word": [1, 2]},
+        "analysis": {"horizon": 256, "preextremal_depth": 25},
+    }
+    report, stderr = _cli_subprocess(tmp_path, "split", doc, timeout=120)
+    assert stderr == ""
+    assert report["warnings"] == [
+        "budget: pre-extremal enumeration needs 67108862 vector products, "
+        "budget is 1000000"
+    ]
+    results = report["results"]
+    assert results["verification"] is None and results["splitting"] is not None
+
+
 SPLIT_OVERFLOW_DOC = {
     "dimension": 2,
     "matrices": [(1e160 * np.eye(2)).tolist()],
@@ -706,7 +751,9 @@ def test_split_overflowing_period_product_is_a_gate(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("key, value", [("horizon", 1), ("seed", -1)])
+@pytest.mark.parametrize(
+    "key, value", [(key, INT_MINIMA.get(key, 1) - 1) for key in _OVERRIDES]
+)
 def test_overrides_obey_the_config_file_minima(tmp_path, capsys, key, value):
     # --horizon 1 passed the override check, then tail_start raised (exit 1)
     base = {"dimension": 2, "matrices": [np.eye(2).tolist()] * 2, "markov": IID2_BLOCK}

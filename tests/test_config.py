@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from mjlslab.config import (
+    ANALYSIS,
     DEFAULTS,
     ConfigError,
     build_mjls,
     build_sequence,
     parse_config,
 )
+
+# the least value of each integer analysis row; the rows not named take 1
+INT_MINIMA = {"seed": 0, "horizon": 2, "preextremal_depth": 0}
 
 
 def minimal_system(**extra):
@@ -112,3 +116,89 @@ def test_build_mjls_round_trip():
     m = build_mjls(parse_config(data))
     assert m.system.num_matrices == 2
     assert np.allclose(m.chain.initial, [0.5, 0.5])
+
+
+def _refused(key: str, default) -> list:
+    """(value, message) pairs that analysis.<key> refuses."""
+    if key == "alpha":
+        bad = [(0.0, "must lie strictly in (0, 1), got 0.0"), (1.0, "must lie strictly in (0, 1)")]
+        return bad + [("x", "expected a number, got 'x'")]
+    if key == "initial_vector":
+        return [
+            ([], "expected a nonempty list or null"),
+            ("x", "expected a nonempty list or null"),
+            ([0.0, 0.0], "must be nonzero"),
+            ([1.0, "x"], "initial_vector[1]: expected a number"),
+        ]
+    if key == "trace_csv":
+        return [(3, "expected a string or null")]
+    if isinstance(default, float):
+        return [
+            (0.0, "must be positive, got 0.0"),
+            (-1, "must be positive, got -1"),
+            ("x", "expected a number, got 'x'"),
+            (float("inf"), "must be finite"),
+        ]
+    low = INT_MINIMA.get(key, 1) - 1
+    return [
+        (low, f"must be at least {low + 1}, got {low}"),
+        (1.5, "expected an integer, got 1.5"),
+        (True, "expected an integer, got True"),
+    ]
+
+
+@pytest.mark.parametrize("key", list(ANALYSIS))
+def test_every_analysis_default_passes_its_own_check(key):
+    default, check = ANALYSIS[key]
+    assert check(default, f"analysis.{key}") == default
+    assert parse_config(minimal_system(analysis={key: default})).analysis[key] == default
+    if isinstance(default, int):  # the least value passes too
+        least = INT_MINIMA.get(key, 1)
+        assert parse_config(minimal_system(analysis={key: least})).analysis[key] == least
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (key, value, message)
+        for key, (default, _) in ANALYSIS.items()
+        for value, message in _refused(key, default)
+    ],
+)
+def test_every_analysis_row_refuses_bad_values_by_path(key, value, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_system(analysis={key: value}))
+    assert str(info.value).startswith(f"analysis.{key}")
+    assert message in str(info.value)
+
+
+def test_defaults_follow_the_table_order():
+    assert list(DEFAULTS) == list(ANALYSIS)
+    assert all(DEFAULTS[key] is default for key, (default, _) in ANALYSIS.items())
+
+
+@pytest.mark.parametrize(
+    "sequence, message",
+    [
+        ({"kind": "periodic"}, "sequence: missing required key 'word'"),
+        ({"kind": "explicit"}, "sequence: missing required key 'symbols'"),
+        # an unknown key is named before a missing one
+        ({"kind": "periodic", "symbols": [1]}, "sequence.symbols: unknown key"),
+        ({"kind": "markov", "word": [1]}, "sequence.word: unknown key"),
+    ],
+)
+def test_sequence_keys_are_checked_in_order(sequence, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(minimal_system(sequence=sequence))
+    assert str(info.value) == message
+
+
+def test_example46_levels_fall_back_to_the_analysis_block():
+    cfg = parse_config(minimal_system(sequence={"kind": "example46"}, analysis={"levels": 2}))
+    assert cfg.sequence_spec == {"kind": "example46"}
+    assert build_sequence(cfg).max_length == 3
+
+
+def test_build_mjls_names_a_missing_matrices_block():
+    with pytest.raises(ConfigError, match="^matrices: this command needs a matrices block$"):
+        build_mjls(parse_config({}))

@@ -92,6 +92,22 @@ def test_classify_recurrence_no_return():
     assert v.counts[0] == 0
 
 
+@given(
+    st.lists(st.integers(1, 2), min_size=1, max_size=30),
+    st.integers(1, 40),
+    st.integers(1, 5),
+)
+def test_recurrence_counts_every_return_inside_the_horizon(symbols, horizon, max_len):
+    # a return at n needs the symbols n + 1 .. n + L, which a finite word may
+    # not hold; a horizon past the word is cut to it
+    v = classify_recurrence(SwitchingSequence.explicit(symbols), max_len, horizon)
+    expected = [
+        sum(symbols[n : n + L] == symbols[:L] for n in range(1, min(horizon, len(symbols) - L) + 1))
+        for L in range(1, max_len + 1)
+    ]
+    assert v.counts == expected
+
+
 def test_markov_sequence_matches_sampler():
     chain = MarkovChain([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]])
     seq = SwitchingSequence.markov(chain, seed=3)
