@@ -679,7 +679,7 @@ def test_jsr_names_the_depth_whose_norm_maximum_overflowed(tmp_path):
 
 
 def test_classify_generator_norm_past_the_float_range_is_not_converging(tmp_path):
-    # ||M||_2 = 1.5e308 * 2 overflows, so the kernel scaled nothing: every
+    # ||M||_2 = 1.5e308 * sqrt(2) overflows, so the kernel scaled nothing: every
     # state went to NaN and every trial read -inf and converged
     a = 1.5e308
     doc = {

@@ -121,8 +121,11 @@ def test_build_mjls_round_trip():
 def _refused(key: str, default) -> list:
     """(value, message) pairs that analysis.<key> refuses."""
     if key == "alpha":
-        bad = [(0.0, "must lie strictly in (0, 1), got 0.0"), (1.0, "must lie strictly in (0, 1)")]
-        return bad + [("x", "expected a number, got 'x'")]
+        return [
+            (0.0, "must lie strictly in (0, 1), got 0.0"),
+            (1.0, "must lie strictly in (0, 1), got 1.0"),
+            ("x", "expected a number, got 'x'"),
+        ]
     if key == "initial_vector":
         return [
             ([], "expected a nonempty list or null"),
@@ -170,11 +173,6 @@ def test_every_analysis_row_refuses_bad_values_by_path(key, value, message):
         parse_config(minimal_system(analysis={key: value}))
     assert str(info.value).startswith(f"analysis.{key}")
     assert message in str(info.value)
-
-
-def test_defaults_follow_the_table_order():
-    assert list(DEFAULTS) == list(ANALYSIS)
-    assert all(DEFAULTS[key] is default for key, (default, _) in ANALYSIS.items())
 
 
 @pytest.mark.parametrize(
