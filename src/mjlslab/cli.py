@@ -179,7 +179,14 @@ def cmd_split(cfg: SystemConfig):
     if split is not None:
         try:
             evidence = verify_splitting(
-                s, seq, split, limits, a["preextremal_depth"], a["verify_samples"], a["seed"]
+                s,
+                seq,
+                split,
+                limits,
+                a["preextremal_depth"],
+                a["verify_samples"],
+                a["seed"],
+                a["budget"],
             )
             results["verification"] = jsonable(evidence)
         except BudgetExceededError as exc:  # the pre-extremal enumeration
@@ -218,7 +225,8 @@ def cmd_classify(cfg: SystemConfig):
     warns = ["note: " + msg for msg in validate_chain(m.chain).issues]
 
     # finals and tail fits need only the tail window; the trace needs it all.
-    # The paths are not held: the consistent estimate draws its own
+    # m keeps the draw, so the consistent estimate, the harness and the
+    # diagonal shortcut read these paths again without drawing
     window = tail_start(horizon) if a["trace_csv"] is None else 0
     hist_v = _vector_histories(s, _symbol_paths(m, trials, horizon, seed), x[None], window)
     pointwise = _build_report("vector", x, trials, horizon, seed, eps, delta, hist_v)

@@ -175,20 +175,21 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     norm (an exact zero product, or squares that underflowed) as dead for
     good, logs the norms, writes them into the history and renormalizes the
     running state; a dead row is divided by inf, so it is zero from then on
-    and the rest of its history is -inf.
+    and the rest of its history is -inf. A segment whose logs are all finite,
+    with every row still alive, skips that bookkeeping, which would change
+    no bit.
 
     A segment is RENORM_EVERY steps, or if fewer the most steps k with
     g**(2 k) finite, g the family's largest 2-norm: a norm squares a state
-    grown from norm 1 by at most g**k. Row norms square their entries, so
-    with start a family with g**2 past the float range is first divided by
-    a power of two 2**j (to g in [1/2, 1)), and step n gets n j ln 2 back;
-    a start row whose norm reads inf or NaN in a segment runs again divided
-    by the power of two 2**e that brings its norm below 1, and gets e ln 2
-    back. A family whose g itself is past the float range is divided, in
-    both branches, by the 2**j that brings g to [2**509, 2**511), j read off
-    g = top ||M / top||_2 with top its largest entry; its segments are one
-    step, so a small generator beside M does not underflow. No other family
-    or row is scaled, so their bits stay. Nor are the products: a segment
+    grown from norm 1 by at most g**k. A family whose g is past the float
+    range, or with start (row norms square their entries) whose g**2 is, is
+    divided by the power of two 2**j that brings g to [2**509, 2**511), j
+    read off g = top ||M / top||_2 with top its largest entry (frexp(inf)
+    has no exponent), and step n gets n j ln 2 back; its segments are one
+    step, so a small generator beside M does not underflow. A start row
+    whose norm reads inf or NaN in a segment runs again divided by the power
+    of two 2**e that brings its norm below 1, and gets e ln 2 back. No other
+    family or row is scaled, so their bits stay. Nor are the products: a segment
     keeps their entries below about 1e154, unless one step of a family with
     g past that brings them near g, and a product whose d = 2 closed form
     reads inf or NaN there goes to the SVD, which scales internally.
@@ -202,14 +203,12 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     mats, g = s.matrices, np.linalg.norm(s.matrices, 2, axis=(1, 2)).max()
     step_exp, every = 0, RENORM_EVERY
     with np.errstate(over="ignore"):
-        if np.isinf(g):  # frexp(inf) has no exponent; g stays inf, so every = 1
+        # frexp(inf) has no exponent, and row norms square their entries
+        if np.isinf(g) or (start is not None and np.isinf(g * g)):
             top = np.abs(mats).max()
             unit = np.linalg.norm(mats / top, 2, axis=(1, 2)).max()
             step_exp = int(np.frexp(top)[1] + np.frexp(unit)[1]) - 511
-            mats = np.ldexp(mats, -step_exp)
-        elif start is not None and np.isinf(g * g):  # row norms square entries
-            step_exp = int(np.frexp(g)[1])
-            mats, g = np.ldexp(mats, -step_exp), np.ldexp(g, -step_exp)
+            mats, every = np.ldexp(mats, -step_exp), 1
         while every > 1 and np.isinf(g ** (2 * every)):
             every -= 1
     if start is None:
@@ -249,19 +248,25 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
                 seg = _top_singular_values(kept)
             else:
                 seg = _row_norms(kept[:, :, :reps])
-            live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
-            logs = np.where(live, acc + np.log(seg), -np.inf)
-            over |= ~np.isfinite(seg).all(axis=0)
+            lg = np.log(seg)
+            healthy = alive.all() and np.isfinite(lg).all()
+            if healthy:  # every norm positive and finite: no row dies or overflows
+                logs = acc + lg
+            else:
+                live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
+                logs = np.where(live, acc + lg, -np.inf)
+                over |= ~np.isfinite(seg).all(axis=0)
+                alive = live[-1]
             if hi > window:  # then first >= window
                 hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
-            alive = live[-1]
             if hi - lo == every:
                 if not alive.any():
                     break  # every row has hit an exact zero product
                 acc = logs[-1]
                 # into a new array, off the buffer slot the next step writes;
                 # a dead row is divided by inf, so it is zero from here on
-                state = state / np.where(alive, seg[-1], np.inf)[:, :, None]
+                scale = seg[-1] if healthy else np.where(alive, seg[-1], np.inf)
+                state = state / scale[:, :, None]
     hist = hist.reshape(reps * trials, horizon - window)
     if step_exp:  # the family was divided by 2**step_exp: step n gets n of them back
         hist += np.arange(window + 1, horizon + 1) * (step_exp * np.log(2.0))
@@ -323,8 +328,9 @@ def tail_slope(log_norms: np.ndarray, n: int | None = None) -> float | np.ndarra
     ns = np.arange(n - width + 1, n + 1, dtype=float)
     ns -= ns.mean()
     denom = float((ns * ns).sum())
-    bad = np.isneginf(ys).any(axis=1)
-    safe = np.where(np.isneginf(ys), 0.0, ys)
+    neg = np.isneginf(ys)
+    bad = neg.any(axis=1)
+    safe = np.where(neg, 0.0, ys) if bad.any() else ys
     slopes = ((safe - safe.mean(axis=1, keepdims=True)) * ns).sum(axis=1) / denom
     slopes[bad] = -np.inf
     return float(slopes[0]) if hist.ndim == 1 else slopes
@@ -701,6 +707,7 @@ def verify_splitting(
     preextremal_depth: int = 6,
     samples: int = 10,
     seed: int = 0,
+    budget: int = ENUM_BUDGET,
 ) -> SplittingEvidence:
     """Measure the decay/recurrence claims of a splitting along the sequence.
 
@@ -709,7 +716,10 @@ def verify_splitting(
     built from; limits records neither, so nothing checks it. Pre-extremal
     deviations are evaluated at up to 64 return times to keep the cost of the
     word enumeration bounded; changing preextremal_depth changes the measured
-    numbers but never the subspaces, which are fixed inputs here.
+    numbers but never the subspaces, which are fixed inputs here. Each
+    pre-extremal call enumerates at most min(budget, ENUM_BUDGET) vector
+    products unless one row needs more; a row that needs more than budget
+    raises BudgetExceededError.
     """
     symbols = seq.prefix(limits.horizon)
     times = limits.return_times
@@ -733,11 +743,12 @@ def verify_splitting(
         # batched dot products: the same bits as np.linalg.norm of each row
         dev = np.sqrt((off[..., None, :] @ off[..., None])[..., 0, 0])
         rows = np.vstack([basis, moved.reshape(-1, d)])
-        # blocks of rows keep each call's word stack inside a one-row budget
+        # blocks of rows keep each call's word stack inside a one-row budget,
+        # and a larger budget does not make the blocks larger
         words = sum(s.num_matrices**n for n in range(1, preextremal_depth + 1))
-        step = max(1, ENUM_BUDGET // max(words, 1))
+        step = max(1, min(budget, ENUM_BUDGET) // max(words, 1))
         pre = np.concatenate([
-            preextremal_norm(s, rows[i : i + step], preextremal_depth)
+            preextremal_norm(s, rows[i : i + step], preextremal_depth, budget)
             for i in range(0, len(rows), step)
         ])
         center_pre_dev = np.abs(pre[c:].reshape(dev.shape) - pre[:c, None]).max(axis=1)

@@ -45,8 +45,9 @@ POSITIVE_EVIDENCE_TRIALS = 5
 # max(1, STACK_ROWS // num_initials) trials, so a call holds at most this many
 # rows unless there are more initials. A step costs one matrix-matrix product
 # per trial whatever its rows, so fewer trials per call means fewer products;
-# the bound is the history buffer, rows x half the horizon
-STACK_ROWS = 400
+# the bound is the history buffer, rows x half the horizon (5.4 MB at 680 rows
+# and horizon 2,000), one chunk's at a time
+STACK_ROWS = 680
 GATE_DEPTH_DEFAULT = 8
 PROBE_LEN_DEFAULT = 8
 
@@ -57,6 +58,9 @@ class MJLS:
 
     system: MatrixSet
     chain: MarkovChain
+    # _symbol_paths' last draw, {key: read-only paths}: one slot, so an
+    # instance holds at most one batch of paths
+    _draws: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.chain.num_states != self.system.num_matrices:
@@ -70,11 +74,21 @@ def _symbol_paths(m: MJLS, trials: int, horizon: int, seed: int) -> np.ndarray:
     """One trajectory per trial, trial t drawn from stream t of the seed.
 
     Streams are keyed by (seed, trial index), so trial t is the same array no
-    matter how many trials run or in what order.
+    matter how many trials run or in what order. The draw is kept on m, keyed
+    by trials, horizon, seed and the chain's bytes, and a call with the same
+    key returns it again; the array is read-only, since every caller gets it.
     """
     if trials < 1 or horizon < 2:
         raise ValueError("need at least one trial and a horizon of at least 2")
-    return sample_trajectories(m.chain, horizon, seed, range(trials))
+    chain = m.chain
+    key = (trials, horizon, seed, chain.initial.tobytes(), chain.transition.tobytes())
+    paths = m._draws.get(key)
+    if paths is None:
+        paths = sample_trajectories(chain, horizon, seed, range(trials))
+        paths.flags.writeable = False
+        m._draws.clear()
+        m._draws[key] = paths
+    return paths
 
 
 def _vector_histories(
@@ -461,13 +475,13 @@ def pointwise_equivalence_harness(
     ec = np.zeros(num_initials, dtype=np.int64)
     window, per_call = tail_start(horizon), max(1, STACK_ROWS // num_initials)
     for lo in range(0, trials, per_call):
-        chunk = trajs[lo : lo + per_call]
-        hist = _vector_histories(m.system, chunk, initials, window)
+        hist = _vector_histories(m.system, trajs[lo : lo + per_call], initials, window)
         # one initial's block at a time keeps the fit's temporaries small
-        for i, block in enumerate(hist.reshape(num_initials, len(chunk), -1)):
+        for i, block in enumerate(hist.reshape(num_initials, -1, hist.shape[1])):
             _, converged, exponential = _scores(block, horizon, eps, delta)
             cc[i] += converged.sum()
             ec[i] += exponential.sum()
+        del hist, block  # so the next call's history is the only one alive
     fc, fe = cc / trials, ec / trials
     implied = bool(np.all((fc == 0.0) | (fe > 0.0)))
     return EquivalenceReport(

@@ -359,6 +359,33 @@ def test_classify_builds_the_product_history_once(tmp_path, capsys, monkeypatch,
         assert shortcut["consistent"] == results["consistent"]
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_classify_draws_each_config_once(tmp_path, capsys, monkeypatch, diagonal):
+    # the pointwise and consistent estimates, the harness and, on a diagonal
+    # family, the shortcut all read one draw; a second command draws its own
+    draws = []
+    sampler = mjlslab.stability.sample_trajectories
+
+    def counted(chain, horizon, seed, streams):
+        draws.append((len(streams), horizon, seed))
+        return sampler(chain, horizon, seed, streams)
+
+    monkeypatch.setattr(mjlslab.stability, "sample_trajectories", counted)
+    second = np.diag([0.9, 0.6]) if diagonal else rotation(np.pi / 2)
+    cfg = {
+        "dimension": 2,
+        "matrices": [np.diag([0.5, 1.0]).tolist(), second.tolist()],
+        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "analysis": {"trials": 4, "horizon": 80, "num_initials": 2, "depth": 3, "seed": 5},
+    }
+    path = write(tmp_path, json.dumps(cfg))
+    code, out, _ = run(capsys, "classify", "--config", path)
+    assert code == 0 and draws == [(4, 80, 5)]
+    assert (json.loads(out)["results"]["diagonal_shortcut"] is not None) == diagonal
+    code, again, _ = run(capsys, "classify", "--config", path)
+    assert code == 0 and draws == [(4, 80, 5)] * 2 and again == out
+
+
 def test_truncated_jsr_warning_names_the_completed_depth(tmp_path, capsys):
     # the benchmark's jsr family; budget 3 covers depth 1 (3 products) only
     mats = np.random.default_rng([0, 11]).standard_normal((3, 3, 3)) / 2.0
@@ -665,6 +692,27 @@ def test_classify_start_row_past_the_float_range_on_criterion_7(tmp_path):
     assert pointwise["fraction_converged"] == 0
 
 
+def test_classify_small_generator_beside_one_past_the_square_range(tmp_path, capsys):
+    # g = 1e160 has g**2 past the float range; scaled to g in [1/2, 1), I
+    # became about 1e-160 and two I steps in a segment squared below the
+    # range, so every trial read -inf and converged
+    doc = {
+        "dimension": 2,
+        "matrices": [(1e160 * np.eye(2)).tolist(), np.eye(2).tolist()],
+        "markov": IID2_BLOCK,
+        "analysis": {"trials": 4, "horizon": 40, "num_initials": 2, "depth": 1},
+    }
+    code, out, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert code == 0
+    results = json.loads(out)["results"]
+    pointwise = np.array(results["pointwise"]["final_log_norms"], dtype=float)
+    assert np.isfinite(pointwise).all()
+    # x is a unit vector and every generator a multiple of I: ||x A(n)|| = ||A(n)||
+    np.testing.assert_allclose(pointwise, results["consistent"]["final_log_norms"], rtol=1e-12)
+    assert results["pointwise"]["fraction_converged"] == 0
+    assert results["diagonal_shortcut"]["pointwise"]["fraction_converged"] == 0
+
+
 def test_jsr_names_the_depth_whose_norm_maximum_overflowed(tmp_path):
     base = [[[0.9, 0.4], [-0.3, 1.1]], [[0.2, -1.0], [0.7, 0.5]]]
     doc = {
@@ -720,6 +768,31 @@ def test_split_preextremal_enumeration_past_the_budget_is_a_budget_warning(tmp_p
     ]
     results = report["results"]
     assert results["verification"] is None and results["splitting"] is not None
+
+
+def test_split_preextremal_enumeration_honours_the_budget(tmp_path, capsys):
+    # depth 14 over two matrices needs 32,766 vector products a row: inside
+    # the default budget, past 32,000; the closure needs fewer than 32,000
+    doc = {
+        "dimension": 2,
+        "matrices": [np.diag([1.0, 0.5]).tolist(), np.eye(2).tolist()],
+        "sequence": {"kind": "periodic", "word": [1, 2]},
+        "analysis": {"horizon": 256, "preextremal_depth": 14},
+    }
+    reports = []
+    for budget in (None, 32_000):
+        if budget is not None:
+            doc["analysis"]["budget"] = budget
+        code, out, _ = run(capsys, "split", "--config", write(tmp_path, json.dumps(doc)))
+        assert code == 0
+        reports.append(json.loads(out))
+    full, cut = reports
+    assert full["warnings"] == [] and full["results"]["verification"] is not None
+    assert cut["warnings"] == [
+        "budget: pre-extremal enumeration needs 32766 vector products, budget is 32000"
+    ]
+    assert cut["results"]["verification"] is None
+    assert cut["results"]["splitting"] == full["results"]["splitting"]
 
 
 SPLIT_OVERFLOW_DOC = {

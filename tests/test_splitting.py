@@ -476,6 +476,36 @@ def test_a_family_whose_square_overflows_is_scaled_by_a_power_of_two(g):
         assert not np.isfinite(oracle_step_kernel(family.matrices, paths, start)).any()
 
 
+def test_stacked_rows_through_a_zero_product_and_past_the_range_equal_row_calls():
+    # trial 1 meets N N at steps 71-72, inside a segment, so its rows read an
+    # exact zero product from there on; one start row's squares pass the float
+    # range. The rest take the segments that skip the dead-row bookkeeping in
+    # their single-row calls, and must keep the bits they get in the stack
+    family = MatrixSet.from_list(
+        [[[0.0, 1.0], [0.0, 0.0]], 0.9 * rotation(np.pi / 3), np.diag([1.1, 0.7])]
+    )
+    paths = np.random.default_rng(12).integers(2, 4, size=(3, 130))
+    paths[1, 70:72] = 1
+    xs = np.random.default_rng(13).standard_normal((6, 2))
+    xs[3] = [3e300, -4e300]  # row 3 follows trial 0
+    for window in (0, 7, tail_start(130)):
+        vec = log_norm_histories(family, paths, xs, window)
+        mat = log_norm_histories(family, paths, window=window)
+        dead = np.arange(130)[window:] >= 71
+        assert np.isneginf(vec[[1, 4]][:, dead]).all() and np.isneginf(mat[1, dead]).all()
+        assert np.isfinite(vec[[1, 4]][:, ~dead]).all() and np.isfinite(vec[[0, 2, 3, 5]]).all()
+        for r, x in enumerate(xs):
+            row = log_norm_histories(family, paths[r % 3][None], x[None], window)
+            np.testing.assert_array_equal(vec[r], row[0])
+        for r, path in enumerate(paths):
+            row = log_norm_histories(family, path[None], window=window)
+            np.testing.assert_array_equal(mat[r], row[0])
+        fits = tail_slope(vec, 130)
+        assert np.isneginf(fits[[1, 4]]).all() and np.isfinite(fits[[0, 2, 3, 5]]).all()
+        for r in range(len(xs)):
+            assert fits[r] == tail_slope(vec[r], 130)
+
+
 def test_nilpotent_rows_dead_before_the_window_stay_dead():
     # random rows meet the nilpotent word (1, 1) early and never come back
     paths = _nilpotent_paths(120)

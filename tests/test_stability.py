@@ -1,5 +1,6 @@
 """Convergence estimates, word probes, greedy search, equivalence harness."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from mjlslab import (
     word_levels,
     word_product,
 )
+from mjlslab.splitting import tail_start
 from oracles import oracle_rho_root, rotation
 
 IID2 = MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
@@ -375,3 +377,46 @@ def test_diagonal_shortcut_rejects_off_diagonal():
     m = MJLS(SHRINK_ROT, IID2)
     with pytest.raises(ValueError, match="matrix 2"):
         diagonal_shortcut_check(m, consistent_convergence_estimate(m, 5, 50, seed=0))
+
+
+def test_symbol_paths_keep_one_read_only_draw(monkeypatch):
+    draws = []
+    sampler = mjlslab.stability.sample_trajectories
+
+    def counted(chain, horizon, seed, streams):
+        draws.append((len(streams), horizon, seed))
+        return sampler(chain, horizon, seed, streams)
+
+    monkeypatch.setattr(mjlslab.stability, "sample_trajectories", counted)
+    paths_of = mjlslab.stability._symbol_paths
+    m = MJLS(CONTRACTIONS, MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]))
+    first = paths_of(m, 5, 30, 0)
+    assert paths_of(m, 5, 30, 0) is first and draws == [(5, 30, 0)]
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 2
+    for key in ((5, 30, 1), (6, 30, 1), (6, 31, 1), (5, 30, 0)):  # one slot only
+        assert np.array_equal(paths_of(m, *key), sampler(m.chain, key[1], key[2], range(key[0])))
+    assert draws == [(5, 30, 0), (5, 30, 1), (6, 30, 1), (6, 31, 1), (5, 30, 0)]
+    # the key holds the chain's entries, so a chain changed in place draws again
+    m.chain.transition[:] = [[0.9, 0.1], [0.1, 0.9]]
+    again = paths_of(m, 5, 30, 0)
+    assert len(draws) == 6 and np.array_equal(again, sampler(m.chain, 30, 0, range(5)))
+    assert not np.array_equal(again, first)
+
+
+def test_the_harness_holds_one_chunk_history_at_a_time():
+    # a chunk's history is its rows times the tail window; freeing it before
+    # the next kernel call keeps the traced peak below 1.5 histories plus the
+    # paths (two histories were alive at once before)
+    m = MJLS(PRODUCT_BOUNDED[0], IID2)
+    trials, horizon, initials = 100, 2000, 20
+    rows = initials * max(1, mjlslab.stability.STACK_ROWS // initials)
+    history = rows * (horizon - tail_start(horizon)) * 8
+    tracemalloc.start()
+    try:
+        pointwise_equivalence_harness(m, trials, horizon, initials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * history + trials * horizon * 8
