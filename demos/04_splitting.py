@@ -48,7 +48,7 @@ for name, mats, word in CASES:
     d_stable = grassmann_distance(numeric.stable, exact.stable)
     print(f"  route agreement: center {d_center:.3e}, stable {d_stable:.3e}")
 
-    evidence = verify_splitting(family, seq, numeric, limits)
+    evidence = verify_splitting(numeric, limits)
     if evidence.stable_tail_fits.size:
         print(f"  worst stable tail fit {evidence.stable_tail_fits.max():.4f}")
     if evidence.center_return_deviation_min.size:

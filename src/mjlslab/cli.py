@@ -69,6 +69,13 @@ from .stability import (
 EXAMPLE46_MAX_LEVELS = 5
 
 
+def _check_writable(path: str, name: str) -> None:
+    """Before any work: ConfigError naming the option unless path is writable."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError(f"{name}: cannot write {path}: not a file in a writable folder")
+
+
 def cmd_decompose(cfg: SystemConfig):
     if cfg.chain is None:
         raise ConfigError("markov: the decompose command needs a markov block")
@@ -179,8 +186,6 @@ def cmd_split(cfg: SystemConfig):
     if split is not None:
         try:
             evidence = verify_splitting(
-                s,
-                seq,
                 split,
                 limits,
                 a["preextremal_depth"],
@@ -218,6 +223,8 @@ def cmd_classify(cfg: SystemConfig):
     s, a = m.system, cfg.analysis
     trials, horizon, seed = a["trials"], a["horizon"], a["seed"]
     eps, delta = a["eps"], a["delta"]
+    if a["trace_csv"] is not None:
+        _check_writable(a["trace_csv"], "analysis.trace_csv")
     if a["initial_vector"] is None:
         x = np.ones(s.dim) / np.sqrt(s.dim)
     else:
@@ -241,7 +248,10 @@ def cmd_classify(cfg: SystemConfig):
             "trial may not reach eps inside the horizon"
         )
     if a["trace_csv"] is not None:
-        write_trace_csv(a["trace_csv"], hist_v, pointwise.tail_fits, a["trace_stride"])
+        try:
+            write_trace_csv(a["trace_csv"], hist_v, pointwise.tail_fits, a["trace_stride"])
+        except OSError as exc:
+            raise ConfigError(f"analysis.trace_csv: {exc}") from exc
 
     results: dict = {
         "pointwise": jsonable(pointwise),
@@ -399,6 +409,8 @@ def main(argv=None) -> int:
             value = getattr(args, key)
             if value is not None:
                 cfg.analysis[key] = check_analysis_int(key, value, f"--{key}")
+        if args.out:
+            _check_writable(args.out, "--out")
         results, warns = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -415,7 +427,11 @@ def main(argv=None) -> int:
     }
     text = canonical_json(doc)
     if args.out:
-        Path(args.out).write_bytes(text.encode("utf-8"))
+        try:
+            Path(args.out).write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.strict and any(w.startswith(("gate:", "budget:")) for w in warns):

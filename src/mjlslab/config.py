@@ -31,6 +31,7 @@ import numpy as np
 from .linalg import BAND_TOL
 from .markov import MarkovChain, structural_issues
 from .products import ENUM_BUDGET, MatrixSet
+from .rng import MAX_SEED
 from .sequences import FREQ_THRESHOLD, QUADRATIC_GAP_KIND, SwitchingSequence
 from .splitting import CLUSTER_TOL, IDEM_TOL, RANK_TOL
 from .stability import DELTA_DEFAULT, GATE_DEPTH_DEFAULT, MJLS
@@ -58,11 +59,13 @@ def _check_keys(obj, path: str, allowed, required=()):
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
-def _int(value, path: str, minimum: int) -> int:
+def _int(value, path: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{path}: must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be at most {maximum}, got {value}")
     return value
 
 
@@ -115,9 +118,10 @@ def _path_or_null(value, path: str) -> str | None:
 # self-describing. eps/delta/horizon follow the desk pairing
 # horizon * delta >= |ln eps|; the CLI's eps is coarser than the library's.
 # No command reads lookahead or max_steps; they stay while the benchmark's
-# stored reports pin every parameters key.
+# stored reports pin every parameters key. A seed past 64 bits would key the
+# Philox stream of its low 64 bits.
 ANALYSIS = {
-    "seed": (0, _at_least(0)),
+    "seed": (0, lambda value, path: _int(value, path, 0, MAX_SEED)),
     "trials": (200, _at_least(1)),
     "horizon": (10000, _at_least(2)),
     "eps": (1e-4, _positive),

@@ -12,14 +12,14 @@ they never collide with trial streams.
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1  # a Philox key word; config refuses larger seeds
 
 AUX_STREAM_BASE = 1 << 32
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, stream) pair. Reproducible across platforms."""
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed) & MAX_SEED, int(stream) & MAX_SEED], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -36,6 +36,7 @@ CLUSTER_TOL = 1e-4
 IDEM_TOL = 1e-6
 RENORM_EVERY = 50
 MAX_SQUARINGS = 20
+CLOSURE_ROUNDS = 3
 _POOL_CAP = 1024
 _NEAR_FLOATS = 2**18  # floats of pairwise differences that _near_many holds at once
 
@@ -75,25 +76,6 @@ def _symbols(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
             f"sequence symbols must lie in 1..{num_matrices} to drive this family"
         )
     return symbols
-
-
-def cocycle_products_at(s: MatrixSet, symbols: np.ndarray, times) -> np.ndarray:
-    """Products A(n) = S_{i_1} ... S_{i_n} snapshotted at the given times."""
-    idx = _symbols(symbols, s.num_matrices) - 1
-    times = np.asarray(times, dtype=np.int64)
-    if times.size and (times.min() < 1 or times.max() > idx.size):
-        raise ValueError("snapshot times outside the available prefix")
-    order = np.argsort(times, kind="stable")
-    out = np.empty((times.size, s.dim, s.dim))
-    a = np.eye(s.dim)
-    n = 0
-    for pos in order:
-        target = int(times[pos])
-        while n < target:
-            a = a @ s.matrices[idx[n]]
-            n += 1
-        out[pos] = a
-    return out
 
 
 def tail_start(n: int) -> int:
@@ -340,12 +322,14 @@ def tail_slope(log_norms: np.ndarray, n: int | None = None) -> float | np.ndarra
 class LimitPointSet:
     """Cocycle products at return times plus their cluster representatives.
 
+    family along symbols (the first horizon symbols) built the products.
     Clustering is first-come in return-time order with threshold cluster_tol
     in the induced 2-norm, so representatives are deterministic.
     """
 
+    family: MatrixSet
+    symbols: np.ndarray
     cylinder_len: int
-    horizon: int
     cluster_tol: float
     return_times: np.ndarray
     products: np.ndarray
@@ -359,22 +343,37 @@ def limit_points(
     horizon: int,
     cluster_tol: float = CLUSTER_TOL,
 ) -> LimitPointSet:
+    """Products A(n) = S_{i_1} ... S_{i_n} at the return times n, clustered.
+
+    One walk over the gathered matrices snapshots a = a @ S at each return
+    time; a product that is not finite raises ProductOverflowError naming
+    the first return time where it is met.
+    """
     rt = return_times(seq, cylinder_len, horizon)
     if rt.times.size == 0:  # the products and representatives are then empty
         warnings.warn(
             "no return times inside the horizon; the limit point set is empty",
             stacklevel=2,
         )
+    symbols = _symbols(seq.prefix(horizon), s.num_matrices)
+    times = rt.times.tolist()  # sorted, unique and in 1..horizon
+    steps = s.matrices[symbols[: times[-1] if times else 0] - 1]
+    products = np.empty((len(times), s.dim, s.dim))
+    a, k = np.eye(s.dim), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        products = cocycle_products_at(s, seq.prefix(horizon), rt.times)
+        for n, m in enumerate(steps, 1):
+            a = a @ m
+            if n == times[k]:
+                products[k], k = a, k + 1
     finite = np.isfinite(products).all(axis=(1, 2))
     if not finite.all():
         raise ProductOverflowError(
             f"the cocycle product overflows by return time {rt.times[~finite][0]}"
         )
     return LimitPointSet(
+        family=s,
+        symbols=symbols,
         cylinder_len=cylinder_len,
-        horizon=horizon,
         cluster_tol=cluster_tol,
         return_times=rt.times,
         products=products,
@@ -498,27 +497,24 @@ def _closure(reps: np.ndarray, tol: float, rounds: int, budget: int) -> np.ndarr
 
 
 def find_idempotent(
-    lps: LimitPointSet,
-    idem_tol: float = IDEM_TOL,
-    closure_rounds: int = 3,
-    budget: int = ENUM_BUDGET,
+    lps: LimitPointSet, idem_tol: float = IDEM_TOL, budget: int = ENUM_BUDGET
 ) -> np.ndarray:
     """Best idempotent in the multiplicative closure of the limit points.
 
-    The representatives are closed under pairwise products for a few rounds
-    (new members recognized up to cluster_tol, pool capped at 1024). Testing
-    a product against a pool of m members costs m comparisons, and at most
-    budget of them are made: past that the closure stops with a
-    ClosureBudgetWarning and the pool built so far is searched. Repeated
-    squares B^2, B^4, ... B^(2^20) of every member B then join the candidate
-    list. The candidate with the smallest ||P^2 - P||_2 wins, the first one
-    on a tie; if even that defect is above idem_tol, IdempotentNotFoundError
-    carries it out. A closure product, a square or a candidate's square that
-    is not finite raises ProductOverflowError.
+    The representatives are closed under pairwise products for
+    CLOSURE_ROUNDS rounds (new members recognized up to cluster_tol, pool
+    capped at 1024). Testing a product against a pool of m members costs m
+    comparisons, and at most budget of them are made: past that the closure
+    stops with a ClosureBudgetWarning and the pool built so far is searched.
+    Repeated squares B^2, B^4, ... B^(2^20) of every member B then join the
+    candidate list. The candidate with the smallest ||P^2 - P||_2 wins, the
+    first one on a tie; if even that defect is above idem_tol,
+    IdempotentNotFoundError carries it out. A closure product, a square or a
+    candidate's square that is not finite raises ProductOverflowError.
     """
     if lps.cluster_reps.shape[0] == 0:
         raise IdempotentNotFoundError(np.eye(1) * np.nan, np.inf)
-    pool = _closure(lps.cluster_reps, lps.cluster_tol, closure_rounds, budget)
+    pool = _closure(lps.cluster_reps, lps.cluster_tol, CLOSURE_ROUNDS, budget)
     squares = np.empty((pool.shape[0], MAX_SQUARINGS, *pool.shape[1:]))
     b = pool
     with np.errstate(over="ignore", invalid="ignore"):
@@ -571,10 +567,7 @@ def _check_splitting(split: Splitting, tol: float = 1e-6) -> None:
 
 
 def split_from_idempotent(
-    p,
-    rank_tol: float = RANK_TOL,
-    idem_tol: float = IDEM_TOL,
-    source: str = "semigroup-numeric",
+    p, rank_tol: float = RANK_TOL, idem_tol: float = IDEM_TOL
 ) -> Splitting:
     """Kernel/range split of the left action of an (almost) idempotent.
 
@@ -604,7 +597,7 @@ def split_from_idempotent(
         defect=defect,
         stable=Subspace(d, u[:, rank:].T.copy()),
         center=Subspace(d, vh[:rank].copy()),
-        source=source,
+        source="semigroup-numeric",
     )
     _check_splitting(split)
     return split
@@ -654,18 +647,14 @@ def sequence_split(
     limits: LimitPointSet,
     idem_tol: float = IDEM_TOL,
     rank_tol: float = RANK_TOL,
-    closure_rounds: int = 3,
     budget: int = ENUM_BUDGET,
 ) -> Splitting:
     """Numeric splitting from the limit points of one switching sequence."""
-    p = find_idempotent(limits, idem_tol, closure_rounds, budget)
-    return split_from_idempotent(p, rank_tol, idem_tol, source="semigroup-numeric")
+    p = find_idempotent(limits, idem_tol, budget)
+    return split_from_idempotent(p, rank_tol, idem_tol)
 
 
-_MAX_NORM_CHECKPOINTS = 64
-
-
-def _checkpoint(count: int, cap: int = _MAX_NORM_CHECKPOINTS) -> np.ndarray:
+def _checkpoint(count: int, cap: int = 64) -> np.ndarray:
     """Positions of at most cap return times, spread evenly, first and last kept."""
     if count <= cap:
         return np.arange(count)
@@ -700,8 +689,6 @@ class SplittingEvidence:
 
 
 def verify_splitting(
-    s: MatrixSet,
-    seq: SwitchingSequence,
     split: Splitting,
     limits: LimitPointSet,
     preextremal_depth: int = 6,
@@ -711,9 +698,8 @@ def verify_splitting(
 ) -> SplittingEvidence:
     """Measure the decay/recurrence claims of a splitting along the sequence.
 
-    limits is the limit point set of seq; its horizon, cylinder, return times
-    and products are the ones measured here. s and seq must be those limits was
-    built from; limits records neither, so nothing checks it. Pre-extremal
+    The family, symbols, horizon, cylinder, return times and products
+    measured here are those of the limit point set limits. Pre-extremal
     deviations are evaluated at up to 64 return times to keep the cost of the
     word enumeration bounded; changing preextremal_depth changes the measured
     numbers but never the subspaces, which are fixed inputs here. Each
@@ -721,17 +707,12 @@ def verify_splitting(
     products unless one row needs more; a row that needs more than budget
     raises BudgetExceededError.
     """
-    symbols = seq.prefix(limits.horizon)
-    times = limits.return_times
+    s, times = limits.family, limits.return_times
     snaps = limits.products[_checkpoint(times.size)]
 
     d = s.dim
-    eye = np.eye(d)
-    identity_return_min = (
-        float(np.linalg.norm(snaps - eye, 2, axis=(1, 2)).min())
-        if snaps.size
-        else np.inf
-    )
+    returns = np.linalg.norm(snaps - np.eye(d), 2, axis=(1, 2))
+    identity_return_min = float(returns.min()) if snaps.size else np.inf
 
     last = int(times[-1]) - 1 if times.size else -1
 
@@ -764,12 +745,12 @@ def verify_splitting(
             offs.append(off / nrm)
     # one kernel call for both stacks; rows are independent, so slicing is exact
     hist = vector_log_norm_history(
-        s, symbols, np.vstack([split.stable.basis, np.reshape(offs, (-1, d))])
+        s, limits.symbols, np.vstack([split.stable.basis, np.reshape(offs, (-1, d))])
     )
     stable_hist, off_hist = hist[: split.stable.dim], hist[split.stable.dim :]
 
     return SplittingEvidence(
-        horizon=limits.horizon,
+        horizon=limits.symbols.size,
         cylinder_len=limits.cylinder_len,
         preextremal_depth=preextremal_depth,
         return_count=int(times.size),

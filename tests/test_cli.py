@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mjlslab.cli
 import mjlslab.markov
 import mjlslab.products
 import mjlslab.splitting
@@ -442,6 +443,60 @@ def test_trace_csv_holds_the_full_history_and_leaves_results_alone(tmp_path, cap
         assert fits[t] == pytest.approx(tail_slope(oracle), rel=1e-9, abs=1e-12)
 
 
+TRACE_DOC = {
+    "dimension": 2,
+    "matrices": [np.diag([0.5, 1.0]).tolist(), rotation(np.pi / 2).tolist()],
+    "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "analysis": {"trials": 3, "horizon": 60, "num_initials": 2, "depth": 3},
+}
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("the command ran past an unwritable output path")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_path_is_refused_before_the_run(
+    tmp_path, capsys, monkeypatch, where
+):
+    # a missing directory exited 1 with a FileNotFoundError traceback, after the run
+    monkeypatch.setitem(mjlslab.cli._COMMANDS, "jsr", _never_run)
+    out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    cfg = write(tmp_path, JSR_CFG)
+    code, stdout, err = run(capsys, "jsr", "--config", cfg, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out: cannot write {out}: not a file in a writable folder\n"
+
+
+def test_an_unwritable_trace_csv_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mjlslab.cli, "_symbol_paths", _never_run)
+    trace = tmp_path / "missing" / "trace.csv"
+    doc = {**TRACE_DOC, "analysis": {**TRACE_DOC["analysis"], "trace_csv": str(trace)}}
+    code, out, err = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: analysis.trace_csv: cannot write {trace}: "
+        "not a file in a writable folder\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["--out", "analysis.trace_csv"])
+def test_an_output_write_that_fails_is_one_error_line(tmp_path, capsys, target):
+    # a name too long for the file system passes the directory check and
+    # fails only when the file is opened
+    path = str(tmp_path / ("x" * 300))
+    doc, argv = TRACE_DOC, []
+    if target == "--out":
+        argv = ["--out", path]
+    else:
+        doc = {**TRACE_DOC, "analysis": {**TRACE_DOC["analysis"], "trace_csv": path}}
+    cfg = write(tmp_path, json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--config", cfg, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {target}: ") and path in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_classify_trials_are_a_prefix_of_a_larger_run(tmp_path, capsys):
     # each trial's history depends on its own path only, also at d >= 4, where
     # a BLAS call over several rows can round a row differently from a call on it alone
@@ -506,18 +561,18 @@ def test_demo_config_reports_keep_their_bytes(tmp_path, name):
 
 def test_split_walks_the_cocycle_once(capsys, monkeypatch):
     calls = []
-    cocycle_products_at = mjlslab.splitting.cocycle_products_at
+    limit_points = mjlslab.cli.limit_points
 
-    def counted(s, symbols, times):
-        calls.append(len(times))
-        return cocycle_products_at(s, symbols, times)
+    def counted(*args, **kwargs):
+        calls.append(limit_points(*args, **kwargs))
+        return calls[-1]
 
-    monkeypatch.setattr(mjlslab.splitting, "cocycle_products_at", counted)
+    monkeypatch.setattr(mjlslab.cli, "limit_points", counted)
     cfg = str(ROOT / "demos/configs/split_shear_periodic.json")
     code, out, _ = run(capsys, "split", "--config", cfg)
     assert code == 0
     # the limit points hold every return time; the checkpoints are read off them
-    assert calls == [4095]
+    assert [len(lps.products) for lps in calls] == [4095]
     assert json.loads(out)["results"]["verification"]["return_count"] == 4095
 
 
@@ -838,6 +893,28 @@ def test_overrides_obey_the_config_file_minima(tmp_path, capsys, key, value):
     file_code, _, file_err = run(capsys, "classify", "--config", bad)
     assert file_code == 2
     assert err == file_err.replace(f"analysis.{key}", f"--{key}")
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 2**70])
+def test_a_seed_past_the_philox_key_is_refused(tmp_path, capsys, seed):
+    # philox_stream keeps a seed's low 64 bits, so seed 2**64 ran as seed 0
+    cfg = write(tmp_path, json.dumps(TRACE_DOC))
+    code, out, err = run(capsys, "classify", "--config", cfg, "--seed", str(seed))
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed: must be at most {2**64 - 1}, got {seed}\n"
+    doc = {**TRACE_DOC, "analysis": {**TRACE_DOC["analysis"], "seed": seed}}
+    code, out, file_err = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert (code, out) == (2, "")
+    assert file_err == err.replace("--seed", "analysis.seed")
+
+
+def test_the_largest_seed_runs(tmp_path, capsys):
+    cfg = write(tmp_path, json.dumps(TRACE_DOC))
+    code, out, _ = run(capsys, "classify", "--config", cfg, "--seed", str(2**64 - 1))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["parameters"]["seed"] == 2**64 - 1
+    assert doc["results"]["pointwise"]["seed"] == 2**64 - 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

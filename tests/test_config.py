@@ -62,6 +62,15 @@ def test_type_and_range_validation():
         parse_config(minimal_system(analysis={"seed": -1}))
 
 
+def test_seed_lies_in_the_philox_key_range():
+    top = 2**64 - 1
+    assert parse_config(minimal_system(analysis={"seed": top})).analysis["seed"] == top
+    for seed in (top + 1, 2**100):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_system(analysis={"seed": seed}))
+        assert str(info.value) == f"analysis.seed: must be at most {top}, got {seed}"
+
+
 def test_matrices_need_dimension_and_shape():
     with pytest.raises(ConfigError, match="dimension"):
         parse_config({"matrices": [[[1.0]]]})

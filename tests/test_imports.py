@@ -10,13 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
+import mjlslab
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mjlslab"
 DEMOS = ROOT / "demos" / "configs"
 
 # cli scores the pointwise row through these until stability grows one public
-# entry point for the classify pipeline (ROADMAP item 2); the benchmark tracer
-# patches them. The product history comes from consistent_convergence_estimate
+# entry point for the classify pipeline (ROADMAP item 3, after item 2's
+# benchmark change); the benchmark tracer patches them. The product history
+# comes from consistent_convergence_estimate
 ALLOWED = {
     ("cli", "stability", "_build_report"),
     ("cli", "stability", "_symbol_paths"),
@@ -59,6 +62,20 @@ def test_no_module_imports_another_modules_private_names():
     found = {use for path in sorted(PACKAGE.glob("*.py")) for use in _private_uses(path)}
     assert found - ALLOWED == set(), "private names imported across modules"
     assert ALLOWED <= found, "an allowed private import is gone; drop it from ALLOWED"
+
+
+def test_the_public_names_are_the_names_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = mjlslab.__all__
+    assert len(set(public)) == len(public), "a name is listed twice in __all__"
+    assert len(set(imported)) == len(imported), "a name is imported twice"
+    assert sorted(public) == sorted(["__version__", *imported])
 
 
 def test_the_import_scan_sees_both_forms(tmp_path):

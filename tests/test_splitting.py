@@ -16,10 +16,10 @@ from mjlslab import (
     LimitPointSet,
     MarkovChain,
     MatrixSet,
+    ProductOverflowError,
     Splitting,
     Subspace,
     SwitchingSequence,
-    cocycle_products_at,
     find_idempotent,
     grassmann_distance,
     idempotency_defect,
@@ -86,14 +86,65 @@ def _nilpotent_paths(horizon: int) -> np.ndarray:
     )
 
 
-def test_cocycle_products_match_direct_products():
-    rng = np.random.default_rng(30)
-    mats = [rng.standard_normal((2, 2)) for _ in range(2)]
+def _switching_sequence(kind: str, k: int, rng) -> SwitchingSequence:
+    if kind == "periodic":
+        return SwitchingSequence.periodic(rng.integers(1, k + 1, size=rng.integers(1, 6)))
+    if kind == "explicit":
+        return SwitchingSequence.explicit(rng.integers(1, k + 1, size=150))
+    chain = MarkovChain(np.full(k, 1.0 / k), rng.dirichlet(np.ones(k), size=k))
+    return SwitchingSequence.markov(chain, int(rng.integers(2**32)))
+
+
+@given(
+    kind=st.sampled_from(["periodic", "explicit", "markov"]),
+    d=st.integers(2, 4),
+    k=st.integers(1, 3),
+    cylinder_len=st.integers(1, 3),
+    horizon=st.integers(3, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_limit_points_are_the_word_products_at_every_return_time(
+    kind, d, k, cylinder_len, horizon, seed
+):
+    rng = np.random.default_rng(seed)
+    mats = list(rng.standard_normal((k, d, d)) / np.sqrt(d))
     s = MatrixSet.from_list(mats)
-    symbols = rng.integers(1, 3, size=30)
-    prods = cocycle_products_at(s, symbols, [1, 5, 17, 30])
-    for t, p in zip([1, 5, 17, 30], prods):
-        assert np.allclose(p, oracle_word_product(mats, symbols[:t]), atol=1e-12)
+    seq = _switching_sequence(kind, k, rng)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="no return times")
+        lps = limit_points(s, seq, cylinder_len, horizon)
+    symbols = seq.prefix(horizon)
+    assert lps.family is s and lps.symbols.tobytes() == symbols.tobytes()
+    times = return_times(seq, cylinder_len, horizon).times
+    np.testing.assert_array_equal(lps.return_times, times)
+    assert lps.products.shape == (times.size, d, d)
+    for t, product in zip(times, lps.products):
+        assert product.tobytes() == oracle_word_product(mats, symbols[:t]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "mats, symbols, cylinder_len",
+    [
+        ([np.diag([1e60, 1.0]), rotation(1.0)], [1, 2, 2] * 20, 1),
+        ([[[1e100, 1e100], [1.0, 1.0]], np.eye(2)], [2, 1, 2, 2, 1, 2] * 10, 2),
+        ([np.eye(3), 1e30 * np.ones((3, 3))], [1, 2, 1, 1, 2, 2, 1] * 15, 3),
+    ],
+    ids=["diagonal", "rank-one", "dim3"],
+)
+def test_limit_points_overflow_names_the_first_non_finite_return_time(
+    mats, symbols, cylinder_len
+):
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    seq = SwitchingSequence.explicit(symbols)
+    times = return_times(seq, cylinder_len, len(symbols)).times
+    first = next(
+        t for t in times
+        if not np.isfinite(oracle_word_product(mats, symbols[:t])).all()
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+        with pytest.raises(ProductOverflowError, match=f"by return time {first}$"):
+            limit_points(MatrixSet.from_list(mats), seq, cylinder_len, len(symbols))
 
 
 def test_vector_log_norm_history_exact_decay():
@@ -584,6 +635,13 @@ def test_find_idempotent_failure_reports_best_defect():
     assert exc.value.defect == np.inf
 
 
+def _reps_only(reps: np.ndarray, tol: float) -> LimitPointSet:
+    """A limit point set holding only the representatives the closure reads."""
+    identity = MatrixSet.from_list([np.eye(reps.shape[-1])])
+    empty = np.empty(0, dtype=np.int64)
+    return LimitPointSet(identity, empty, 1, tol, empty, reps, reps)
+
+
 # distances on both edges of the Frobenius band [tol, sqrt(d) tol]: exactly
 # on them and 1e-13 to either side
 EDGES = (1 - 1e-13, 1.0, 1 + 1e-13)
@@ -658,12 +716,13 @@ def test_batched_closure_and_scoring_match_the_pairwise_loops(
     _assert_same_stack(pool, want)
     assert [w.category for w in caught] == [ClosureBudgetWarning] * stopped
 
-    lps = LimitPointSet(1, 0, tol, np.empty(0), reps, reps)
+    lps = _reps_only(reps, tol)
     best, defect = oracle_best_idempotent(want)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClosureBudgetWarning)
-        with pytest.raises(IdempotentNotFoundError) as exc:
-            find_idempotent(lps, idem_tol=-1.0, closure_rounds=rounds, budget=budget)
+        with mock.patch.object(mjlslab.splitting, "CLOSURE_ROUNDS", rounds):
+            with pytest.raises(IdempotentNotFoundError) as exc:
+                find_idempotent(lps, idem_tol=-1.0, budget=budget)
     np.testing.assert_array_equal(exc.value.best, best)
     assert exc.value.defect == defect
 
@@ -761,7 +820,7 @@ def test_idempotent_ties_go_to_the_first_candidate():
     # both diagonals square to exact projections (defect 0), the second one
     # in fewer squarings; the first member's squares still come first
     reps = np.stack([np.diag([0.9, 1.0]), np.diag([1.0, 0.5])])
-    lps = LimitPointSet(1, 0, 1e-4, np.empty(0), reps, reps)
+    lps = _reps_only(reps, 1e-4)
     pool, _ = oracle_closure(list(reps), 1e-4, 3, 1024, 10**6)
     best, defect = oracle_best_idempotent(pool)
     assert defect == 0.0
@@ -850,7 +909,7 @@ def test_verify_splitting_evidence_quality():
     seq = SwitchingSequence.periodic([1])
     split = periodic_split(HALF_SHEAR, (1,))
     limits = limit_points(HALF_SHEAR, seq, cylinder_len=1, horizon=2048)
-    ev = verify_splitting(HALF_SHEAR, seq, split, limits)
+    ev = verify_splitting(split, limits)
     assert ev.return_count == 2047
     assert ev.stable_tail_fits.max() <= np.log(0.5) + 1e-6
     assert ev.center_return_deviation_final.max() <= 1e-9
@@ -859,7 +918,8 @@ def test_verify_splitting_evidence_quality():
 
 def _center_scores_per_row(s, symbols, times, basis, depth):
     """verify_splitting's center scores, one row and one snapshot at a time."""
-    snaps = cocycle_products_at(s, symbols, times)
+    mats = list(s.matrices)
+    snaps = np.array([oracle_word_product(mats, symbols[:t]) for t in times])
     scores = []
     for row in basis:
         if not snaps.size:
@@ -905,7 +965,7 @@ def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeyp
         center, stable = full[:c], full[c:]
         split = Splitting(np.eye(d), 0.0, Subspace(d, stable), Subspace(d, center), "test")
         for depth in (0, 1, 3):
-            ev = verify_splitting(s, seq, split, limits, preextremal_depth=depth)
+            ev = verify_splitting(split, limits, preextremal_depth=depth)
             got = np.array([
                 ev.center_return_deviation_min,
                 ev.center_return_deviation_final,
@@ -928,7 +988,7 @@ def test_verify_splitting_reads_the_limit_points_it_is_given(name):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="no return times")
             limits = limit_points(s, seq, cylinder_len, horizon)
-        ev = verify_splitting(s, seq, split, limits, preextremal_depth=2)
+        ev = verify_splitting(split, limits, preextremal_depth=2)
         assert (ev.horizon, ev.cylinder_len) == (horizon, cylinder_len)
         assert ev.return_count == limits.return_times.size
         if limits.return_times.size:
