@@ -48,7 +48,6 @@ from .splitting import (
     limit_points,
     periodic_split,
     sequence_split,
-    tail_start,
     vector_log_norm_history,
     verify_splitting,
 )
@@ -71,6 +70,8 @@ EXAMPLE46_MAX_LEVELS = 5
 
 def _check_writable(path: str, name: str) -> None:
     """Before any work: ConfigError naming the option unless path is writable."""
+    if not path:
+        raise ConfigError(f"{name}: the path is empty")
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.access(folder, os.W_OK | os.X_OK):
         raise ConfigError(f"{name}: cannot write {path}: not a file in a writable folder")
@@ -231,12 +232,11 @@ def cmd_classify(cfg: SystemConfig):
         x = np.asarray(a["initial_vector"], dtype=float)
     warns = ["note: " + msg for msg in validate_chain(m.chain).issues]
 
-    # finals and tail fits need only the tail window; the trace needs it all.
-    # m keeps the draw, so the consistent estimate, the harness and the
-    # diagonal shortcut read these paths again without drawing
-    window = tail_start(horizon) if a["trace_csv"] is None else 0
-    hist_v = _vector_histories(s, _symbol_paths(m, trials, horizon, seed), x[None], window)
-    pointwise = _build_report("vector", x, trials, horizon, seed, eps, delta, hist_v)
+    # only the trace needs the history. m keeps the draw, so the consistent
+    # estimate, the harness and the diagonal shortcut read these paths again
+    paths = _symbol_paths(m, trials, horizon, seed)
+    finals, fits, hist_v = _vector_histories(s, paths, x[None], a["trace_csv"] is not None)
+    pointwise = _build_report("vector", x, trials, horizon, seed, eps, delta, finals, fits)
     # one product history serves the consistent report, the almost-sure fits
     # and the diagonal shortcut
     consistent = consistent_convergence_estimate(
@@ -249,7 +249,7 @@ def cmd_classify(cfg: SystemConfig):
         )
     if a["trace_csv"] is not None:
         try:
-            write_trace_csv(a["trace_csv"], hist_v, pointwise.tail_fits, a["trace_stride"])
+            write_trace_csv(a["trace_csv"], hist_v, fits, a["trace_stride"])
         except OSError as exc:
             raise ConfigError(f"analysis.trace_csv: {exc}") from exc
 
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
             value = getattr(args, key)
             if value is not None:
                 cfg.analysis[key] = check_analysis_int(key, value, f"--{key}")
-        if args.out:
+        if args.out is not None:
             _check_writable(args.out, "--out")
         results, warns = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         "warnings": warns,
     }
     text = canonical_json(doc)
-    if args.out:
+    if args.out is not None:
         try:
             Path(args.out).write_bytes(text.encode("utf-8"))
         except OSError as exc:

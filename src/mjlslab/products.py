@@ -59,6 +59,7 @@ ENUM_BUDGET = 10**6
 _LEVEL_MEMORY_CAP = 256 * 2**20  # bytes of stacked products kept per level
 _SCREEN_BLOCK = 4096  # products scaled at a time by the norm screen
 _RHO_CHUNK = 64  # first chunk of the rho screen; each later chunk doubles
+_WORD_FLOATS = 2**15  # floats of a pre-extremal block's deepest level of words
 # the rho screen stops early, and the walk drops a row, only when the value to
 # beat is a normal float far above the rounding floor of the scaled norms
 _RHO_FLOOR, _RHO_REL_FLOOR = 2.0**-900, 2.0**-400
@@ -598,12 +599,26 @@ def preextremal_norm(s: MatrixSet, x, depth: int, budget: int = ENUM_BUDGET):
         raise BudgetExceededError(
             f"pre-extremal enumeration needs {total} vector products, budget is {budget}"
         )
-    best = np.linalg.norm(xs, axis=1)
-    vecs = xs[:, None, :]  # (m, words, d)
-    for _ in range(depth):
+    # the last `sub` levels run on blocks of the words of length depth - sub,
+    # so that a block's deepest level holds at most _WORD_FLOATS floats
+    sub = 0
+    while sub < depth and m * d * k ** (sub + 1) <= _WORD_FLOATS:
+        sub += 1
+    prefixes, best = _word_norms(s, xs[:, None, :], depth - sub, np.linalg.norm(xs, axis=1))
+    step = max(1, _WORD_FLOATS // (m * d * k**sub))
+    for lo in range(0, prefixes.shape[1], step):
+        best = _word_norms(s, prefixes[:, lo : lo + step], sub, best)[1]
+    return float(best[0]) if single else best
+
+
+def _word_norms(s: MatrixSet, vecs: np.ndarray, levels: int, best: np.ndarray):
+    """The (m, words, d) vecs carried by every word of length levels, and best
+    raised to the row norms of each level on the way."""
+    m, _, d = vecs.shape
+    for _ in range(levels):
         vecs = np.einsum("mwd,kde->mwke", vecs, s.matrices).reshape(m, -1, d)
         best = np.maximum(best, np.linalg.norm(vecs, axis=2).max(axis=1))
-    return float(best[0]) if single else best
+    return vecs, best
 
 
 @dataclass

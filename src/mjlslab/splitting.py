@@ -79,11 +79,7 @@ def _symbols(symbols: np.ndarray, num_matrices: int) -> np.ndarray:
 
 
 def tail_start(n: int) -> int:
-    """First column of the trailing window that tail_slope fits in a length-n history.
-
-    Callers that only read finals and tail fits pass it to log_norm_histories
-    as the window start, so the kernel keeps just the columns the fit reads.
-    """
+    """First step of the trailing window whose log-norms the tail fit reads."""
     if n < 2:
         raise ValueError("need at least two history points for a slope")
     return min(n - 2, n // 2)
@@ -125,63 +121,45 @@ def _top_singular_values(a: np.ndarray) -> np.ndarray:
     return top[..., None]
 
 
-def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.ndarray:
-    """Log-norm histories of the cocycle along each row of `paths`.
+def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
+    """Final log-norm and tail fit of the cocycle along each row of `paths`.
 
     paths has shape (trials, n) and holds 1-indexed symbols. With start, a
     stack of row vectors whose row count is a whole multiple of trials (row r
-    follows path r mod trials), entry [r, t] is log ||start[r] A_r(t+1)|| in
-    the Euclidean norm; without it the products themselves are tracked from
-    the identity and the entry is log ||A_r(t+1)||_2. Returns an array of
-    shape (rows, n - window).
+    follows path r mod trials), h_r(t) is log ||start[r] A_r(t+1)|| in the
+    Euclidean norm; without it the products are tracked from the identity and
+    h_r(t) is log ||A_r(t+1)||_2. Returns (finals, fits, hist): finals[r] is
+    h_r(n-1); fits[r] is the least-squares slope sum_t c_t h_r(t) over the
+    window t = tail_start(n)..n-1, c_t = (t - tbar) / sum (t - tbar)**2,
+    summed segment by segment, -inf for a row dead at the end and NaN if
+    n < 2; hist is the (rows, n) history with history set, else None, and
+    norms are then taken only from the window on and at each segment's end.
 
-    The state is one (trials, m, d) block: trial t's start rows form one
-    (m, d) matrix, or its product (m = d) without start, and each step is one
-    matrix-matrix product per trial with that trial's next matrix. A lone
-    start row gets a zero partner row: a one-row product would go to the
-    matrix-vector routine, which rounds differently at d >= 4. So a row's bits
-    never depend on the other rows, and stacked rows equal single-row calls
-    bit for bit at any dimension.
+    The state is one (trials, m, d) block: trial t's start rows (a lone row
+    with a zero partner row, so it too takes the matrix-matrix routine), or
+    its product. Per segment of k steps the kernel gathers the matrices once,
+    writes each step's product into a (k, trials, m, d) buffer and takes the
+    kept steps' norms in one call (_row_norms, or _top_singular_values). A
+    row's norm and a matrix's sigma_1 do not depend on the rows around them,
+    so stacked rows equal single-row calls bit for bit, and the fits do not
+    depend on the history. Once per segment the logs are taken, a row that
+    read a zero norm is marked dead for good (-inf from then on, skipped when
+    every log is finite) and the state is renormalized.
 
-    A step only multiplies. Per segment of k steps the kernel gathers the
-    segment's matrices once, into a (k, trials, d, d) block, and writes each
-    step's product into a (k, trials, m, d) buffer; the two hold RENORM_EVERY
-    x trials x (m + d) x d floats. The row norms of the buffer's steps from
-    the window on and of the segment's last step are then taken together, a
-    column at a time (_row_norms), or without start their largest singular
-    values are taken in one call (_top_singular_values: the closed form at
-    d = 2, one batched SVD otherwise). A row's norm or a matrix's sigma_1
-    does not depend on the batch around it, so each equals a call per step
-    bit for bit, and the kept columns window..n-1 equal those of window 0 bit
-    for bit. Once per segment the kernel marks each row that has read a zero
-    norm (an exact zero product, or squares that underflowed) as dead for
-    good, logs the norms, writes them into the history and renormalizes the
-    running state; a dead row is divided by inf, so it is zero from then on
-    and the rest of its history is -inf. A segment whose logs are all finite,
-    with every row still alive, skips that bookkeeping, which would change
-    no bit.
-
-    A segment is RENORM_EVERY steps, or if fewer the most steps k with
-    g**(2 k) finite, g the family's largest 2-norm: a norm squares a state
-    grown from norm 1 by at most g**k. A family whose g is past the float
-    range, or with start (row norms square their entries) whose g**2 is, is
-    divided by the power of two 2**j that brings g to [2**509, 2**511), j
-    read off g = top ||M / top||_2 with top its largest entry (frexp(inf)
-    has no exponent), and step n gets n j ln 2 back; its segments are one
-    step, so a small generator beside M does not underflow. A start row
-    whose norm reads inf or NaN in a segment runs again divided by the power
-    of two 2**e that brings its norm below 1, and gets e ln 2 back. No other
-    family or row is scaled, so their bits stay. Nor are the products: a segment
-    keeps their entries below about 1e154, unless one step of a family with
-    g past that brings them near g, and a product whose d = 2 closed form
-    reads inf or NaN there goes to the SVD, which scales internally.
+    A segment is RENORM_EVERY steps, or the most steps k with g**(2 k) finite,
+    g the family's largest 2-norm. A family whose g, or with start g**2, is
+    past the float range is divided by the power of two 2**j that brings g to
+    [2**509, 2**511), in one-step segments, and step n gets n j ln 2 back. A
+    start row whose norm reads inf or NaN runs again divided by the power of
+    two 2**e that brings its norm below 1, and gets e ln 2 back.
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
-    if paths.ndim != 2:
-        raise ValueError(f"paths must have shape (trials, n), got {paths.shape}")
+    if paths.ndim != 2 or paths.shape[1] < 1:
+        raise ValueError(f"paths must have shape (trials, n) with n >= 1, got {paths.shape}")
     trials, horizon = paths.shape
-    if not 0 <= window <= horizon:
-        raise ValueError(f"window must lie in 0..{horizon}, got {window}")
+    tail = tail_start(horizon) if horizon > 1 else horizon  # n = 1: no window
+    coef = np.arange(tail, horizon) - (tail + horizon - 1) / 2  # t - tbar, exact
+    coef /= (coef * coef).sum()
     mats, g = s.matrices, np.linalg.norm(s.matrices, 2, axis=(1, 2)).max()
     step_exp, every = 0, RENORM_EVERY
     with np.errstate(over="ignore"):
@@ -211,7 +189,9 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
         blocks = xs.reshape(reps, trials, s.dim).transpose(1, 0, 2)
         partner = np.zeros((trials, 1 if reps == 1 else 0, s.dim))
         state = np.concatenate([blocks, partner], axis=1)
-    hist = np.full((reps, trials, horizon - window), -np.inf)
+    hist = np.full((reps, trials, horizon), -np.inf) if history else None
+    finals = np.full((trials, reps), -np.inf)
+    fits = np.zeros((trials, reps))
     buf = np.empty((every, *state.shape))
     acc = np.zeros((trials, reps))
     alive = np.ones((trials, reps), dtype=bool)
@@ -221,7 +201,7 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
         for lo in range(0, horizon, every):
             hi = min(lo + every, horizon)
             # norms from the window on, and at the segment's last step
-            first = min(max(lo, window), hi - 1)
+            first = lo if history else min(max(lo, tail), hi - 1)
             seg_mats = mats[paths[:, lo:hi].T - 1]
             for j in range(hi - lo):
                 state = np.matmul(state, seg_mats[j], out=buf[j])
@@ -233,15 +213,21 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
             lg = np.log(seg)
             healthy = alive.all() and np.isfinite(lg).all()
             if healthy:  # every norm positive and finite: no row dies or overflows
-                logs = acc + lg
+                logs = np.add(acc, lg, out=lg)
             else:
                 live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
                 logs = np.where(live, acc + lg, -np.inf)
                 over |= ~np.isfinite(seg).all(axis=0)
                 alive = live[-1]
-            if hi > window:  # then first >= window
-                hist[:, :, first - window : hi - window] = logs.transpose(2, 1, 0)
-            if hi - lo == every:
+            if history:
+                hist[:, :, lo:hi] = logs.transpose(2, 1, 0)
+            if hi > tail:  # add c_t h(t) over the window's steps in order
+                w = max(first, tail)
+                terms = logs[w - first :] * coef[w - tail : hi - tail, None, None]
+                fits += np.cumsum(terms, axis=0, out=terms)[-1]
+            if hi == horizon:
+                finals = logs[-1]
+            elif hi - lo == every:
                 if not alive.any():
                     break  # every row has hit an exact zero product
                 acc = logs[-1]
@@ -249,11 +235,20 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
                 # a dead row is divided by inf, so it is zero from here on
                 scale = seg[-1] if healthy else np.where(alive, seg[-1], np.inf)
                 state = state / scale[:, :, None]
-    hist = hist.reshape(reps * trials, horizon - window)
+    finals, fits = finals.T.reshape(-1), fits.T.reshape(-1)
+    if horizon < 2:
+        fits[:] = np.nan
+    if history:
+        hist = hist.reshape(reps * trials, horizon)
     if step_exp:  # the family was divided by 2**step_exp: step n gets n of them back
-        hist += np.arange(window + 1, horizon + 1) * (step_exp * np.log(2.0))
+        unit = step_exp * np.log(2.0)
+        finals += horizon * unit
+        fits += unit  # sum_t c_t = 0 and sum_t c_t t = 1
+        if history:
+            hist += np.arange(1, horizon + 1) * unit
+    fits[np.isneginf(finals)] = -np.inf
     if start is None:
-        return hist
+        return finals, fits, hist
     # a start row whose squares passed the float range read a non-finite norm;
     # it runs again divided by the power of two 2**e that brings its norm
     # below 1, and its logs get e ln 2 back. Below norm 1 no row overflows,
@@ -264,10 +259,12 @@ def log_norm_histories(s: MatrixSet, paths, start=None, window: int = 0) -> np.n
     exps = np.frexp(top)[1] + np.frexp(unit)[1]
     rows, exps = rows[exps > 0], exps[exps > 0, None]
     if rows.size:
-        xs = np.ldexp(xs[rows], -exps)
-        hist[rows] = log_norm_histories(s, paths[rows % trials], xs, window)
-        hist[rows] += exps * np.log(2.0)
-    return hist
+        again = log_norm_histories(s, paths[rows % trials], np.ldexp(xs[rows], -exps), history)
+        finals[rows] = again[0] + exps[:, 0] * np.log(2.0)
+        fits[rows] = again[1]
+        if history:
+            hist[rows] = again[2] + exps * np.log(2.0)
+    return finals, fits, hist
 
 
 def vector_log_norm_history(s: MatrixSet, symbols: np.ndarray, x) -> np.ndarray:
@@ -278,44 +275,13 @@ def vector_log_norm_history(s: MatrixSet, symbols: np.ndarray, x) -> np.ndarray:
     product sends the rest of the history to -inf.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    hist = log_norm_histories(s, np.asarray(symbols)[None], xs)
+    hist = log_norm_histories(s, np.asarray(symbols)[None], xs, history=True)[2]
     return hist[0] if np.ndim(x) == 1 else hist
 
 
 def matrix_log_norm_history(s: MatrixSet, symbols: np.ndarray) -> np.ndarray:
     """log ||A(n)||_2 for n = 1..len(symbols), shape (n,); see log_norm_histories."""
-    return log_norm_histories(s, np.asarray(symbols)[None])[0]
-
-
-def tail_slope(log_norms: np.ndarray, n: int | None = None) -> float | np.ndarray:
-    """Least-squares slope of log-norm against step over the trailing half.
-
-    log_norms is one history of shape (m,) (returns a float) or a stack of
-    shape (rows, m) (returns one slope per row). It holds the last m entries
-    of histories of length n (default m), and must cover the window from
-    tail_start(n) on, e.g. the output of log_norm_histories with that window
-    start. A row with an exact zero (log -inf) inside the window gets slope
-    -inf.
-    """
-    hist = np.asarray(log_norms, dtype=float)
-    kept = hist.shape[-1]
-    n = kept if n is None else n
-    width = n - tail_start(n)
-    if not width <= kept <= n:
-        raise ValueError(
-            f"need between {width} and {n} trailing entries of a length-{n} "
-            f"history, got {kept}"
-        )
-    ys = np.atleast_2d(hist)[:, kept - width:]
-    ns = np.arange(n - width + 1, n + 1, dtype=float)
-    ns -= ns.mean()
-    denom = float((ns * ns).sum())
-    neg = np.isneginf(ys)
-    bad = neg.any(axis=1)
-    safe = np.where(neg, 0.0, ys) if bad.any() else ys
-    slopes = ((safe - safe.mean(axis=1, keepdims=True)) * ns).sum(axis=1) / denom
-    slopes[bad] = -np.inf
-    return float(slopes[0]) if hist.ndim == 1 else slopes
+    return log_norm_histories(s, np.asarray(symbols)[None], history=True)[2][0]
 
 
 @dataclass
@@ -744,9 +710,8 @@ def verify_splitting(
         if nrm >= 1e-9:  # a sample inside the stable part is skipped
             offs.append(off / nrm)
     # one kernel call for both stacks; rows are independent, so slicing is exact
-    hist = vector_log_norm_history(
-        s, limits.symbols, np.vstack([split.stable.basis, np.reshape(offs, (-1, d))])
-    )
+    starts = np.vstack([split.stable.basis, np.reshape(offs, (-1, d))])
+    _, fits, hist = log_norm_histories(s, limits.symbols[None], starts, history=True)
     stable_hist, off_hist = hist[: split.stable.dim], hist[split.stable.dim :]
 
     return SplittingEvidence(
@@ -756,7 +721,7 @@ def verify_splitting(
         return_count=int(times.size),
         stable_initial_norms=np.ones(split.stable.dim),
         stable_final_norms=np.exp(stable_hist[:, last]),
-        stable_tail_fits=tail_slope(stable_hist),
+        stable_tail_fits=fits[: split.stable.dim],
         center_return_deviation_min=center_dev_min,
         center_return_deviation_final=center_dev_final,
         center_preextremal_deviation_max=center_pre_dev,

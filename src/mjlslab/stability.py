@@ -32,7 +32,7 @@ from .products import (
     word_levels,
 )
 from .rng import unit_vectors
-from .splitting import log_norm_histories, tail_slope, tail_start
+from .splitting import log_norm_histories
 
 # horizon * delta should cover |log eps| so that an exponential trial can
 # actually reach eps by the end of the run; reports flag the pairing
@@ -41,13 +41,6 @@ DELTA_DEFAULT = 1e-3
 PROBE_MARGIN = 1e-9
 FINITENESS_GAP_TOL = 1e-6
 POSITIVE_EVIDENCE_TRIALS = 5
-# the harness walks every initial vector on a chunk of trials per kernel call,
-# max(1, STACK_ROWS // num_initials) trials, so a call holds at most this many
-# rows unless there are more initials. A step costs one matrix-matrix product
-# per trial whatever its rows, so fewer trials per call means fewer products;
-# the bound is the history buffer, rows x half the horizon (5.4 MB at 680 rows
-# and horizon 2,000), one chunk's at a time
-STACK_ROWS = 680
 GATE_DEPTH_DEFAULT = 8
 PROBE_LEN_DEFAULT = 8
 
@@ -91,20 +84,18 @@ def _symbol_paths(m: MJLS, trials: int, horizon: int, seed: int) -> np.ndarray:
     return paths
 
 
-def _vector_histories(
-    s: MatrixSet, trajs: np.ndarray, xs: np.ndarray, window: int = 0
-) -> np.ndarray:
-    """log ||x A(n)|| per trial and step from step `window` on; trajs is (trials, n).
+def _vector_histories(s: MatrixSet, trajs: np.ndarray, xs: np.ndarray, history=False):
+    """Finals, tail fits and (with history) the log ||x A(n)|| of each trial.
 
-    xs is a (m, d) stack of initial vectors; rows i*trials .. (i+1)*trials - 1
-    of the result belong to xs[i].
+    trajs is (trials, n) and xs a (m, d) stack of initial vectors; rows
+    i*trials .. (i+1)*trials - 1 belong to xs[i]. See log_norm_histories.
     """
-    return log_norm_histories(s, trajs, np.repeat(xs, len(trajs), axis=0), window)
+    return log_norm_histories(s, trajs, np.repeat(xs, len(trajs), axis=0), history)
 
 
-def _matrix_histories(s: MatrixSet, trajs: np.ndarray, window: int = 0) -> np.ndarray:
-    """log ||A(n)||_2 per trial and step from step `window` on; trajs is (trials, n)."""
-    return log_norm_histories(s, trajs, window=window)
+def _matrix_histories(s: MatrixSet, trajs: np.ndarray):
+    """Finals and tail fits of log ||A(n)||_2 per trial; trajs is (trials, n)."""
+    return log_norm_histories(s, trajs)
 
 
 @dataclass
@@ -146,13 +137,6 @@ def _check_rates(eps: float, delta: float) -> None:
         raise ValueError("eps and delta must be positive")
 
 
-def _scores(hist: np.ndarray, horizon: int, eps: float, delta: float):
-    """Tail fits and the converged and exponential masks of a windowed history."""
-    fits = tail_slope(hist, horizon)
-    converged = hist[:, -1] < np.log(eps)
-    return fits, converged, converged & (fits < -delta)
-
-
 def _build_report(
     kind: str,
     initial,
@@ -161,13 +145,12 @@ def _build_report(
     seed: int,
     eps: float,
     delta: float,
-    hist: np.ndarray,
+    finals: np.ndarray,
+    fits: np.ndarray,
 ) -> ConvergenceReport:
-    _check_rates(eps, delta)
-    fits, converged, exponential = _scores(hist, horizon, eps, delta)
-    finals = hist[:, -1].copy()
+    converged = finals < np.log(eps)
     cc = int(converged.sum())
-    ec = int(exponential.sum())
+    ec = int((converged & (fits < -delta)).sum())
     return ConvergenceReport(
         kind=kind,
         trials=trials,
@@ -198,12 +181,13 @@ def pointwise_convergence_estimate(
     delta: float = DELTA_DEFAULT,
 ) -> ConvergenceReport:
     """Share of sampled trajectories along which x A(n) reaches norm < eps."""
+    _check_rates(eps, delta)
     xr = as_row_vector(x, m.system.dim)
     if float(np.linalg.norm(xr)) == 0.0:
         raise ValueError("initial vector must be nonzero")
     trajs = _symbol_paths(m, trials, horizon, seed)
-    hist = _vector_histories(m.system, trajs, xr[None], tail_start(horizon))
-    return _build_report("vector", xr, trials, horizon, seed, eps, delta, hist)
+    finals, fits, _ = _vector_histories(m.system, trajs, xr[None])
+    return _build_report("vector", xr, trials, horizon, seed, eps, delta, finals, fits)
 
 
 def consistent_convergence_estimate(
@@ -215,9 +199,10 @@ def consistent_convergence_estimate(
     seed: int = 0,
 ) -> ConvergenceReport:
     """Convergence of the full product norm ||A(n)||_2 instead of a vector."""
+    _check_rates(eps, delta)
     trajs = _symbol_paths(m, trials, horizon, seed)
-    hist = _matrix_histories(m.system, trajs, tail_start(horizon))
-    return _build_report("matrix", None, trials, horizon, seed, eps, delta, hist)
+    finals, fits, _ = _matrix_histories(m.system, trajs)
+    return _build_report("matrix", None, trials, horizon, seed, eps, delta, finals, fits)
 
 
 def _require_matrix(consistent: ConvergenceReport) -> None:
@@ -454,10 +439,8 @@ def pointwise_equivalence_harness(
     The boundedness probe walks the products to gate_depth first; its
     verdict is the gate. Every initial is scored on the same `trials` paths,
     seeded by seed, with the counts of pointwise_convergence_estimate, bit for
-    bit. The kernel walks all initials on a chunk of max(1, STACK_ROWS //
-    num_initials) trials per call, and each initial's counts over a chunk are
-    added up from its own block of rows. eps or delta not positive raises
-    ValueError before any of this runs.
+    bit: one kernel call walks every initial on every trial. eps or delta not
+    positive raises ValueError before any of this runs.
     """
     _check_rates(eps, delta)
     gate = boundedness_probe(m.system, gate_depth, budget, prune=True)
@@ -471,17 +454,10 @@ def pointwise_equivalence_harness(
         )
     trajs = _symbol_paths(m, trials, horizon, seed)
     initials = unit_vectors(m.system.dim, num_initials, seed, stream_offset=3)
-    cc = np.zeros(num_initials, dtype=np.int64)
-    ec = np.zeros(num_initials, dtype=np.int64)
-    window, per_call = tail_start(horizon), max(1, STACK_ROWS // num_initials)
-    for lo in range(0, trials, per_call):
-        hist = _vector_histories(m.system, trajs[lo : lo + per_call], initials, window)
-        # one initial's block at a time keeps the fit's temporaries small
-        for i, block in enumerate(hist.reshape(num_initials, -1, hist.shape[1])):
-            _, converged, exponential = _scores(block, horizon, eps, delta)
-            cc[i] += converged.sum()
-            ec[i] += exponential.sum()
-        del hist, block  # so the next call's history is the only one alive
+    finals, fits, _ = _vector_histories(m.system, trajs, initials)
+    converged = finals.reshape(num_initials, trials) < np.log(eps)
+    cc = converged.sum(axis=1)
+    ec = (converged & (fits.reshape(num_initials, trials) < -delta)).sum(axis=1)
     fc, fe = cc / trials, ec / trials
     implied = bool(np.all((fc == 0.0) | (fe > 0.0)))
     return EquivalenceReport(

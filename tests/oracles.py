@@ -393,6 +393,28 @@ def oracle_step_kernel(mats, paths, start=None, window: int = 0, renorm_every: i
     return hist.reshape(reps * trials, horizon - window)
 
 
+def oracle_tail_slope(log_norms) -> float | np.ndarray:
+    """Least-squares slope of log-norm against step over the trailing half, two passes.
+
+    log_norms is one full history of shape (n,) (returns a float) or a stack
+    of shape (rows, n) (returns one slope per row). The window runs from step
+    min(n - 2, n // 2) to the end; a row with a -inf inside it gets -inf.
+    """
+    hist = np.asarray(log_norms, dtype=float)
+    n = hist.shape[-1]
+    if n < 2:
+        raise ValueError("need at least two history points for a slope")
+    ys = np.atleast_2d(hist)[:, min(n - 2, n // 2) :]
+    ns = np.arange(n - ys.shape[1] + 1, n + 1, dtype=float)
+    ns -= ns.mean()
+    neg = np.isneginf(ys)
+    bad = neg.any(axis=1)
+    safe = np.where(neg, 0.0, ys)
+    slopes = ((safe - safe.mean(axis=1, keepdims=True)) * ns).sum(axis=1) / (ns * ns).sum()
+    slopes[bad] = -np.inf
+    return float(slopes[0]) if hist.ndim == 1 else slopes
+
+
 def oracle_jsr_bounds(mats, depth):
     """(lower, upper) by plain loops: lower over all words up to depth, upper
     over words of exactly that depth."""

@@ -20,12 +20,11 @@ from mjlslab import (
     MarkovChain,
     is_irreducible,
     sample_trajectory,
-    tail_slope,
     validate_chain,
 )
 from mjlslab.cli import _OVERRIDES, main
 from mjlslab.config import DEFAULTS
-from oracles import oracle_log_norm_history, rotation
+from oracles import oracle_log_norm_history, oracle_tail_slope, rotation
 from test_acceptance import Budget
 from test_config import INT_MINIMA
 
@@ -336,10 +335,10 @@ def test_classify_builds_the_product_history_once(tmp_path, capsys, monkeypatch,
     products = []
     kernel = mjlslab.stability.log_norm_histories
 
-    def counted(s, paths, start=None, window=0):
+    def counted(s, paths, start=None, history=False):
         if start is None:
             products.append(paths.shape)
-        return kernel(s, paths, start, window)
+        return kernel(s, paths, start, history)
 
     monkeypatch.setattr(mjlslab.stability, "log_norm_histories", counted)
     second = np.diag([0.9, 0.6]) if diagonal else rotation(np.pi / 2)
@@ -440,7 +439,7 @@ def test_trace_csv_holds_the_full_history_and_leaves_results_alone(tmp_path, cap
         for n, row in zip(steps, rows[1 + t * len(steps) :]):
             assert float(row[2]) == pytest.approx(oracle[n - 1], rel=1e-12, abs=1e-12)
             assert float(row[3]) == fits[t]
-        assert fits[t] == pytest.approx(tail_slope(oracle), rel=1e-9, abs=1e-12)
+        assert fits[t] == pytest.approx(oracle_tail_slope(oracle), rel=1e-9, abs=1e-12)
 
 
 TRACE_DOC = {
@@ -478,6 +477,22 @@ def test_an_unwritable_trace_csv_is_refused_before_sampling(tmp_path, capsys, mo
         f"error: analysis.trace_csv: cannot write {trace}: "
         "not a file in a writable folder\n"
     )
+
+
+def test_an_empty_out_path_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # "" read as no path: the report went to stdout and the command exited 0
+    monkeypatch.setitem(mjlslab.cli._COMMANDS, "jsr", _never_run)
+    cfg = write(tmp_path, JSR_CFG)
+    code, stdout, err = run(capsys, "jsr", "--config", cfg, "--out", "")
+    assert (code, stdout, err) == (2, "", "error: --out: the path is empty\n")
+
+
+def test_an_empty_trace_csv_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    # "" passed the folder check and was refused by the write, after the run
+    monkeypatch.setattr(mjlslab.cli, "_symbol_paths", _never_run)
+    doc = {**TRACE_DOC, "analysis": {**TRACE_DOC["analysis"], "trace_csv": ""}}
+    code, out, err = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+    assert (code, out, err) == (2, "", "error: analysis.trace_csv: the path is empty\n")
 
 
 @pytest.mark.parametrize("target", ["--out", "analysis.trace_csv"])
@@ -542,11 +557,11 @@ def test_split_periodic_reports_route_agreement(tmp_path, capsys):
 # sha256 of each demo config's report bytes; a change that alters a report on
 # purpose updates its digest here and names the changed fields
 DEMO_REPORT_SHA256 = {
-    "classify_rotmix": "6433a1264dcbccb2d9034a67ab5db3471c98d20b03e3d8f733df7a49b273d07d",
+    "classify_rotmix": "48209302e847ff8bdf08bcc579e8ff905ebb5a4e85792a9da2b804c8cca0226f",
     "decompose_reducible": "49a1e8ba29c2fa54a949e5248509e3c38fc573bf25891ffe2ce4445be128aada",
     "example46": "4c221ee68471c7c5847369d6f1aae4eb188d62d0e066babf1bfd9b7834139847",
     "jsr_shear": "9b8fdf5a6a3d9b3af629bb0eeac5dae7a5509270f326faa22eb0700252707a3f",
-    "split_shear_periodic": "84ee6ae2e25480aa0999763224cd03702c62f7f987e01b380858667ad087c33d",
+    "split_shear_periodic": "702b23051a5f7e35526acab94dac02df6617e204b08c1b2e4ec2b1988f16e554",
 }
 
 

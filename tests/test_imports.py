@@ -1,9 +1,14 @@
-"""No module of the package reaches into another module's private names, and
-only the command that needs scipy loads it."""
+"""No module of the package reaches into another module's private names,
+only the command that needs scipy loads it, and every function the benchmark
+probes exists with the parameters its probe reads."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +21,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mjlslab"
 DEMOS = ROOT / "demos" / "configs"
 
-# cli scores the pointwise row through these until stability grows one public
-# entry point for the classify pipeline (ROADMAP item 3, after item 2's
-# benchmark change); the benchmark tracer patches them. The product history
-# comes from consistent_convergence_estimate
+# cli scores the pointwise row, and takes its history for the trace, through
+# these until stability grows one public entry point for the classify
+# pipeline: the rest of ROADMAP item 3, which waits on item 2's benchmark
+# change, since the benchmark's tracer patches and pins them. The product
+# walk comes from consistent_convergence_estimate
 ALLOWED = {
     ("cli", "stability", "_build_report"),
     ("cli", "stability", "_symbol_paths"),
@@ -89,6 +95,41 @@ def test_the_import_scan_sees_both_forms(tmp_path):
         ("probe", "linalg", "_private"),
         ("probe", "splitting", "_hidden"),
     }
+
+
+# a hook reads the probed call's arguments as args["name"]
+_HOOK_ARGUMENT = re.compile(r"""args\[["'](\w+)["']\]""")
+
+
+def _benchmark_probes():
+    """perfbench/tracing.PROBES, loaded from its file; the benchmark is not edited."""
+    spec = importlib.util.spec_from_file_location(
+        "_benchmark_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.PROBES
+
+
+def test_every_benchmark_probe_names_a_function_and_the_parameters_it_reads():
+    # a refactor of a probed function fails here, naming it, and not with an
+    # AttributeError or a KeyError inside a traced pass
+    read = set()
+    for probe in _benchmark_probes():
+        target = f"mjlslab.{probe.module}.{probe.function}"
+        module = importlib.import_module(f"mjlslab.{probe.module}")
+        assert hasattr(module, probe.function), f"{target} is probed but does not exist"
+        if probe.hook is None:
+            continue
+        source = inspect.getsource(probe.hook)
+        names = set(_HOOK_ARGUMENT.findall(source))
+        assert names or "args[" not in source, f"the scan missed what {target}'s hook reads"
+        params = inspect.signature(getattr(module, probe.function)).parameters
+        missing = sorted(names - set(params))
+        assert not missing, f"{target}'s probe reads {missing}, which it does not take"
+        read |= names
+    assert read, "no probe hook reads an argument"
 
 
 # runs the commands given as a JSON list of argv lists, then prints the scipy

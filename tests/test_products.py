@@ -1,5 +1,6 @@
 """Word products, growth probes, spectral radius bounds, truncated norms."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -184,6 +185,36 @@ def test_preextremal_contraction_check_no_violation():
 def test_preextremal_budget():
     with pytest.raises(BudgetExceededError):
         preextremal_norm(NILPOTENT, [1.0, 0.0], 30, budget=100)
+
+
+def test_preextremal_blocks_of_prefixes_keep_the_maxima(monkeypatch):
+    # at depth 16 the last 13 levels run on 4 blocks of 2 prefixes; with 8
+    # floats a block, depth 9 runs on blocks of a word or two. Holding every
+    # level whole gives the same bits
+    s = MatrixSet.from_list([0.9 * rotation(0.4), np.diag([1.05, 0.6])])
+    xs = np.random.default_rng(5).standard_normal((3, 2))
+    for depth, floats in ((16, mjlslab.products._WORD_FLOATS), (9, 8)):
+        monkeypatch.setattr(mjlslab.products, "_WORD_FLOATS", floats)
+        blocked = preextremal_norm(s, xs, depth)
+        monkeypatch.setattr(mjlslab.products, "_WORD_FLOATS", 2**62)
+        assert blocked.tobytes() == preextremal_norm(s, xs, depth).tobytes()
+        for x, value in zip(xs, blocked):
+            assert value == pytest.approx(
+                oracle_preextremal_profile(s.matrices, x, depth)[-1], rel=1e-12
+            )
+
+
+def test_a_deep_preextremal_walk_holds_one_block_of_words():
+    # depth 18 over two matrices ends on 2**18 words (4 MB of vectors); held
+    # whole, the traced peak was about 12.6 MB
+    s = MatrixSet.from_list([np.diag([1.0, 0.5]), np.eye(2)])
+    tracemalloc.start()
+    try:
+        value = preextremal_norm(s, [0.6, 0.8], 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0 and peak < 1.5 * 2**20
 
 
 ENTRY = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))

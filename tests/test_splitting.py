@@ -32,7 +32,6 @@ from mjlslab import (
     sample_trajectory,
     sequence_split,
     split_from_idempotent,
-    tail_slope,
     tail_start,
     vector_log_norm_history,
     verify_splitting,
@@ -54,6 +53,7 @@ from oracles import (
     oracle_norm2,
     oracle_row_kernel,
     oracle_step_kernel,
+    oracle_tail_slope,
     oracle_word_product,
     rotation,
 )
@@ -164,6 +164,18 @@ def test_vector_log_norm_history_exact_zero_gives_neginf():
     assert np.isneginf(hist[1]) and np.isneginf(hist[2])
 
 
+def _hist(family, paths, start=None):
+    """The kernel's full history."""
+    return log_norm_histories(family, paths, start, history=True)[2]
+
+
+def _ends(family, paths, start=None):
+    """The kernel's finals and fits without a history, which it leaves as None."""
+    finals, fits, hist = log_norm_histories(family, paths, start)
+    assert hist is None
+    return finals, fits
+
+
 @pytest.mark.parametrize(
     "family, paths",
     [(FAMILY3, _reducible_paths(6, 120)), (NILPOTENT_PAIR, _nilpotent_paths(120))],
@@ -172,8 +184,8 @@ def test_vector_log_norm_history_exact_zero_gives_neginf():
 def test_log_norm_histories_stack_equals_row_calls(family, paths):
     mats = list(family.matrices)
     starts = np.random.default_rng(33).standard_normal((len(paths), family.dim))
-    vec = log_norm_histories(family, paths, starts)
-    mat = log_norm_histories(family, paths)
+    vec = _hist(family, paths, starts)
+    mat = _hist(family, paths)
     shared = vector_log_norm_history(family, paths[2], starts)
     for r, (path, x) in enumerate(zip(paths, starts)):
         np.testing.assert_array_equal(vec[r], vector_log_norm_history(family, path, x))
@@ -207,34 +219,27 @@ def _kernel_case(case: str, seed: int, horizon: int):
     seed=st.integers(0, 2**16),
     horizon=st.sampled_from([2, 3, 49, 50, 51, 130]),
     reps=st.integers(0, 3),
-    cut=st.floats(0.0, 1.0),
 )
-def test_windowed_stacked_kernel_equals_full_history(case, seed, horizon, reps, cut):
+def test_windowed_stacked_kernel_equals_full_history(case, seed, horizon, reps):
+    # without the history the kernel reads norms only from the tail window on
+    # and at the segments' ends; its finals and fits are the full call's, bit
+    # for bit, and a stack's rows are those of one call per start vector
     family, paths = _kernel_case(case, seed, horizon)
     mats, trials = list(family.matrices), len(paths)
     xs = np.random.default_rng(seed + 1).standard_normal((reps, family.dim))
     stack = np.repeat(xs, trials, axis=0)  # row i * trials + t follows path t
-    full_mat = log_norm_histories(family, paths)
-    full_vec = log_norm_histories(family, paths, stack)
-    assert full_vec.shape == (reps * trials, horizon)
+    for start, rows in ((None, trials), (stack, reps * trials)):
+        finals, fits, full = log_norm_histories(family, paths, start, history=True)
+        assert full.shape == (rows, horizon) and finals.shape == fits.shape == (rows,)
+        np.testing.assert_array_equal(finals, full[:, -1])
+        np.testing.assert_array_equal(_ends(family, paths, start), (finals, fits))
 
-    tail = tail_start(horizon)
-    for window in (tail, int(cut * horizon)):
-        np.testing.assert_array_equal(
-            log_norm_histories(family, paths, window=window), full_mat[:, window:]
-        )
-        np.testing.assert_array_equal(
-            log_norm_histories(family, paths, stack, window), full_vec[:, window:]
-        )
-    win_mat = log_norm_histories(family, paths, window=tail)
-    win_vec = log_norm_histories(family, paths, stack, tail)
-    np.testing.assert_array_equal(tail_slope(win_mat, horizon), tail_slope(full_mat))
-    np.testing.assert_array_equal(tail_slope(win_vec, horizon), tail_slope(full_vec))
-    assert tail_slope(win_vec, horizon).shape == (reps * trials,)
-
+    full_vec, full_mat = _hist(family, paths, stack), _hist(family, paths)
+    win_vec = _ends(family, paths, stack)
     for i, x in enumerate(xs):
-        single = log_norm_histories(family, paths, np.tile(x, (trials, 1)), tail)
-        np.testing.assert_array_equal(win_vec[i * trials : (i + 1) * trials], single)
+        single = _ends(family, paths, np.tile(x, (trials, 1)))
+        rows = slice(i * trials, (i + 1) * trials)
+        np.testing.assert_array_equal((win_vec[0][rows], win_vec[1][rows]), single)
         for t, path in enumerate(paths):
             np.testing.assert_allclose(
                 full_vec[i * trials + t],
@@ -248,36 +253,91 @@ def test_windowed_stacked_kernel_equals_full_history(case, seed, horizon, reps, 
         )
 
 
+def _fit_case(kind: str, seed: int, d: int, horizon: int):
+    """A family, (trials, horizon) paths and a stack of start rows."""
+    rng = np.random.default_rng(seed)
+    k, trials, reps = (int(n) for n in rng.integers(1, [4, 5, 4]))
+    mats = rng.standard_normal((k, d, d)) * rng.uniform(0.3, 1.5)
+    paths = rng.integers(1, k + 1, size=(trials, horizon))
+    xs = rng.standard_normal((reps * trials, d))
+    if kind == "dead":  # trial 0 meets a zero generator mid-run; a zero row dies at once
+        mats = np.concatenate([mats, np.zeros((1, d, d))])
+        paths[0, horizon // 3] = k + 1
+        xs[-1] = 0.0
+    elif kind == "g-inf":  # ||M||_2 overflows: the family is scaled, one-step segments
+        mats[0, 0, :] = 1.5e308
+        mats[0, 1:, :] = 1.0
+    elif kind == "g2-inf":  # g**2 overflows: scaled for the start rows only
+        mats *= 1e200 / np.linalg.norm(mats, 2, axis=(1, 2)).max()
+    elif kind == "rerun":  # the squares of these rows overflow: they run again
+        xs[::2] *= 1e300
+    return MatrixSet.from_list(list(mats)), paths, xs
+
+
+@given(
+    kind=st.sampled_from(["drawn", "dead", "g-inf", "g2-inf", "rerun"]),
+    seed=st.integers(0, 2**16),
+    d=st.integers(1, 4),
+    horizon=st.sampled_from([2, 3, 49, 50, 51, 130]),
+)
+@example("dead", 0, 1, 130)
+@example("g-inf", 1, 2, 130)
+@example("g2-inf", 2, 3, 51)
+@example("rerun", 3, 4, 130)
+def test_kernel_fits_match_the_two_pass_oracle(kind, seed, d, horizon):
+    # the fit summed segment by segment is the least-squares slope of the full
+    # history's tail within 1e-12 of the sum of |c_t h(t)| it adds up; a row
+    # dead at the end reads -inf. With or without the history, the same bits
+    if kind == "g-inf":
+        d = max(d, 2)  # a 1 x 1 generator's norm is its finite entry
+    family, paths, xs = _fit_case(kind, seed, d, horizon)
+    tail = tail_start(horizon)
+    c = np.arange(tail, horizon) - (tail + horizon - 1) / 2
+    c /= (c * c).sum()
+    for start in (None, xs):
+        finals, fits, hist = log_norm_histories(family, paths, start, history=True)
+        np.testing.assert_array_equal(finals, hist[:, -1])
+        np.testing.assert_array_equal(_ends(family, paths, start), (finals, fits))
+        want = oracle_tail_slope(hist)
+        dead = np.isneginf(finals)
+        assert np.isneginf(fits[dead]).all() and np.isneginf(want[dead]).all()
+        live = hist[~dead, tail:]
+        assert np.isfinite(live).all()
+        bound = 1e-12 * np.abs(c * live).sum(axis=1)
+        assert np.all(np.abs(fits[~dead] - want[~dead]) <= bound)
+    if kind == "dead":
+        assert np.isneginf(finals[[0, -1]]).all()
+
+
 @given(
     case=st.sampled_from(["reducible-k3", "nilpotent-pair", "random"]),
     seed=st.integers(0, 2**16),
     horizon=st.sampled_from([49, 50, 51, 100, 101]),
     reps=st.integers(0, 3),
-    window=st.sampled_from([0, 49, 50, 51, 99, 100, 101]),
-    last=st.sampled_from([1, 0]),
 )
-@example("nilpotent-pair", 0, 101, 0, 50, 1)
-@example("reducible-k3", 0, 100, 1, 99, 0)
-@example("random", 3, 50, 1, 49, 1)  # seeds 3, 2, 1 and 0 draw d = 1, 2, 3 and 4
-@example("random", 2, 51, 2, 51, 0)
-@example("random", 1, 101, 3, 100, 1)
-@example("random", 0, 49, 1, 0, 0)
-def test_kernel_equals_the_row_kernel_oracle(case, seed, horizon, reps, window, last):
+@example("nilpotent-pair", 0, 101, 0)
+@example("reducible-k3", 0, 100, 1)
+@example("random", 3, 50, 1)  # seeds 3, 2, 1 and 0 draw d = 1, 2, 3 and 4
+@example("random", 2, 51, 2)
+@example("random", 1, 101, 3)
+@example("random", 0, 49, 1)
+def test_kernel_equals_the_row_kernel_oracle(case, seed, horizon, reps):
     # trial blocks round like one row at a time: products at every d, vectors
-    # at d <= 3, where a matrix-vector product rounds like a matrix-matrix one
+    # at d <= 3, where a matrix-vector product rounds like a matrix-matrix one.
+    # Without the history, the finals are those of the oracle's tail window
     family, paths = _kernel_case(case, seed, horizon)
     xs = np.random.default_rng(seed + 1).standard_normal((reps, family.dim))
     stack = np.repeat(xs, len(paths), axis=0)
-    for w in (min(window, horizon), horizon - last):
+    tail = tail_start(horizon)
+    for start in (None, stack) if family.dim <= 3 else (None,):
         np.testing.assert_array_equal(
-            log_norm_histories(family, paths, window=w),
-            oracle_row_kernel(family.matrices, paths, window=w, renorm_every=RENORM_EVERY),
+            _hist(family, paths, start),
+            oracle_row_kernel(family.matrices, paths, start, 0, RENORM_EVERY),
         )
-        if family.dim <= 3:
-            np.testing.assert_array_equal(
-                log_norm_histories(family, paths, stack, w),
-                oracle_row_kernel(family.matrices, paths, stack, w, RENORM_EVERY),
-            )
+        np.testing.assert_array_equal(
+            _ends(family, paths, start)[0],
+            oracle_row_kernel(family.matrices, paths, start, tail, RENORM_EVERY)[:, -1],
+        )
 
 
 def test_a_norm_that_underflows_mid_segment_kills_the_row_for_good():
@@ -288,14 +348,17 @@ def test_a_norm_that_underflows_mid_segment_kills_the_row_for_good():
     path = np.ones((1, 3 * RENORM_EVERY), dtype=np.int64)
     path[0, 4:6] = [2, 3]
     start = np.array([[1e-150, 0.0], [1.0, 0.0]])
-    both = log_norm_histories(family, path, start)
+    both = _hist(family, path, start)
     np.testing.assert_array_equal(both, oracle_row_kernel(family.matrices, path, start))
     assert np.isfinite(both[0, :4]).all() and np.isneginf(both[0, 4:]).all()
     assert np.isfinite(both[1]).all()
     for row, x in zip(both, start):  # alone, with its zero partner row
-        for window in (0, 3):
-            alone = log_norm_histories(family, path, x[None], window)
-            np.testing.assert_array_equal(alone, row[None, window:])
+        np.testing.assert_array_equal(_hist(family, path, x[None]), row[None])
+    # without the history no norm before the tail window is read but the
+    # segments' last: none of those underflows, so the first row lives
+    windowed = oracle_row_kernel(family.matrices, path, start, tail_start(path.shape[1]))
+    assert np.isfinite(windowed[:, -1]).all()
+    np.testing.assert_array_equal(_ends(family, path, start)[0], windowed[:, -1])
 
 
 @pytest.mark.parametrize(
@@ -312,17 +375,18 @@ def test_a_family_past_the_range_renormalizes_in_shorter_segments(g, every):
     stack = np.repeat(xs, 3, axis=0)
     offsets = np.repeat(np.log(np.linalg.norm(xs, axis=1)), 3)[:, None]
     exact = np.arange(1, paths.shape[1] + 1) * np.log(g)
-    for window in (0, tail_start(paths.shape[1])):
-        vec = log_norm_histories(family, paths, stack, window)
-        mat = log_norm_histories(family, paths, window=window)
+    tail = tail_start(paths.shape[1])
+    for start in (stack, None):
         np.testing.assert_array_equal(
-            vec, oracle_row_kernel(family.matrices, paths, stack, window, every)
+            _hist(family, paths, start),
+            oracle_row_kernel(family.matrices, paths, start, 0, every),
         )
         np.testing.assert_array_equal(
-            mat, oracle_row_kernel(family.matrices, paths, None, window, every)
+            _ends(family, paths, start)[0],
+            oracle_row_kernel(family.matrices, paths, start, tail, every)[:, -1],
         )
-        np.testing.assert_allclose(vec - offsets, np.tile(exact[window:], (9, 1)), 1e-9)
-        np.testing.assert_allclose(mat, np.tile(exact[window:], (3, 1)), 1e-9)
+    np.testing.assert_allclose(_hist(family, paths, stack) - offsets, np.tile(exact, (9, 1)), 1e-9)
+    np.testing.assert_allclose(_hist(family, paths), np.tile(exact, (3, 1)), 1e-9)
 
 
 @given(
@@ -332,15 +396,12 @@ def test_a_family_past_the_range_renormalizes_in_shorter_segments(g, every):
     trials=st.integers(1, 5),
     reps=st.integers(0, 3),
     horizon=st.sampled_from([1, 49, 50, 51, 100, 101]),
-    cut=st.floats(0.0, 1.0),
 )
-@example("huge", 0, 6, 5, 3, 101, 0.5)  # 1e100 generators: one-step segments
-@example("zero-generator", 1, 4, 3, 1, 100, 0.3)
-@example("random", 2, 1, 1, 0, 1, 0.0)
-@example("random", 3, 5, 2, 2, 51, 0.99)
-def test_segment_kernel_equals_the_step_kernel_oracle(
-    kind, seed, d, trials, reps, horizon, cut
-):
+@example("huge", 0, 6, 5, 3, 101)  # 1e100 generators: one-step segments
+@example("zero-generator", 1, 4, 3, 1, 100)
+@example("random", 2, 1, 1, 0, 1)
+@example("random", 3, 5, 2, 2, 51)
+def test_segment_kernel_equals_the_step_kernel_oracle(kind, seed, d, trials, reps, horizon):
     # a segment's gather, products and norms in one call each round like one
     # gather, product and norm per step
     rng = np.random.default_rng(seed)
@@ -352,15 +413,17 @@ def test_segment_kernel_equals_the_step_kernel_oracle(
     family = MatrixSet.from_list(list(mats))
     paths = rng.integers(1, k + 1, size=(trials, horizon))
     stack = np.repeat(rng.standard_normal((reps, d)), trials, axis=0)
-    for window in (0, int(cut * horizon), horizon):
+    tail = tail_start(horizon) if horizon > 1 else 0
+    for start in (None, stack):
         np.testing.assert_array_equal(
-            log_norm_histories(family, paths, window=window),
-            oracle_step_kernel(mats, paths, None, window, RENORM_EVERY),
+            _hist(family, paths, start),
+            oracle_step_kernel(mats, paths, start, 0, RENORM_EVERY),
         )
         np.testing.assert_array_equal(
-            log_norm_histories(family, paths, stack, window),
-            oracle_step_kernel(mats, paths, stack, window, RENORM_EVERY),
+            _ends(family, paths, start)[0],
+            oracle_step_kernel(mats, paths, start, tail, RENORM_EVERY)[:, -1],
         )
+
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -445,19 +508,21 @@ def test_products_at_the_ends_of_the_float_range_keep_their_svd_bits(monkeypatch
         [scale * np.diag([1.0, 0.3]), scale * rotation(np.pi / 2), scale * rotation(0.3)]
     )
     paths = np.random.default_rng(12).integers(1, 4, size=(5, 2 * RENORM_EVERY + 20))
-    got = [log_norm_histories(family, paths, window=w) for w in (0, 60)]
-    assert np.isfinite(got[0][:, 0]).all()
+    hist, finals = _hist(family, paths), _ends(family, paths)[0]
+    assert np.isfinite(hist[:, 0]).all()
     monkeypatch.setattr(oracles, "oracle_top_singular_values", _svd_tops)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for w, hist in zip((0, 60), got):
-            expect = oracle_step_kernel(family.matrices, paths, None, w, RENORM_EVERY)
-            np.testing.assert_array_equal(hist, expect)
+        expect = oracle_step_kernel(family.matrices, paths, None, 0, RENORM_EVERY)
+        np.testing.assert_array_equal(hist, expect)
+        tail = tail_start(paths.shape[1])
+        expect = oracle_step_kernel(family.matrices, paths, None, tail, RENORM_EVERY)
+        np.testing.assert_array_equal(finals, expect[:, -1])
 
 
 def test_a_windowed_product_history_takes_one_svd_per_segment(monkeypatch):
-    # 20 segments before the window read one step each, 20 after it read 50;
-    # one SVD call per step from the window on would make 1,020. A 2x2
-    # family takes the closed form and makes none
+    # without the history, 20 segments before the tail window read one step
+    # each, 20 in it read 50; one SVD call per step from the window on would
+    # make 1,020. A 2x2 family takes the closed form and makes none
     calls = []
     svd = np.linalg.svd
 
@@ -469,12 +534,12 @@ def test_a_windowed_product_history_takes_one_svd_per_segment(monkeypatch):
     family = MatrixSet.from_list([np.diag([0.5, 1.0, 0.8]), cycle])
     monkeypatch.setattr(np.linalg, "svd", counted)
     paths = np.random.default_rng(9).integers(1, 3, size=(100, 2000))
-    hist = log_norm_histories(family, paths, window=tail_start(2000))
-    assert hist.shape == (100, 1000)
+    finals, fits = _ends(family, paths)
+    assert finals.shape == fits.shape == (100,)
     assert len(calls) <= 40 and sum(calls) == 20 + 1000
     calls.clear()
     flat = MatrixSet.from_list([np.diag([0.5, 1.0]), rotation(np.pi / 2)])
-    assert log_norm_histories(flat, paths, window=tail_start(2000)).shape == (100, 1000)
+    assert _ends(flat, paths)[0].shape == (100,)
     assert calls == []
 
 
@@ -489,18 +554,16 @@ def test_start_rows_past_the_float_range_are_scaled_by_a_power_of_two():
     xs = np.array([[1e160, 0.0], [0.6, 0.8], [3e300, -4e300], [-1e-300, 1e300]])
     stack = np.repeat(xs, 2, axis=0)
     sizes = [np.log(1e160), 0.0, np.log(5e300), np.log(1e300)]
-    for window in (0, 7, tail_start(130)):
-        hist = log_norm_histories(family, paths, stack, window)
-        np.testing.assert_allclose(
-            hist, np.repeat(sizes, 2)[:, None] + exact[window:], rtol=1e-12
-        )
-        # the scaled rows leave the others' bits alone
-        np.testing.assert_array_equal(
-            hist[2:4], oracle_step_kernel(family.matrices, paths, stack[2:4], window)
-        )
-        np.testing.assert_array_equal(
-            hist[2:4], log_norm_histories(family, paths, stack[2:4], window)
-        )
+    hist = _hist(family, paths, stack)
+    np.testing.assert_allclose(hist, np.repeat(sizes, 2)[:, None] + exact, rtol=1e-12)
+    # the scaled rows leave the others' bits alone
+    np.testing.assert_array_equal(hist[2:4], oracle_step_kernel(family.matrices, paths, stack[2:4]))
+    np.testing.assert_array_equal(hist[2:4], _hist(family, paths, stack[2:4]))
+    finals, fits = _ends(family, paths, stack)
+    np.testing.assert_array_equal(finals, hist[:, -1])
+    windowed = oracle_step_kernel(family.matrices, paths, stack[2:4], tail_start(130))
+    np.testing.assert_array_equal(finals[2:4], windowed[:, -1])
+    np.testing.assert_allclose(fits, np.log(2.0), rtol=1e-12)
     with np.errstate(over="ignore"):
         assert np.isinf(oracle_step_kernel(family.matrices, paths, stack[:2])).all()
 
@@ -511,19 +574,21 @@ def test_a_family_whose_square_overflows_is_scaled_by_a_power_of_two(g):
     # past it; the products' sigma_1 needs no scaling, so they keep their bits
     family = MatrixSet.from_list([g * np.eye(2), g * rotation(np.pi / 2)])
     paths = np.random.default_rng(11).integers(1, 3, size=(3, 120))
-    xs = np.array([[0.6, 0.8], [1e160, 0.0]])
+    xs = np.repeat(np.array([[0.6, 0.8], [1e160, 0.0]]), 3, axis=0)
     exact = np.arange(1, 121) * np.log(g)
-    for window in (0, tail_start(120)):
-        mat = log_norm_histories(family, paths, window=window)
-        vec = log_norm_histories(family, paths, np.repeat(xs, 3, axis=0), window)
-        np.testing.assert_array_equal(
-            mat, oracle_step_kernel(family.matrices, paths, None, window)
-        )
-        np.testing.assert_allclose(mat, np.tile(exact[window:], (3, 1)), rtol=1e-12)
-        np.testing.assert_allclose(vec[:3], mat, rtol=1e-12)
-        np.testing.assert_allclose(vec[3:], mat + np.log(1e160), rtol=1e-12)
+    mat, vec = _hist(family, paths), _hist(family, paths, xs)
+    np.testing.assert_array_equal(mat, oracle_step_kernel(family.matrices, paths))
+    np.testing.assert_allclose(mat, np.tile(exact, (3, 1)), rtol=1e-12)
+    np.testing.assert_allclose(vec[:3], mat, rtol=1e-12)
+    np.testing.assert_allclose(vec[3:], mat + np.log(1e160), rtol=1e-12)
+    windowed = oracle_step_kernel(family.matrices, paths, None, tail_start(120))
+    np.testing.assert_array_equal(_ends(family, paths)[0], windowed[:, -1])
+    for start, hist in ((None, mat), (xs, vec)):
+        finals, fits = _ends(family, paths, start)
+        np.testing.assert_array_equal(finals, hist[:, -1])
+        np.testing.assert_allclose(fits, np.log(g), rtol=1e-12)
     with np.errstate(over="ignore", invalid="ignore"):
-        start = np.repeat(xs[:1], 3, axis=0)
+        start = xs[:3]
         assert not np.isfinite(oracle_step_kernel(family.matrices, paths, start)).any()
 
 
@@ -539,44 +604,51 @@ def test_stacked_rows_through_a_zero_product_and_past_the_range_equal_row_calls(
     paths[1, 70:72] = 1
     xs = np.random.default_rng(13).standard_normal((6, 2))
     xs[3] = [3e300, -4e300]  # row 3 follows trial 0
-    for window in (0, 7, tail_start(130)):
-        vec = log_norm_histories(family, paths, xs, window)
-        mat = log_norm_histories(family, paths, window=window)
-        dead = np.arange(130)[window:] >= 71
-        assert np.isneginf(vec[[1, 4]][:, dead]).all() and np.isneginf(mat[1, dead]).all()
-        assert np.isfinite(vec[[1, 4]][:, ~dead]).all() and np.isfinite(vec[[0, 2, 3, 5]]).all()
-        for r, x in enumerate(xs):
-            row = log_norm_histories(family, paths[r % 3][None], x[None], window)
-            np.testing.assert_array_equal(vec[r], row[0])
-        for r, path in enumerate(paths):
-            row = log_norm_histories(family, path[None], window=window)
-            np.testing.assert_array_equal(mat[r], row[0])
-        fits = tail_slope(vec, 130)
-        assert np.isneginf(fits[[1, 4]]).all() and np.isfinite(fits[[0, 2, 3, 5]]).all()
-        for r in range(len(xs)):
-            assert fits[r] == tail_slope(vec[r], 130)
+    for history in (True, False):
+        vec = log_norm_histories(family, paths, xs, history)
+        mat = log_norm_histories(family, paths, history=history)
+        for finals, fits, dead_rows in ((*vec[:2], [1, 4]), (*mat[:2], [1])):
+            assert np.isneginf(finals[dead_rows]).all() and np.isneginf(fits[dead_rows]).all()
+            live = np.delete(np.arange(len(finals)), dead_rows)
+            assert np.isfinite(finals[live]).all() and np.isfinite(fits[live]).all()
+        if history:
+            dead = np.arange(130) >= 71
+            assert np.isneginf(vec[2][[1, 4]][:, dead]).all()
+            assert np.isneginf(mat[2][1, dead]).all()
+            assert np.isfinite(vec[2][[1, 4]][:, ~dead]).all()
+            assert np.isfinite(vec[2][[0, 2, 3, 5]]).all()
+        vec_rows = [log_norm_histories(family, paths[r % 3][None], x[None], history)
+                    for r, x in enumerate(xs)]
+        mat_rows = [log_norm_histories(family, path[None], history=history) for path in paths]
+        for i in range(3 if history else 2):  # finals, fits and the history
+            np.testing.assert_array_equal(vec[i], [row[i][0] for row in vec_rows])
+            np.testing.assert_array_equal(mat[i], [row[i][0] for row in mat_rows])
 
 
 def test_nilpotent_rows_dead_before_the_window_stay_dead():
     # random rows meet the nilpotent word (1, 1) early and never come back
     paths = _nilpotent_paths(120)
-    full = log_norm_histories(NILPOTENT_PAIR, paths)
+    full = _hist(NILPOTENT_PAIR, paths)
     dead_at = [int(np.argmax(np.isneginf(row))) for row in full[2:]]
     assert max(dead_at) < tail_start(120)
-    win = log_norm_histories(NILPOTENT_PAIR, paths, window=tail_start(120))
-    assert np.isneginf(win[2:]).all() and np.isfinite(win[:2]).all()
-    assert np.isneginf(tail_slope(win, 120)[2:]).all()
+    finals, fits = _ends(NILPOTENT_PAIR, paths)
+    assert np.isneginf(finals[2:]).all() and np.isfinite(finals[:2]).all()
+    assert np.isneginf(fits[2:]).all() and np.isfinite(fits[:2]).all()
 
 
 def test_kernel_rejects_a_stack_that_is_not_a_multiple_of_the_paths():
     paths = _nilpotent_paths(10)
     with pytest.raises(ValueError, match="multiple of 6 rows"):
         log_norm_histories(NILPOTENT_PAIR, paths, np.ones((7, 2)))
-    with pytest.raises(ValueError, match="window"):
-        log_norm_histories(NILPOTENT_PAIR, paths, window=11)
-    assert log_norm_histories(NILPOTENT_PAIR, paths, np.ones((0, 2)), 4).shape == (0, 6)
-    with pytest.raises(ValueError, match="trailing entries"):
-        tail_slope(np.zeros((2, 4)), 10)
+    with pytest.raises(ValueError, match="paths must have shape"):
+        log_norm_histories(NILPOTENT_PAIR, paths[:, :0])
+    finals, fits, hist = log_norm_histories(NILPOTENT_PAIR, paths, np.ones((0, 2)), True)
+    assert finals.shape == fits.shape == (0,) and hist.shape == (0, 10)
+    # one step has no slope
+    finals, fits = _ends(NILPOTENT_PAIR, paths[:, :1])
+    assert np.isfinite(finals).all() and np.isnan(fits).all()
+    with pytest.raises(ValueError, match="two history points"):
+        tail_start(1)
 
 
 def test_matrix_log_norm_history_shear_growth():
@@ -590,16 +662,20 @@ def test_matrix_log_norm_history_shear_growth():
 
 
 def test_tail_slope_on_linear_history():
+    # the kernel's fit of an exactly linear log-norm, and the two-pass oracle
+    # the fits are checked against
+    _, fits = _ends(SHRINK, np.ones((1, 100), dtype=np.int64), [[1.0, 0.0]])
+    assert fits[0] == pytest.approx(np.log(0.5), abs=1e-12)
     hist = -0.25 * np.arange(1, 101)
-    assert tail_slope(hist) == pytest.approx(-0.25, abs=1e-12)
-    assert np.isneginf(tail_slope(np.array([0.0, -1.0, -np.inf, -np.inf])))
+    assert oracle_tail_slope(hist) == pytest.approx(-0.25, abs=1e-12)
+    assert np.isneginf(oracle_tail_slope(np.array([0.0, -1.0, -np.inf, -np.inf])))
     rng = np.random.default_rng(34)
     stack = np.cumsum(rng.standard_normal((5, 101)), axis=1)
     stack[1, 70:] = -np.inf
     stack[3, 20:] = -np.inf
-    slopes = tail_slope(stack)
+    slopes = oracle_tail_slope(stack)
     assert slopes.shape == (5,) and np.isneginf(slopes[[1, 3]]).all()
-    np.testing.assert_array_equal(slopes, [tail_slope(row) for row in stack])
+    np.testing.assert_array_equal(slopes, [oracle_tail_slope(row) for row in stack])
 
 
 def test_limit_points_rotation_clusters():
@@ -899,7 +975,8 @@ def test_vector_lyapunov_exponent_frozen():
     seq = SwitchingSequence.periodic([1])
     hist = vector_log_norm_history(SHRINK, seq.prefix(400), [1.0, 0.0])
     assert hist[-1] / 400 == pytest.approx(np.log(0.5), abs=1e-12)
-    assert tail_slope(hist) == pytest.approx(np.log(0.5), abs=1e-9)
+    _, fits = _ends(SHRINK, seq.prefix(400)[None], [[1.0, 0.0]])
+    assert fits[0] == pytest.approx(np.log(0.5), abs=1e-9)
     assert not np.isneginf(hist).any()
     hist = vector_log_norm_history(SHRINK, seq.prefix(400), [0.0, 1.0])
     assert hist[-1] / 400 == pytest.approx(0.0, abs=1e-12)

@@ -1,11 +1,10 @@
 """Convergence estimates, word probes, greedy search, equivalence harness."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mjlslab.stability
@@ -209,7 +208,7 @@ def test_equivalence_harness_on_product_bounded_families():
         assert rep.max_discrepancy <= 0.05
 
 
-@pytest.mark.parametrize("stack_rows", [400, 100])
+@pytest.mark.parametrize("trials", [400, 100])
 @pytest.mark.parametrize(
     "m, horizon, eps, delta",
     [
@@ -219,22 +218,20 @@ def test_equivalence_harness_on_product_bounded_families():
     ids=["criterion-7", "criterion-8"],
 )
 def test_stacked_harness_equals_separate_estimates(
-    monkeypatch, stack_rows, m, horizon, eps, delta
+    monkeypatch, trials, m, horizon, eps, delta
 ):
     calls = []
     vector_histories = mjlslab.stability._vector_histories
 
-    def counted(s, trajs, xs, window=0):
-        calls.append((len(trajs), len(xs)))
-        return vector_histories(s, trajs, xs, window)
+    def counted(s, trajs, xs, history=False):
+        calls.append((len(trajs), len(xs), history))
+        return vector_histories(s, trajs, xs, history)
 
-    monkeypatch.setattr(mjlslab.stability, "STACK_ROWS", stack_rows)
     monkeypatch.setattr(mjlslab.stability, "_vector_histories", counted)
-    trials, seed = 120, 5
+    seed = 5
     rep = pointwise_equivalence_harness(m, trials, horizon, 20, seed, eps=eps, delta=delta)
-    # every call walks all 20 initials on its chunk of trials
-    per_call = max(1, stack_rows // 20)
-    assert calls == [(min(per_call, trials - lo), 20) for lo in range(0, trials, per_call)]
+    # one call walks all 20 initials on every trial, without a history
+    assert calls == [(trials, 20, False)]
     # some trials converge and some do not, so the counts are informative
     assert 0.0 < rep.fractions_converged.min() and rep.fractions_converged.max() < 1.0
     for i, x in enumerate(rep.initials):
@@ -249,22 +246,18 @@ def test_stacked_harness_equals_separate_estimates(
 @given(
     trials=st.integers(1, 17),
     num_initials=st.integers(1, 9),
-    stack_rows=st.integers(1, 40),
     seed=st.integers(0, 2**16),
 )
-@example(trials=7, num_initials=9, stack_rows=5, seed=3)  # more initials than rows
-@example(trials=17, num_initials=4, stack_rows=1, seed=0)
-def test_any_trial_chunking_gives_the_counts_of_separate_estimates(
-    trials, num_initials, stack_rows, seed
+@example(trials=7, num_initials=9, seed=3)
+@example(trials=1, num_initials=4, seed=0)
+@example(trials=17, num_initials=1, seed=1)
+def test_any_trial_and_initial_count_gives_the_counts_of_separate_estimates(
+    trials, num_initials, seed
 ):
-    # chunks of max(1, stack_rows // num_initials) trials; neither the
-    # initials nor the chunk divide what they cut, except with one-trial chunks
-    per_call = max(1, stack_rows // num_initials)
-    assume(stack_rows % num_initials and (per_call == 1 or trials % per_call))
-    with mock.patch.object(mjlslab.stability, "STACK_ROWS", stack_rows):
-        rep = pointwise_equivalence_harness(
-            MIXED, trials, 150, num_initials, seed, eps=1e-2, delta=2e-2, gate_depth=2
-        )
+    # the harness cuts its one call's rows into a block per initial
+    rep = pointwise_equivalence_harness(
+        MIXED, trials, 150, num_initials, seed, eps=1e-2, delta=2e-2, gate_depth=2
+    )
     for i, x in enumerate(rep.initials):
         single = pointwise_convergence_estimate(MIXED, x, trials, 150, 1e-2, seed, 2e-2)
         assert rep.converged_counts[i] == single.converged_count
@@ -275,9 +268,17 @@ def test_any_trial_chunking_gives_the_counts_of_separate_estimates(
 
 @pytest.mark.parametrize("eps, delta", [(0.0, 1e-3), (1e-6, -1e-3)])
 def test_harness_checks_eps_and_delta_before_any_work(monkeypatch, eps, delta):
-    _refuse(monkeypatch, "boundedness_probe", "_symbol_paths", "_vector_histories")
+    # and so do the two estimates
+    _refuse(
+        monkeypatch,
+        "boundedness_probe", "_symbol_paths", "_vector_histories", "_matrix_histories",
+    )
     with pytest.raises(ValueError, match="eps and delta must be positive"):
         pointwise_equivalence_harness(MIXED, 10, 100, 3, 0, eps=eps, delta=delta)
+    with pytest.raises(ValueError, match="eps and delta must be positive"):
+        pointwise_convergence_estimate(MIXED, [1.0, 0.0], 10, 100, eps, 0, delta)
+    with pytest.raises(ValueError, match="eps and delta must be positive"):
+        consistent_convergence_estimate(MIXED, 10, 100, eps=eps, delta=delta)
 
 
 def test_equivalence_harness_gate_rejects_growth():
@@ -405,18 +406,18 @@ def test_symbol_paths_keep_one_read_only_draw(monkeypatch):
     assert not np.array_equal(again, first)
 
 
-def test_the_harness_holds_one_chunk_history_at_a_time():
-    # a chunk's history is its rows times the tail window; freeing it before
-    # the next kernel call keeps the traced peak below 1.5 histories plus the
-    # paths (two histories were alive at once before)
+def test_the_harness_holds_no_history():
+    # one kernel call walks 20 initials on 100 trials of 2,000 steps. The
+    # tail window of their history alone would be 2,000 rows x 1,000 steps
+    # (16 MB); the kernel keeps a few segment buffers instead (1.6 MB each),
+    # and the traced peak, the draw made beforehand, stays below half of it
     m = MJLS(PRODUCT_BOUNDED[0], IID2)
     trials, horizon, initials = 100, 2000, 20
-    rows = initials * max(1, mjlslab.stability.STACK_ROWS // initials)
-    history = rows * (horizon - tail_start(horizon)) * 8
+    mjlslab.stability._symbol_paths(m, trials, horizon, 0)  # m keeps this draw
     tracemalloc.start()
     try:
         pointwise_equivalence_harness(m, trials, horizon, initials, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * history + trials * horizon * 8
+    assert peak < trials * initials * (horizon - tail_start(horizon)) * 8 / 2
