@@ -187,21 +187,31 @@ def test_preextremal_budget():
         preextremal_norm(NILPOTENT, [1.0, 0.0], 30, budget=100)
 
 
-def test_preextremal_blocks_of_prefixes_keep_the_maxima(monkeypatch):
-    # at depth 16 the last 13 levels run on 4 blocks of 2 prefixes; with 8
-    # floats a block, depth 9 runs on blocks of a word or two. Holding every
-    # level whole gives the same bits
-    s = MatrixSet.from_list([0.9 * rotation(0.4), np.diag([1.05, 0.6])])
+@pytest.mark.parametrize(
+    "s",
+    [
+        MatrixSet.from_list([0.9 * rotation(0.4), np.diag([1.05, 0.6])]),
+        SHEAR,
+        NILPOTENT,
+        SWAP_SHRINK,
+        MatrixSet.from_list([np.diag([0.5, 2.0]), rotation(np.pi / 6)]),
+        MatrixSet.from_list([np.eye(2), np.diag([0.5, 1.0])]),
+    ],
+    ids=["rotation-diag", "shear", "nilpotent", "swap-shrink", "push-pull", "gap"],
+)
+def test_preextremal_blocks_of_prefixes_keep_the_maxima(monkeypatch, s):
+    # at depth 16 over two matrices the last 13 levels run on 4 blocks of 2
+    # prefixes; with 8 floats a block, depth 9 runs on blocks of a word or
+    # two. Holding every level whole gives the same bits
     xs = np.random.default_rng(5).standard_normal((3, 2))
     for depth, floats in ((16, mjlslab.products._WORD_FLOATS), (9, 8)):
         monkeypatch.setattr(mjlslab.products, "_WORD_FLOATS", floats)
         blocked = preextremal_norm(s, xs, depth)
         monkeypatch.setattr(mjlslab.products, "_WORD_FLOATS", 2**62)
         assert blocked.tobytes() == preextremal_norm(s, xs, depth).tobytes()
-        for x, value in zip(xs, blocked):
-            assert value == pytest.approx(
-                oracle_preextremal_profile(s.matrices, x, depth)[-1], rel=1e-12
-            )
+    mats = list(s.matrices)
+    for x, value in zip(xs, blocked):
+        assert value == pytest.approx(oracle_preextremal(mats, x, 9), rel=1e-12)
 
 
 def test_a_deep_preextremal_walk_holds_one_block_of_words():
