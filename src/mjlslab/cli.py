@@ -46,26 +46,23 @@ from .splitting import (
     IdempotentNotFoundError,
     ProductOverflowError,
     limit_points,
+    log_norm_histories,
     periodic_split,
     sequence_split,
     vector_log_norm_history,
     verify_splitting,
 )
 from .stability import (
-    _build_report,
     _symbol_paths,
-    _vector_histories,
     almost_sure_exponential_estimate,
     consistent_convergence_estimate,
     consistent_convergence_probe,
     diagonal_shortcut_check,
     periodic_stability_probe,
+    pointwise_convergence_estimate,
     pointwise_equivalence_harness,
     spectral_finiteness_probe,
 )
-
-# levels beyond this need words longer than the enumeration cap
-EXAMPLE46_MAX_LEVELS = 5
 
 
 def _check_writable(path: str, name: str) -> None:
@@ -232,11 +229,9 @@ def cmd_classify(cfg: SystemConfig):
         x = np.asarray(a["initial_vector"], dtype=float)
     warns = ["note: " + msg for msg in validate_chain(m.chain).issues]
 
-    # only the trace needs the history. m keeps the draw, so the consistent
-    # estimate, the harness and the diagonal shortcut read these paths again
-    paths = _symbol_paths(m, trials, horizon, seed)
-    finals, fits, hist_v = _vector_histories(s, paths, x[None], a["trace_csv"] is not None)
-    pointwise = _build_report("vector", x, trials, horizon, seed, eps, delta, finals, fits)
+    # m keeps the draw, so the consistent estimate, the harness, the diagonal
+    # shortcut and the trace read these paths again
+    pointwise = pointwise_convergence_estimate(m, x, trials, horizon, eps, seed, delta)
     # one product history serves the consistent report, the almost-sure fits
     # and the diagonal shortcut
     consistent = consistent_convergence_estimate(
@@ -248,8 +243,10 @@ def cmd_classify(cfg: SystemConfig):
             "trial may not reach eps inside the horizon"
         )
     if a["trace_csv"] is not None:
+        paths = _symbol_paths(m, trials, horizon, seed)
+        _, fits, hist = log_norm_histories(s, paths, np.tile(x, (trials, 1)), history=True)
         try:
-            write_trace_csv(a["trace_csv"], hist_v, fits, a["trace_stride"])
+            write_trace_csv(a["trace_csv"], hist, fits, a["trace_stride"])
         except OSError as exc:
             raise ConfigError(f"analysis.trace_csv: {exc}") from exc
 
@@ -313,11 +310,6 @@ def cmd_classify(cfg: SystemConfig):
 def cmd_example46(cfg: SystemConfig):
     a = cfg.analysis
     alpha, levels = a["alpha"], a["levels"]
-    if levels > EXAMPLE46_MAX_LEVELS:
-        raise ConfigError(
-            f"analysis.levels: at most {EXAMPLE46_MAX_LEVELS} "
-            f"(level {levels} needs {2 ** (2 ** (levels - 1)) - 1} symbols)"
-        )
     seq = SwitchingSequence.quadratic_gap(levels, zero_symbol=1, one_symbol=2)
     s = MatrixSet.from_list(
         [np.eye(2), np.diag([alpha, 1.0])], labels=("hold", "shrink")

@@ -32,7 +32,12 @@ from .linalg import BAND_TOL
 from .markov import MarkovChain, structural_issues
 from .products import ENUM_BUDGET, MatrixSet
 from .rng import MAX_SEED
-from .sequences import FREQ_THRESHOLD, QUADRATIC_GAP_KIND, SwitchingSequence
+from .sequences import (
+    FREQ_THRESHOLD,
+    QUADRATIC_GAP_KIND,
+    QUADRATIC_GAP_MAX_LEVELS,
+    SwitchingSequence,
+)
 from .splitting import CLUSTER_TOL, IDEM_TOL, RANK_TOL
 from .stability import DELTA_DEFAULT, GATE_DEPTH_DEFAULT, MJLS
 
@@ -143,7 +148,7 @@ ANALYSIS = {
     "num_initials": (20, _at_least(1)),
     "lookahead": (13, _at_least(1)),
     "max_steps": (800, _at_least(1)),
-    "levels": (4, _at_least(1)),
+    "levels": (4, lambda value, path: _int(value, path, 1, QUADRATIC_GAP_MAX_LEVELS)),
     "alpha": (0.5, _open_unit),
     "initial_vector": (None, _vector_or_null),
     "trace_csv": (None, _path_or_null),
@@ -251,7 +256,9 @@ def _parse_sequence(data: dict, num_matrices: int | None) -> dict | None:
         if key in block:
             spec[key] = _symbol_list(block[key], f"sequence.{key}")
     if "levels" in block:
-        spec["levels"] = _int(block["levels"], "sequence.levels", 1)
+        spec["levels"] = _int(
+            block["levels"], "sequence.levels", 1, QUADRATIC_GAP_MAX_LEVELS
+        )
     if num_matrices is not None:
         for key in ("word", "symbols"):
             if key in spec and max(spec[key]) > num_matrices:

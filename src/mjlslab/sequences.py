@@ -22,7 +22,8 @@ from .markov import MarkovChain, sample_trajectory
 
 QUADRATIC_GAP_KIND = "example46"  # serialization tag, fixed by the CLI format
 FREQ_THRESHOLD = 1e-3
-_GAP_WORD_CAP = 10**7
+# level 5's word has 65,535 symbols and level 6's 2**32 - 1
+QUADRATIC_GAP_MAX_LEVELS = 5
 
 
 def quadratic_gap_lengths(levels: int) -> list[int]:
@@ -34,13 +35,8 @@ def quadratic_gap_lengths(levels: int) -> list[int]:
 
 
 def _quadratic_gap_word(levels: int) -> np.ndarray:
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    length = 2 ** (2 ** (levels - 1)) - 1
-    if length > _GAP_WORD_CAP:
-        raise ValueError(
-            f"level {levels} word has {length} symbols, above the cap {_GAP_WORD_CAP}"
-        )
+    if not 1 <= levels <= QUADRATIC_GAP_MAX_LEVELS:
+        raise ValueError(f"levels must lie in 1..{QUADRATIC_GAP_MAX_LEVELS}, got {levels}")
     w = np.array([1], dtype=np.int64)
     for _ in range(levels - 1):
         w = np.concatenate([w, np.zeros(len(w) ** 2, dtype=np.int64), w])

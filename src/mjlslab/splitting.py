@@ -39,6 +39,8 @@ MAX_SQUARINGS = 20
 CLOSURE_ROUNDS = 3
 _POOL_CAP = 1024
 _NEAR_FLOATS = 2**18  # floats of pairwise differences that _near_many holds at once
+# a norm in [_SMALL, _BIG) has its squares in the normal float range
+_SMALL, _BIG = 2.0**-511, 2.0**512
 
 
 class IdempotentNotFoundError(RuntimeError):
@@ -142,16 +144,22 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
     kept steps' norms in one call (_row_norms, or _top_singular_values). A
     row's norm and a matrix's sigma_1 do not depend on the rows around them,
     so stacked rows equal single-row calls bit for bit, and the fits do not
-    depend on the history. Once per segment the logs are taken, a row that
-    read a zero norm is marked dead for good (-inf from then on, skipped when
-    every log is finite) and the state is renormalized.
+    depend on the history. Once per segment the logs are taken and the state
+    is renormalized. A zero norm is an exactly zero state, which stays zero:
+    the row is -inf from then on.
 
     A segment is RENORM_EVERY steps, or the most steps k with g**(2 k) finite,
     g the family's largest 2-norm. A family whose g, or with start g**2, is
     past the float range is divided by the power of two 2**j that brings g to
-    [2**509, 2**511), in one-step segments, and step n gets n j ln 2 back. A
-    start row whose norm reads inf or NaN runs again divided by the power of
-    two 2**e that brings its norm below 1, and gets e ln 2 back.
+    [2**509, 2**511), in one-step segments, and step n gets n j ln 2 back.
+    Before the first step, a start row whose squares could leave the normal
+    float range in the first segment (||x||**2 below the smallest normal, or
+    (||x|| max(1, g)**k)**2 past the largest float) is divided by the power
+    of two 2**e that brings its norm to [1/4, 1); its finals and history get
+    e ln 2 back, and its fit is the scaled walk's. A state row whose squares
+    sum below the smallest normal (a norm below 2**-511, or a zero read) takes
+    the scaled norm top ||x / top||, top its largest entry, so a row dies
+    only when its state is exactly zero, with or without the history.
     """
     paths = _symbols(paths, s.num_matrices)  # no copy of an int64 array
     if paths.ndim != 2 or paths.shape[1] < 1:
@@ -168,7 +176,8 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
             top = np.abs(mats).max()
             unit = np.linalg.norm(mats / top, 2, axis=(1, 2)).max()
             step_exp = int(np.frexp(top)[1] + np.frexp(unit)[1]) - 511
-            mats, every = np.ldexp(mats, -step_exp), 1
+            # g now bounds the scaled family's largest 2-norm
+            mats, every, g = np.ldexp(mats, -step_exp), 1, 2.0**511
         while every > 1 and np.isinf(g ** (2 * every)):
             every -= 1
     if start is None:
@@ -185,8 +194,14 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
         reps, extra = divmod(len(xs), trials) if trials else (0, len(xs))
         if extra:
             raise ValueError(f"start must hold a multiple of {trials} rows, got {len(xs)}")
+        top = np.abs(xs).max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            unit = np.linalg.norm(xs / top[:, None], axis=1)  # ||x|| = top * unit
+            size = top * unit
+            moved = (top > 0.0) & ((size < _SMALL) | (size * max(1.0, g) ** every >= _BIG))
+        exps = np.where(moved, np.frexp(top)[1] + np.frexp(unit)[1], 0)
         # row r of the stack is row r // trials of trial r % trials's block
-        blocks = xs.reshape(reps, trials, s.dim).transpose(1, 0, 2)
+        blocks = np.ldexp(xs, -exps[:, None]).reshape(reps, trials, s.dim).transpose(1, 0, 2)
         partner = np.zeros((trials, 1 if reps == 1 else 0, s.dim))
         state = np.concatenate([blocks, partner], axis=1)
     hist = np.full((reps, trials, horizon), -np.inf) if history else None
@@ -194,10 +209,7 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
     fits = np.zeros((trials, reps))
     buf = np.empty((every, *state.shape))
     acc = np.zeros((trials, reps))
-    alive = np.ones((trials, reps), dtype=bool)
-    over = np.zeros((trials, reps), dtype=bool)
-    # a start row whose squares pass the float range runs again below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, horizon, every):
             hi = min(lo + every, horizon)
             # norms from the window on, and at the segment's last step
@@ -210,15 +222,14 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
                 seg = _top_singular_values(kept)
             else:
                 seg = _row_norms(kept[:, :, :reps])
-            lg = np.log(seg)
-            healthy = alive.all() and np.isfinite(lg).all()
-            if healthy:  # every norm positive and finite: no row dies or overflows
-                logs = np.add(acc, lg, out=lg)
-            else:
-                live = np.logical_and.accumulate(seg > 0.0, axis=0) & alive
-                logs = np.where(live, acc + lg, -np.inf)
-                over |= ~np.isfinite(seg).all(axis=0)
-                alive = live[-1]
+                low = seg < _SMALL  # squares summed below the normal range
+                if low.any():
+                    rows = kept[:, :, :reps][low]
+                    top = np.abs(rows).max(axis=-1)
+                    seg[low] = top * _row_norms(rows / np.where(top > 0.0, top, 1.0)[:, None])
+            # log 0 = -inf, and a dead row's acc is -inf: it stays dead
+            logs = np.log(seg)
+            logs += acc
             if history:
                 hist[:, :, lo:hi] = logs.transpose(2, 1, 0)
             if hi > tail:  # add c_t h(t) over the window's steps in order
@@ -228,13 +239,13 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
             if hi == horizon:
                 finals = logs[-1]
             elif hi - lo == every:
-                if not alive.any():
+                live = seg[-1] > 0.0
+                if not live.any():
                     break  # every row has hit an exact zero product
                 acc = logs[-1]
                 # into a new array, off the buffer slot the next step writes;
-                # a dead row is divided by inf, so it is zero from here on
-                scale = seg[-1] if healthy else np.where(alive, seg[-1], np.inf)
-                state = state / scale[:, :, None]
+                # a dead row is divided by inf, so it stays zero
+                state = state / np.where(live, seg[-1], np.inf)[:, :, None]
     finals, fits = finals.T.reshape(-1), fits.T.reshape(-1)
     if horizon < 2:
         fits[:] = np.nan
@@ -247,23 +258,11 @@ def log_norm_histories(s: MatrixSet, paths, start=None, history: bool = False):
         if history:
             hist += np.arange(1, horizon + 1) * unit
     fits[np.isneginf(finals)] = -np.inf
-    if start is None:
-        return finals, fits, hist
-    # a start row whose squares passed the float range read a non-finite norm;
-    # it runs again divided by the power of two 2**e that brings its norm
-    # below 1, and its logs get e ln 2 back. Below norm 1 no row overflows,
-    # so the second run does not recurse
-    rows = np.flatnonzero(over.T)  # row r = rep * trials + trial
-    top = np.abs(xs[rows]).max(axis=1)
-    unit = np.linalg.norm(xs[rows] / top[:, None], axis=1)  # ||x|| = top * unit
-    exps = np.frexp(top)[1] + np.frexp(unit)[1]
-    rows, exps = rows[exps > 0], exps[exps > 0, None]
-    if rows.size:
-        again = log_norm_histories(s, paths[rows % trials], np.ldexp(xs[rows], -exps), history)
-        finals[rows] = again[0] + exps[:, 0] * np.log(2.0)
-        fits[rows] = again[1]
+    if start is not None and moved.any():  # a row divided by 2**e gets e ln 2 back
+        back = exps[moved] * np.log(2.0)
+        finals[moved] += back
         if history:
-            hist[rows] = again[2] + exps * np.log(2.0)
+            hist[moved] += back[:, None]
     return finals, fits, hist
 
 

@@ -183,7 +183,7 @@ def pointwise_convergence_estimate(
     """Share of sampled trajectories along which x A(n) reaches norm < eps."""
     _check_rates(eps, delta)
     xr = as_row_vector(x, m.system.dim)
-    if float(np.linalg.norm(xr)) == 0.0:
+    if not xr.any():
         raise ValueError("initial vector must be nonzero")
     trajs = _symbol_paths(m, trials, horizon, seed)
     finals, fits, _ = _vector_histories(m.system, trajs, xr[None])

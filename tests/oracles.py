@@ -256,15 +256,23 @@ def oracle_word_product(mats, word) -> np.ndarray:
 def oracle_log_norm_history(mats, symbols, x=None) -> np.ndarray:
     """log ||x A(n)||_2, or log ||A(n)||_2 when x is None, for n = 1..len(symbols).
 
-    Plain product loop without renormalization, so keep the histories short
-    enough not to underflow; an exactly zero product gives -inf.
+    Plain product loop. After each step the product is divided by the power
+    of two 2**e that brings its largest entry to [1/2, 1), which is exact,
+    and its log-norm gets the summed e ln 2 back, so neither the entries nor
+    their squares leave the float range; an exactly zero product gives -inf.
     """
     a = np.eye(mats[0].shape[0]) if x is None else np.asarray(x, dtype=float)
-    out = []
+    exp, out = 0, []
     for s in symbols:
         a = a @ mats[s - 1]
+        top = np.abs(a).max()
+        if top == 0.0:
+            out.append(-np.inf)
+            continue
+        e = int(np.frexp(top)[1])
+        a, exp = np.ldexp(a, -e), exp + e
         nrm = oracle_norm2(a) if x is None else float(np.sqrt((a * a).sum()))
-        out.append(np.log(nrm) if nrm > 0.0 else -np.inf)
+        out.append(exp * np.log(2.0) + np.log(nrm))
     return np.array(out)
 
 

@@ -24,6 +24,7 @@ from mjlslab import (
 )
 from mjlslab.cli import _OVERRIDES, main
 from mjlslab.config import DEFAULTS
+from mjlslab.sequences import QUADRATIC_GAP_MAX_LEVELS
 from oracles import oracle_log_norm_history, oracle_tail_slope, rotation
 from test_acceptance import Budget
 from test_config import INT_MINIMA
@@ -402,16 +403,37 @@ def test_truncated_jsr_warning_names_the_completed_depth(tmp_path, capsys):
     assert "budget: jsr enumeration truncated at depth 1" in doc["warnings"]
 
 
+# (matrices, (initial, transition), analysis): in the second the start row's
+# squares underflow at the 1e-20 steps, between the steps a run without the
+# trace reads
+TRACE_CASES = (
+    (
+        [np.diag([0.5, 1.0]), rotation(np.pi / 2)],
+        ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]),
+        {"trials": 3, "horizon": 120, "seed": 4},
+    ),
+    (
+        [np.eye(2), 1e-20 * np.eye(2), 1e20 * np.eye(2)],
+        ([0.73, 0.1, 0.17], [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]]),
+        {"trials": 20, "horizon": 200, "initial_vector": [1e-150, 0.0]},
+    ),
+)
+
+
 def test_trace_csv_holds_the_full_history_and_leaves_results_alone(tmp_path, capsys):
-    mats = [np.diag([0.5, 1.0]), rotation(np.pi / 2)]
-    chain = MarkovChain([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-    trials, horizon, stride, seed = 3, 120, 25, 4
+    for mats, (initial, transition), analysis in TRACE_CASES:
+        _check_trace(tmp_path, capsys, mats, MarkovChain(initial, transition), analysis)
+
+
+def _check_trace(tmp_path, capsys, mats, chain, analysis):
+    trials, horizon, stride = analysis["trials"], analysis["horizon"], 25
+    seed = analysis.get("seed", 0)
     doc = {
         "dimension": 2,
         "matrices": [m.tolist() for m in mats],
-        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
-        "analysis": {"trials": trials, "horizon": horizon, "num_initials": 3, "seed": seed,
-                     "depth": 3, "boundedness_depth": 3, "trace_stride": stride},
+        "markov": {"initial": chain.initial.tolist(), "transition": chain.transition.tolist()},
+        "analysis": {**analysis, "num_initials": 3, "depth": 3, "boundedness_depth": 3,
+                     "trace_stride": stride},
     }
     code, plain, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
     assert code == 0
@@ -424,15 +446,16 @@ def test_trace_csv_holds_the_full_history_and_leaves_results_alone(tmp_path, cap
         return text[text.index('"results"') : text.index('"warnings"')]
 
     assert results(traced) == results(plain)
+    assert json.loads(traced)["warnings"] == json.loads(plain)["warnings"]
     fits = json.loads(traced)["results"]["pointwise"]["tail_fits"]
     with open(trace, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "n", "log_norm", "fit"]
-    steps = [25, 50, 75, 100, 120]
+    steps = sorted({*range(stride, horizon + 1, stride), horizon})
     assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [
         (t, n) for t in range(1, trials + 1) for n in steps
     ]
-    x = np.ones(2) / np.sqrt(2.0)
+    x = np.array(analysis.get("initial_vector", np.ones(2) / np.sqrt(2.0)))
     for t in range(trials):
         path = sample_trajectory(chain, horizon, seed, stream=t)
         oracle = oracle_log_norm_history(mats, path, x)
@@ -468,7 +491,7 @@ def test_an_unwritable_out_path_is_refused_before_the_run(
 
 
 def test_an_unwritable_trace_csv_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(mjlslab.cli, "_symbol_paths", _never_run)
+    monkeypatch.setattr(mjlslab.stability, "_symbol_paths", _never_run)
     trace = tmp_path / "missing" / "trace.csv"
     doc = {**TRACE_DOC, "analysis": {**TRACE_DOC["analysis"], "trace_csv": str(trace)}}
     code, out, err = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
@@ -489,7 +512,7 @@ def test_an_empty_out_path_is_refused_before_the_run(tmp_path, capsys, monkeypat
 
 def test_an_empty_trace_csv_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
     # "" passed the folder check and was refused by the write, after the run
-    monkeypatch.setattr(mjlslab.cli, "_symbol_paths", _never_run)
+    monkeypatch.setattr(mjlslab.stability, "_symbol_paths", _never_run)
     doc = {**TRACE_DOC, "analysis": {**TRACE_DOC["analysis"], "trace_csv": ""}}
     code, out, err = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
     assert (code, out, err) == (2, "", "error: analysis.trace_csv: the path is empty\n")
@@ -1043,6 +1066,52 @@ def test_example46_closed_form_rows(tmp_path, capsys):
     assert doc["results"]["exponents_strictly_increasing"] is True
 
 
+@pytest.mark.parametrize("block", ["sequence", "analysis"])
+def test_split_refuses_example46_levels_past_the_word_cap(tmp_path, capsys, block):
+    # level 6's word has 2**32 - 1 symbols; split exited 1 with a traceback
+    doc = {
+        "dimension": 2,
+        "matrices": [np.eye(2).tolist(), np.diag([0.5, 1.0]).tolist()],
+        "sequence": {"kind": "example46"},
+        "analysis": {"horizon": 64, "depth": 2, "jsr_depth": 2, "preextremal_depth": 2},
+    }
+    for levels in (QUADRATIC_GAP_MAX_LEVELS, QUADRATIC_GAP_MAX_LEVELS + 1):
+        doc[block]["levels"] = levels
+        code, out, err = run(capsys, "split", "--config", write(tmp_path, json.dumps(doc)))
+        if levels == QUADRATIC_GAP_MAX_LEVELS:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["results"]["sequence"]["detail"]["levels"] == levels
+        else:
+            assert (code, out) == (2, "")
+            top = QUADRATIC_GAP_MAX_LEVELS
+            assert err == f"error: {block}.levels: must be at most {top}, got {levels}\n"
+
+
+def test_classify_verdicts_do_not_depend_on_the_size_of_the_initial_vector(tmp_path, capsys):
+    # x A(n) and (c x) A(n) go to zero together: 1e-300 e1 and 1e300 e1 read
+    # the tail fits of e1, and no trial decays exponentially. The squares of
+    # 1e-300 e1 underflow, and those of 1e300 e1 overflow, at the first step
+    doc = {
+        "dimension": 2,
+        "matrices": [[[0.0, 1.0], [-1.0, 0.0]], np.eye(2).tolist()],
+        "markov": {"initial": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "analysis": {"trials": 20, "horizon": 2000, "num_initials": 2, "depth": 2,
+                     "boundedness_depth": 2},
+    }
+    reports = []
+    for scale in (1e-300, 1.0, 1e300):
+        doc["analysis"]["initial_vector"] = [scale, 0.0]
+        code, out, _ = run(capsys, "classify", "--config", write(tmp_path, json.dumps(doc)))
+        assert code == 0
+        reports.append(json.loads(out)["results"]["pointwise"])
+    assert [r["exponential_count"] for r in reports] == [0, 0, 0]
+    base = reports[1]
+    for scale, report in zip((1e-300, 1.0, 1e300), reports):
+        np.testing.assert_allclose(report["tail_fits"], base["tail_fits"], rtol=0, atol=1e-12)
+        finals = np.array(report["final_log_norms"]) - np.log(scale)
+        np.testing.assert_allclose(finals, base["final_log_norms"], rtol=0, atol=1e-12)
+
+
 def test_example46_level_cap(tmp_path, capsys):
     cfg = write(tmp_path, '{"analysis": {"levels": 9}}')
     code, _, err = run(capsys, "example46", "--config", cfg)
@@ -1197,7 +1266,9 @@ def _fuzz_sequence(rng, k: int) -> dict:
     if kind == "explicit":
         return {"kind": "explicit", "symbols": symbols.tolist()}
     if kind == "example46":
-        return {"kind": "example46", "levels": int(rng.integers(1, 4))}
+        # levels past the cap, or none, so that analysis.levels is read
+        levels = int(rng.integers(1, 8))
+        return {"kind": "example46", "levels": levels} if rng.random() < 0.7 else {"kind": kind}
     return {"kind": "markov"}
 
 
@@ -1229,7 +1300,7 @@ def _fuzz_case(rng, command: str) -> tuple[dict, list[str]]:
         "alpha": float(rng.choice([0.25, 0.5, 0.9])),
     }
     if command == "classify" and rng.random() < 0.2:
-        analysis["initial_vector"] = [0.0] * d if rng.random() < 0.5 else [1.0] * d
+        analysis["initial_vector"] = [float(rng.choice([0.0, 1e-300, 1.0, 1e300]))] * d
     doc["analysis"] = analysis
     extra = []
     for flag, low, high in (("--horizon", 1, 81), ("--trials", 0, 5), ("--depth", 0, 6)):

@@ -21,15 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mjlslab"
 DEMOS = ROOT / "demos" / "configs"
 
-# cli scores the pointwise row, and takes its history for the trace, through
-# these until stability grows one public entry point for the classify
-# pipeline: the rest of ROADMAP item 3, which waits on item 2's benchmark
-# change, since the benchmark's tracer patches and pins them. The product
-# walk comes from consistent_convergence_estimate
+# cli reads the kept draw for the trace through _symbol_paths, and the
+# benchmark's tracer patches and pins that binding
+# (test_instrument_restores_every_binding); the pointwise and product
+# estimates are the public ones
 ALLOWED = {
-    ("cli", "stability", "_build_report"),
     ("cli", "stability", "_symbol_paths"),
-    ("cli", "stability", "_vector_histories"),
 }
 
 

@@ -340,25 +340,86 @@ def test_kernel_equals_the_row_kernel_oracle(case, seed, horizon, reps):
         )
 
 
-def test_a_norm_that_underflows_mid_segment_kills_the_row_for_good():
-    # at step 5 the first row's state is 1e-170, whose squares underflow, so
-    # its norm reads 0 although the state is not zero; the growth at step 6
-    # must not bring the row back, in this segment or any later one
-    family = MatrixSet.from_list([np.eye(2), 1e-20 * np.eye(2), 1e20 * np.eye(2)])
-    path = np.ones((1, 3 * RENORM_EVERY), dtype=np.int64)
-    path[0, 4:6] = [2, 3]
-    start = np.array([[1e-150, 0.0], [1.0, 0.0]])
-    both = _hist(family, path, start)
-    np.testing.assert_array_equal(both, oracle_row_kernel(family.matrices, path, start))
-    assert np.isfinite(both[0, :4]).all() and np.isneginf(both[0, 4:]).all()
-    assert np.isfinite(both[1]).all()
-    for row, x in zip(both, start):  # alone, with its zero partner row
-        np.testing.assert_array_equal(_hist(family, path, x[None]), row[None])
-    # without the history no norm before the tail window is read but the
-    # segments' last: none of those underflows, so the first row lives
-    windowed = oracle_row_kernel(family.matrices, path, start, tail_start(path.shape[1]))
-    assert np.isfinite(windowed[:, -1]).all()
-    np.testing.assert_array_equal(_ends(family, path, start)[0], windowed[:, -1])
+def test_a_row_dies_only_when_its_state_is_exactly_zero():
+    # at step 5 the first start row's state is 1e-170, whose squares
+    # underflow: its norm reads 0 although the state is not zero, so it takes
+    # the scaled norm and lives. Trial 1 meets the zero matrix at step 61,
+    # and its rows die there. Both hold with and without the history
+    family = MatrixSet.from_list(
+        [np.eye(2), 1e-20 * np.eye(2), 1e20 * np.eye(2), np.zeros((2, 2))]
+    )
+    paths = np.ones((2, 3 * RENORM_EVERY), dtype=np.int64)
+    paths[:, 4:6] = [2, 3]
+    paths[1, 60] = 4
+    stack = np.repeat([[1e-150, 0.0], [1.0, 0.0]], 2, axis=0)  # row r follows trial r % 2
+    finals, fits, hist = log_norm_histories(family, paths, stack, history=True)
+    np.testing.assert_array_equal(_ends(family, paths, stack), (finals, fits))
+    dip = np.where(np.arange(paths.shape[1]) == 4, np.log(1e-20), 0.0)
+    want = np.log(np.linalg.norm(stack, axis=1))[:, None] + dip
+    live, dead = [0, 2], [1, 3]
+    np.testing.assert_allclose(hist[live], want[live], rtol=1e-12)
+    np.testing.assert_allclose(fits[live], 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hist[dead, :60], want[dead, :60], rtol=1e-12)
+    assert np.isneginf(hist[dead, 60:]).all()
+    assert np.isneginf(finals[dead]).all() and np.isneginf(fits[dead]).all()
+    for r, x in enumerate(stack):  # alone, with its zero partner row
+        alone = log_norm_histories(family, paths[r % 2][None], x[None], history=True)
+        for got, want_r in zip(alone, (finals, fits, hist)):
+            np.testing.assert_array_equal(got[0], want_r[r])
+
+
+SCALE_POWERS = (-1000, -530, -500, 0, 500, 530, 1000)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    d=st.integers(1, 4),
+    k=st.integers(1, 3),
+    zero=st.booleans(),
+    horizon=st.sampled_from([2, 3, 49, 50, 51, 130]),
+)
+@example(0, 2, 2, True, 130)
+@example(1, 1, 1, False, 50)
+@example(2, 4, 3, False, 130)
+def test_a_start_row_scaled_by_a_power_of_two_keeps_its_finals_and_fits(
+    seed, d, k, zero, horizon
+):
+    # the log-norm of 2**p x is p ln 2 plus that of x, wherever p puts the
+    # row's squares; generators are orthogonal times diag(s), s in [0.1, 10],
+    # and with zero set trial 0 meets a zero generator once
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    mats = q * 10.0 ** rng.uniform(-1.0, 1.0, (k, 1, d))
+    trials, reps = (int(n) for n in rng.integers(1, 4, size=2))
+    paths = rng.integers(1, k + 1, size=(trials, horizon))
+    if zero and k > 1:
+        mats[-1] = 0.0
+        paths[paths == k] = 1
+        paths[0, horizon // 3] = k
+    family = MatrixSet.from_list(list(mats))
+    xs = rng.standard_normal((reps * trials, d))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True) * rng.uniform(0.8, 1.25, (len(xs), 1))
+    finals, fits, hist = log_norm_histories(family, paths, xs, history=True)
+    dead = np.isneginf(finals)
+    assert (dead == (zero and k > 1 and (np.arange(len(xs)) % trials == 0))).all()
+    tail = tail_start(horizon)
+    c = np.arange(tail, horizon) - (tail + horizon - 1) / 2
+    c /= (c * c).sum()
+    for p in SCALE_POWERS:
+        both = [log_norm_histories(family, paths, np.ldexp(xs, p), h) for h in (True, False)]
+        np.testing.assert_array_equal(both[0][0], both[1][0])
+        np.testing.assert_array_equal(both[0][1], both[1][1])
+        got_finals, got_fits, got_hist = both[0]
+        # each fit is sum_t c_t h(t), rounded within 1e-12 of the sum of |c_t h(t)|
+        fit_bound = 1e-12 * np.maximum(
+            np.abs(c * hist[~dead, tail:]).sum(axis=1),
+            np.abs(c * got_hist[~dead, tail:]).sum(axis=1),
+        )
+        assert np.isneginf(got_finals[dead]).all() and np.isneginf(got_fits[dead]).all()
+        shift = p * np.log(2.0)
+        bound = 1e-12 * (np.abs(finals[~dead]) + abs(shift))
+        assert np.all(np.abs(got_finals[~dead] - shift - finals[~dead]) <= bound), p
+        assert np.all(np.abs(got_fits[~dead] - fits[~dead]) <= fit_bound), p
 
 
 @pytest.mark.parametrize(
