@@ -21,7 +21,7 @@ from mjlslab import (
 ALPHA = 0.5
 LEVELS = 4
 
-seq = SwitchingSequence.quadratic_gap(LEVELS, zero_symbol=1, one_symbol=2)
+seq = SwitchingSequence.quadratic_gap(LEVELS)
 lengths = quadratic_gap_lengths(LEVELS)
 print("level lengths:", lengths)
 print("rare-symbol count:", seq.detail["ones_count"])

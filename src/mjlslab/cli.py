@@ -164,8 +164,8 @@ def cmd_split(cfg: SystemConfig):
 
     split = failure = None
     with warnings.catch_warnings(record=True) as caught:
-        # the empty-limit-set warning duplicates the gate warning above
-        warnings.filterwarnings("ignore", message="no return times", category=UserWarning)
+        # recorded, and reported below, even where warnings are errors
+        warnings.simplefilter("always", ClosureBudgetWarning)
         try:  # one limit point set serves the splitting and its verification
             limits = limit_points(s, seq, a["cylinder_len"], horizon, a["cluster_tol"])
             split = sequence_split(limits, a["idem_tol"], a["rank_tol"], budget=a["budget"])
@@ -310,7 +310,7 @@ def cmd_classify(cfg: SystemConfig):
 def cmd_example46(cfg: SystemConfig):
     a = cfg.analysis
     alpha, levels = a["alpha"], a["levels"]
-    seq = SwitchingSequence.quadratic_gap(levels, zero_symbol=1, one_symbol=2)
+    seq = SwitchingSequence.quadratic_gap(levels)
     s = MatrixSet.from_list(
         [np.eye(2), np.diag([alpha, 1.0])], labels=("hold", "shrink")
     )

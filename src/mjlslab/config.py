@@ -101,12 +101,31 @@ def _open_unit(value, path: str) -> float:
     return v
 
 
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
+
+
+def _array(value, path: str, shape: tuple, entry=_number) -> list:
+    """The JSON array at path as nested lists, each entry passed through entry.
+
+    shape holds the length at each depth, None for any nonempty length; the
+    error names the first list or entry that does not fit.
+    """
+    size = shape[0]
+    if not isinstance(value, list) or not value or size not in (None, len(value)):
+        want = "a nonempty list" if size is None else f"a list of length {size}"
+        raise ConfigError(f"{path}: expected {want}")
+    if len(shape) == 1:
+        return [entry(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_array(v, f"{path}[{i}]", shape[1:], entry) for i, v in enumerate(value)]
+
+
 def _vector_or_null(value, path: str) -> list[float] | None:
     if value is None:
         return None
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list or null")
-    v = [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    v = _array(value, path, (None,))
     if not any(v):
         raise ConfigError(f"{path}: must be nonzero")
     return v
@@ -162,12 +181,6 @@ def check_analysis_int(key: str, value, path: str) -> int:
     return ANALYSIS[key][1](value, path)
 
 
-def _symbol_list(value, path: str) -> list[int]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of symbols")
-    return [_int(v, f"{path}[{i}]", 1) for i, v in enumerate(value)]
-
-
 @dataclass
 class SystemConfig:
     """Parsed configuration; blocks that were absent are None."""
@@ -188,29 +201,10 @@ def _parse_matrices(data: dict) -> MatrixSet | None:
     if "dimension" not in data:
         raise ConfigError("dimension: required when matrices are given")
     d = _int(data["dimension"], "dimension", 1)
-    raw = data["matrices"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("matrices: expected a nonempty list")
-    mats = []
-    for i, m in enumerate(raw):
-        path = f"matrices[{i}]"
-        if not isinstance(m, list) or len(m) != d:
-            raise ConfigError(f"{path}: expected {d} rows")
-        for j, row in enumerate(m):
-            if not isinstance(row, list) or len(row) != d:
-                raise ConfigError(f"{path}[{j}]: expected {d} entries")
-            for l, v in enumerate(row):
-                _number(v, f"{path}[{j}][{l}]")
-        mats.append(np.asarray(m, dtype=float))
+    mats = _array(data["matrices"], "matrices", (None, d, d))
     labels = None
     if "labels" in data:
-        raw_labels = data["labels"]
-        if not isinstance(raw_labels, list) or len(raw_labels) != len(mats):
-            raise ConfigError("labels: expected one string per matrix")
-        for i, lab in enumerate(raw_labels):
-            if not isinstance(lab, str):
-                raise ConfigError(f"labels[{i}]: expected a string")
-        labels = tuple(raw_labels)
+        labels = tuple(_array(data["labels"], "labels", (len(mats),), _string))
     return MatrixSet.from_list(mats, labels)
 
 
@@ -219,20 +213,8 @@ def _parse_markov(data: dict) -> MarkovChain | None:
         return None
     block = data["markov"]
     _check_keys(block, "markov", {"initial", "transition"}, ("initial", "transition"))
-    init = block["initial"]
-    if not isinstance(init, list) or not init:
-        raise ConfigError("markov.initial: expected a nonempty list")
-    p = [_number(v, f"markov.initial[{i}]") for i, v in enumerate(init)]
-    trans = block["transition"]
-    if not isinstance(trans, list) or len(trans) != len(p):
-        raise ConfigError(
-            f"markov.transition: expected {len(p)} rows to match markov.initial"
-        )
-    t = []
-    for i, row in enumerate(trans):
-        if not isinstance(row, list) or len(row) != len(p):
-            raise ConfigError(f"markov.transition[{i}]: expected {len(p)} entries")
-        t.append([_number(v, f"markov.transition[{i}][{j}]") for j, v in enumerate(row)])
+    p = _array(block["initial"], "markov.initial", (None,))
+    t = _array(block["transition"], "markov.transition", (len(p), len(p)))
     return MarkovChain(np.asarray(p), np.asarray(t))
 
 
@@ -254,7 +236,7 @@ def _parse_sequence(data: dict, num_matrices: int | None) -> dict | None:
     spec = {"kind": kind}
     for key in ("word", "symbols"):
         if key in block:
-            spec[key] = _symbol_list(block[key], f"sequence.{key}")
+            spec[key] = _array(block[key], f"sequence.{key}", (None,), _at_least(1))
     if "levels" in block:
         spec["levels"] = _int(
             block["levels"], "sequence.levels", 1, QUADRATIC_GAP_MAX_LEVELS
@@ -298,11 +280,7 @@ def parse_config(data) -> SystemConfig:
         raise ConfigError("sequence.kind: 'markov' needs a markov block")
     analysis = _parse_analysis(data)
     if system is not None and analysis["initial_vector"] is not None:
-        if len(analysis["initial_vector"]) != system.dim:
-            raise ConfigError(
-                f"analysis.initial_vector: expected {system.dim} entries, got "
-                f"{len(analysis['initial_vector'])}"
-            )
+        _array(analysis["initial_vector"], "analysis.initial_vector", (system.dim,))
     return SystemConfig(
         system=system,
         chain=chain,
@@ -347,9 +325,7 @@ def build_sequence(cfg: SystemConfig) -> SwitchingSequence:
         return SwitchingSequence.explicit(spec["symbols"])
     if spec["kind"] == "markov":
         return SwitchingSequence.markov(check_chain(cfg.chain), cfg.analysis["seed"])
-    levels = spec.get("levels", cfg.analysis["levels"])
-    # symbol 1 drives the gap steps, symbol 2 the rare steps
-    return SwitchingSequence.quadratic_gap(levels, zero_symbol=1, one_symbol=2)
+    return SwitchingSequence.quadratic_gap(spec.get("levels", cfg.analysis["levels"]))
 
 
 def require_system(cfg: SystemConfig) -> MatrixSet:

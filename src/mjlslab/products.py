@@ -527,18 +527,17 @@ class JsrBounds:
     budget: int
 
 
-def jsr_bounds(
-    s: MatrixSet | WordLevels, depth: int, budget: int = ENUM_BUDGET
-) -> JsrBounds:
+def jsr_bounds(s: MatrixSet | WordLevels, depth: int) -> JsrBounds:
     """Spectral lower and norm upper bound by level enumeration.
 
     On budget exhaustion the bounds of the deepest completed level are
     returned with truncated=True; nothing is completed at all raises
-    BudgetExceededError. A walk passed as s brings its own budget.
+    BudgetExceededError. A family is walked within ENUM_BUDGET; a walk
+    passed as s brings its own budget.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    walk = word_levels(s, depth, depth, budget, minima=False)
+    walk = word_levels(s, depth, depth, minima=False)
     _, _, lower, lower_word, completed, truncated = rho_extremes(walk, depth, minima=False)
     upper, upper_word = walk.norm_root(depth)
     return JsrBounds(
@@ -554,21 +553,20 @@ def jsr_bounds(
     )
 
 
-def rho_extremes(
-    s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET, minima: bool = True
-):
+def rho_extremes(s: MatrixSet | WordLevels, max_len: int, minima: bool = True):
     """Min and max of rho(S_w)^(1/|w|) over 1 <= |w| <= max_len, one pass.
 
     Returns (min_value, min_word, max_value, max_word, completed_length,
     truncated); with minima=False the min and its word are None and the walk
     skips the products that cannot hold the max. Ties keep the earliest find,
     so shorter words win and within a length the lexicographically smallest
-    word wins. Raises BudgetExceededError when not even length 1 fits the
-    budget, and ValueError for minima from a walk built without them.
+    word wins. A family is walked within ENUM_BUDGET. Raises
+    BudgetExceededError when not even length 1 fits the budget, and
+    ValueError for minima from a walk built without them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    levels = word_levels(s, max_len, 0, budget, minima).rho[:max_len]
+    levels = word_levels(s, max_len, 0, minima=minima).rho[:max_len]
     # min and max return the first extreme level, so ties keep the earliest find
     _, _, max_val, max_word = max(levels, key=lambda level: level[2])
     min_val = min_word = None

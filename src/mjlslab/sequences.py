@@ -3,8 +3,9 @@
 A switching sequence is a symbol source with a stable prefix: prefix(n) is
 always an initial segment of prefix(m) for n <= m. Four kinds are supported:
 a repeated finite word, an explicit finite list, a sampled Markov trajectory,
-and a slowly recurrent binary word whose blocks of zeros grow quadratically
-(serialized under the kind tag "example46").
+and a slowly recurrent two-symbol word whose blocks of symbol 1 grow
+quadratically between its rare symbols 2 (serialized under the kind tag
+"example46").
 
 Return times of the length-L initial cylinder and their visit frequency are
 the desk-scale handles on recurrence: a sequence is recurrent when every
@@ -32,15 +33,6 @@ def quadratic_gap_lengths(levels: int) -> list[int]:
     for _ in range(levels - 1):
         out.append(2 * out[-1] + out[-1] ** 2)
     return out
-
-
-def _quadratic_gap_word(levels: int) -> np.ndarray:
-    if not 1 <= levels <= QUADRATIC_GAP_MAX_LEVELS:
-        raise ValueError(f"levels must lie in 1..{QUADRATIC_GAP_MAX_LEVELS}, got {levels}")
-    w = np.array([1], dtype=np.int64)
-    for _ in range(levels - 1):
-        w = np.concatenate([w, np.zeros(len(w) ** 2, dtype=np.int64), w])
-    return w
 
 
 class SwitchingSequence:
@@ -77,39 +69,42 @@ class SwitchingSequence:
         )
 
     @classmethod
-    def quadratic_gap(
-        cls, levels: int, zero_symbol: int = 0, one_symbol: int = 1
-    ) -> "SwitchingSequence":
-        """Recurrent 0/1 word with zero-gaps that grow quadratically.
+    def quadratic_gap(cls, levels: int) -> "SwitchingSequence":
+        """Recurrent two-symbol word whose gaps grow quadratically.
 
-        Level k repeats the level k-1 word around a block of len(k-1)^2
-        zeros, so ones keep recurring but with vanishing frequency. Symbols
-        can be relabeled (zero_symbol/one_symbol) to drive a matrix family.
+        Level 1 is the word (2,); level k repeats the level k-1 word around a
+        gap of len(k-1)^2 symbols 1, so symbol 2 keeps recurring but with
+        vanishing frequency. The detail names them as the 0/1 word's
+        zero_symbol and one_symbol.
         """
-        raw = _quadratic_gap_word(levels)
-        word = np.where(raw == 1, np.int64(one_symbol), np.int64(zero_symbol))
+        if not 1 <= levels <= QUADRATIC_GAP_MAX_LEVELS:
+            raise ValueError(f"levels must lie in 1..{QUADRATIC_GAP_MAX_LEVELS}, got {levels}")
+        word = np.array([2], dtype=np.int64)
+        for _ in range(levels - 1):
+            word = np.concatenate([word, np.ones(word.size**2, dtype=np.int64), word])
         return cls(
             QUADRATIC_GAP_KIND,
             lambda n: word[:n],
             int(word.size),
             {
                 "levels": int(levels),
-                "zero_symbol": int(zero_symbol),
-                "one_symbol": int(one_symbol),
-                "ones_count": int(raw.sum()),
+                "zero_symbol": 1,
+                "one_symbol": 2,
+                "ones_count": int(np.count_nonzero(word == 2)),
             },
         )
 
     @classmethod
-    def markov(cls, chain: MarkovChain, seed: int, stream: int = 0) -> "SwitchingSequence":
+    def markov(cls, chain: MarkovChain, seed: int) -> "SwitchingSequence":
+        """The chain's trajectory from stream 0 of the seed."""
         cache: dict[str, np.ndarray] = {"buf": np.empty(0, dtype=np.int64)}
 
         def gen(n):
             if n > cache["buf"].size:
-                cache["buf"] = sample_trajectory(chain, n, seed, stream)
+                cache["buf"] = sample_trajectory(chain, n, seed)
             return cache["buf"][:n]
 
-        return cls("markov", gen, None, {"seed": int(seed), "stream": int(stream)})
+        return cls("markov", gen, None, {"seed": int(seed), "stream": 0})
 
     def prefix(self, n: int) -> np.ndarray:
         """First n symbols. Stable: prefix(n) == prefix(m)[:n] for n <= m."""

@@ -312,14 +312,10 @@ def limit_points(
 
     One walk over the gathered matrices snapshots a = a @ S at each return
     time; a product that is not finite raises ProductOverflowError naming
-    the first return time where it is met.
+    the first return time where it is met. Without return times the
+    products and representatives are empty; find_idempotent refuses them.
     """
     rt = return_times(seq, cylinder_len, horizon)
-    if rt.times.size == 0:  # the products and representatives are then empty
-        warnings.warn(
-            "no return times inside the horizon; the limit point set is empty",
-            stacklevel=2,
-        )
     symbols = _symbols(seq.prefix(horizon), s.num_matrices)
     times = rt.times.tolist()  # sorted, unique and in 1..horizon
     steps = s.matrices[symbols[: times[-1] if times else 0] - 1]

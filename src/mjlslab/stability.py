@@ -228,18 +228,15 @@ class WordProbeResult:
     truncated: bool
 
 
-def periodic_stability_probe(
-    s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET
-) -> WordProbeResult:
+def periodic_stability_probe(s: MatrixSet | WordLevels, max_len: int) -> WordProbeResult:
     """Largest averaged spectral radius over all words up to max_len.
 
     Every periodic switching sequence with period <= max_len is stable iff
     this maximum is below 1; the verdict keeps the so-far qualifier since
-    longer words are unexplored. A walk passed as s brings its own budget.
+    longer words are unexplored. A family is walked within ENUM_BUDGET; a
+    walk passed as s brings its own budget.
     """
-    _, _, max_val, max_word, completed, truncated = rho_extremes(
-        s, max_len, budget, minima=False
-    )
+    _, _, max_val, max_word, completed, truncated = rho_extremes(s, max_len, minima=False)
     stable = max_val < 1.0 - PROBE_MARGIN
     return WordProbeResult(
         objective="max-over-words",
@@ -251,18 +248,16 @@ def periodic_stability_probe(
     )
 
 
-def consistent_convergence_probe(
-    s: MatrixSet | WordLevels, max_len: int, budget: int = ENUM_BUDGET
-) -> WordProbeResult:
+def consistent_convergence_probe(s: MatrixSet | WordLevels, max_len: int) -> WordProbeResult:
     """Smallest averaged spectral radius over all words up to max_len.
 
     A single word with rho(S_w) < 1 makes the periodic repetition of w drive
     every initial vector to zero, so finding one certifies consistent
-    convergence; not finding one within max_len proves nothing. A walk passed
-    as s brings its own budget, and one built without the minima raises
-    ValueError.
+    convergence; not finding one within max_len proves nothing. A family is
+    walked within ENUM_BUDGET; a walk passed as s brings its own budget, and
+    one built without the minima raises ValueError.
     """
-    min_val, min_word, _, _, completed, truncated = rho_extremes(s, max_len, budget)
+    min_val, min_word, _, _, completed, truncated = rho_extremes(s, max_len)
     found = min_val < 1.0 - PROBE_MARGIN
     return WordProbeResult(
         objective="min-over-words",
@@ -294,12 +289,13 @@ class FinitenessReport:
 
 
 def spectral_finiteness_probe(
-    s: MatrixSet | WordLevels, max_len: int, jsr_depth: int, budget: int = ENUM_BUDGET
+    s: MatrixSet | WordLevels, max_len: int, jsr_depth: int
 ) -> FinitenessReport:
-    """JSR lower bound to max_len against the norm bound at jsr_depth, one walk."""
+    """JSR lower bound to max_len against the norm bound at jsr_depth, one walk:
+    a family's within ENUM_BUDGET, or a walk passed as s, with its own budget."""
     if min(max_len, jsr_depth) < 1:
         raise ValueError("max_len and jsr_depth must be at least 1")
-    walk = word_levels(s, max_len, max(max_len, jsr_depth), budget, minima=False)
+    walk = word_levels(s, max_len, max(max_len, jsr_depth), minima=False)
     shallow = jsr_bounds(walk, max_len)
     upper, _ = walk.norm_root(jsr_depth)
     gap = upper - shallow.lower
@@ -328,12 +324,7 @@ class GreedySearchResult:
 
 
 def greedy_pointwise_search(
-    s: MatrixSet,
-    x,
-    lookahead: int,
-    max_steps: int,
-    eps: float,
-    budget: int = ENUM_BUDGET,
+    s: MatrixSet, x, lookahead: int, max_steps: int, eps: float
 ) -> GreedySearchResult:
     """Stabilize one vector by greedily appending norm-minimizing blocks.
 
@@ -341,23 +332,24 @@ def greedy_pointwise_search(
     and appends the best one, breaking ties toward the lexicographically
     smallest word. Success is a norm below eps within max_steps symbols
     (mid-block prefixes count); three consecutive blocks without strict
-    decrease abandon the search with the trace collected so far.
+    decrease abandon the search with the trace collected so far. More than
+    ENUM_BUDGET lookahead words raise BudgetExceededError.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
     k, d = s.num_matrices, s.dim
-    if k**lookahead > budget:
+    if k**lookahead > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"{k}^{lookahead} lookahead words exceed the budget {budget}"
+            f"{k}^{lookahead} lookahead words exceed the budget {ENUM_BUDGET}"
         )
     blocks = s.matrices.copy()
     for _ in range(lookahead - 1):
         blocks = np.matmul(blocks[:, None], s.matrices[None]).reshape(-1, d, d)
 
     v = as_row_vector(x, d).copy()
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    if not v.any():
         raise ValueError("initial vector must be nonzero")
+    norm = float(np.linalg.norm(v))
     word: list[int] = []
     block_norms: list[float] = []
     stall = 0
@@ -506,7 +498,6 @@ def almost_sure_exponential_estimate(
     consistent: ConvergenceReport,
     s: MatrixSet | WordLevels,
     probe_len: int = PROBE_LEN_DEFAULT,
-    budget: int = ENUM_BUDGET,
 ) -> AlmostSureReport:
     """Tail fits of log ||A(n)||_2 over sampled trajectories, gated by the word probe.
 
@@ -514,11 +505,11 @@ def almost_sure_exponential_estimate(
     tail_fits are the fits, and its trials, horizon, seed and delta are the
     report's. Nothing is drawn and no product history is built; a report of
     another kind raises ValueError. The periodic-stability gate walks the
-    words of the family s up to probe_len, or reads a walk of them that
-    reaches probe_len, passed as s.
+    words of the family s up to probe_len within ENUM_BUDGET, or reads a
+    walk of them that reaches probe_len, passed as s.
     """
     _require_matrix(consistent)
-    probe = periodic_stability_probe(s, probe_len, budget)
+    probe = periodic_stability_probe(s, probe_len)
     gate_passed = probe.verdict == "periodically-stable-so-far"
     notes: list[str] = []
     if not gate_passed:

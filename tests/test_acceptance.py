@@ -119,7 +119,7 @@ def test_criterion_02_decomposition_matches_oracle():
 
 def test_criterion_03_slow_recurrence_worked_example():
     with Budget(10.0):
-        seq = SwitchingSequence.quadratic_gap(5, zero_symbol=1, one_symbol=2)
+        seq = SwitchingSequence.quadratic_gap(5)
         hist = vector_log_norm_history(GAP_FAMILY, seq.prefix(65535), [1.0, 0.0])
 
         assert abs(np.exp(hist[255 - 1]) - 2.0**-8) < 1e-12
@@ -161,7 +161,7 @@ def test_criterion_04_splitting_two_routes_agree():
         assert np.allclose(rot_exact.idempotent, np.eye(2), atol=1e-12)
 
         # the slow-recurrence system, against its known exact splitting
-        seq = SwitchingSequence.quadratic_gap(4, zero_symbol=1, one_symbol=2)
+        seq = SwitchingSequence.quadratic_gap(4)
         split = sequence_split(limit_points(GAP_FAMILY, seq, cylinder_len=1, horizon=255))
         assert split.defect <= 1e-6
         assert np.allclose(split.idempotent, np.diag([0.0, 1.0]), atol=1e-6)

@@ -1051,6 +1051,22 @@ def test_split_budget_warning_leaves_the_demo_split_alone(tmp_path, capsys):
     assert cut["results"] == full["results"]
 
 
+def test_split_budget_warning_is_reported_where_warnings_are_errors(tmp_path):
+    cfg = json.loads((ROOT / "demos/configs/split_shear_periodic.json").read_text())
+    cfg["analysis"]["budget"] = 20_249
+    argv = [sys.executable, "-m", "mjlslab", "split", "--config", write(tmp_path, json.dumps(cfg))]
+    plain = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    plain["PYTHONPATH"] = str(ROOT / "src")
+    runs = [
+        subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        for env in (plain, dict(plain, PYTHONWARNINGS="error"))
+    ]
+    for proc in runs:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    assert runs[1].stdout == runs[0].stdout
+    assert b'"budget: split closure stopped after 20235 comparisons' in runs[0].stdout
+
+
 def test_example46_closed_form_rows(tmp_path, capsys):
     cfg = write(tmp_path, '{"analysis": {"levels": 4, "alpha": 0.5}}')
     code, out, _ = run(capsys, "example46", "--config", cfg)

@@ -137,8 +137,8 @@ def _refused(key: str, default) -> list:
         ]
     if key == "initial_vector":
         return [
-            ([], "expected a nonempty list or null"),
-            ("x", "expected a nonempty list or null"),
+            ([], "expected a nonempty list"),
+            ("x", "expected a nonempty list"),
             ([0.0, 0.0], "must be nonzero"),
             ([1.0, "x"], "initial_vector[1]: expected a number"),
         ]

@@ -114,11 +114,11 @@ def test_jsr_bounds_match_brute_force_oracle():
 
 def test_jsr_bounds_budget_truncation():
     s = MatrixSet.from_list([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)])
-    b = jsr_bounds(s, depth=10, budget=3 + 9 + 27)
+    b = jsr_bounds(word_levels(s, 10, 10, 3 + 9 + 27, minima=False), depth=10)
     assert b.truncated
-    assert b.depth_completed == 3
+    assert (b.depth_completed, b.budget) == (3, 39)
     with pytest.raises(BudgetExceededError):
-        jsr_bounds(s, depth=4, budget=2)
+        jsr_bounds(word_levels(s, 4, 4, 2, minima=False), depth=4)
 
 
 def test_boundedness_probe_verdicts():
@@ -279,7 +279,7 @@ def test_preextremal_profile_equals_per_depth_norms(s, data, depth):
     st.integers(0, 120),
 )
 def test_one_walk_equals_separate_walks(s, depth, jsr_depth, bound_depth, budget):
-    """cmd_jsr's single walk gives the reports of three separate calls."""
+    """cmd_jsr's single walk gives the reports of three separate walks."""
     k = s.num_matrices
     walk_depth = max(depth, jsr_depth, bound_depth)
     reports = (
@@ -288,14 +288,25 @@ def test_one_walk_equals_separate_walks(s, depth, jsr_depth, bound_depth, budget
         (spectral_finiteness_probe, (depth, jsr_depth)),
     )
     if budget < k:
-        calls = ((word_levels, (depth, walk_depth)), (rho_extremes, (depth,)), *reports)
+        calls = ((word_levels, (depth, walk_depth)), (word_levels, (depth, 0)),
+                 (boundedness_probe, (bound_depth,)))
         for call, args in calls:
             with pytest.raises(BudgetExceededError, match="does not cover even depth 1"):
                 call(s, *args, budget)
         return
     walk = word_levels(s, depth, walk_depth, budget)
-    for call, args in reports:
-        assert jsonable(call(walk, *args)) == jsonable(call(s, *args, budget))
+    separate = (
+        jsr_bounds(word_levels(s, depth, depth, budget, minima=False), depth),
+        boundedness_probe(s, bound_depth, budget),
+        spectral_finiteness_probe(
+            word_levels(s, depth, max(depth, jsr_depth), budget, minima=False), depth, jsr_depth
+        ),
+    )
+    # a family passed directly is walked within ENUM_BUDGET
+    full = word_levels(s, depth, walk_depth, mjlslab.products.ENUM_BUDGET)
+    for (call, args), own in zip(reports, separate):
+        assert jsonable(call(walk, *args)) == jsonable(own)
+        assert jsonable(call(s, *args)) == jsonable(call(full, *args))
 
     # levels 1..n fit the budget when k + ... + k^n <= budget
     levels = range(1, walk_depth + 1)
@@ -306,7 +317,9 @@ def test_one_walk_equals_separate_walks(s, depth, jsr_depth, bound_depth, budget
     finiteness = spectral_finiteness_probe(walk, depth, jsr_depth)
     assert finiteness.truncated == (reached < max(depth, jsr_depth))
     mats = list(s.matrices)
-    lo, lo_word, hi, hi_word, completed, truncated = rho_extremes(s, depth, budget)
+    lo, lo_word, hi, hi_word, completed, truncated = rho_extremes(
+        word_levels(s, depth, 0, budget), depth
+    )
     assert (completed, truncated) == (min(reached, depth), reached < depth)
     o_lo, o_lo_word, o_hi, o_hi_word = oracle_rho_extremes(mats, completed)
     assert lo == pytest.approx(o_lo, rel=1e-12, abs=1e-300)

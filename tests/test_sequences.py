@@ -15,7 +15,7 @@ from mjlslab import (
 )
 from test_markov import sparse_chains
 
-GAP4 = SwitchingSequence.quadratic_gap(4, zero_symbol=1, one_symbol=2)
+GAP4 = SwitchingSequence.quadratic_gap(4)
 
 
 def test_periodic_prefix():
@@ -47,7 +47,7 @@ def test_quadratic_gap_word_structure():
     assert GAP4.detail["ones_count"] == 8
     assert GAP4.max_length == 255
     # each level is a prefix of the next
-    w3 = SwitchingSequence.quadratic_gap(3, zero_symbol=1, one_symbol=2).prefix(15)
+    w3 = SwitchingSequence.quadratic_gap(3).prefix(15)
     assert np.array_equal(word[:15], w3)
 
 
@@ -125,9 +125,10 @@ def test_sequence_rejects_degenerate_input():
         SwitchingSequence.quadratic_gap(0)
 
 
-def test_quadratic_gap_default_symbols_are_zero_one():
+def test_quadratic_gap_puts_symbol_1_on_gaps_and_2_on_rare_steps():
     seq = SwitchingSequence.quadratic_gap(2)
-    assert seq.prefix(3).tolist() == [1, 0, 1]
+    assert seq.prefix(3).tolist() == [2, 1, 2]
+    assert seq.detail == {"levels": 2, "zero_symbol": 1, "one_symbol": 2, "ones_count": 2}
 
 
 SYMBOLS = st.lists(st.integers(1, 3), min_size=1, max_size=12)

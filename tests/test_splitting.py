@@ -110,9 +110,7 @@ def test_limit_points_are_the_word_products_at_every_return_time(
     mats = list(rng.standard_normal((k, d, d)) / np.sqrt(d))
     s = MatrixSet.from_list(mats)
     seq = _switching_sequence(kind, k, rng)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="no return times")
-        lps = limit_points(s, seq, cylinder_len, horizon)
+    lps = limit_points(s, seq, cylinder_len, horizon)
     symbols = seq.prefix(horizon)
     assert lps.family is s and lps.symbols.tobytes() == symbols.tobytes()
     times = return_times(seq, cylinder_len, horizon).times
@@ -746,12 +744,14 @@ def test_limit_points_rotation_clusters():
     assert lps.return_times.size == 599
 
 
-def test_limit_points_warns_without_returns():
+def test_limit_points_without_returns_is_empty_and_silent():
     seq = SwitchingSequence.explicit([1, 2, 2, 2])
     s = MatrixSet.from_list([np.eye(2), np.diag([0.5, 1.0])])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         lps = limit_points(s, seq, cylinder_len=1, horizon=4, cluster_tol=1e-4)
-    assert len(lps.cluster_reps) == 0
+    assert lps.return_times.size == 0
+    assert lps.products.shape == (0, 2, 2) and lps.cluster_reps.shape == (0, 2, 2)
 
 
 def test_find_idempotent_rotation_gives_identity():
@@ -764,8 +764,7 @@ def test_find_idempotent_rotation_gives_identity():
 def test_find_idempotent_failure_reports_best_defect():
     seq = SwitchingSequence.explicit([1, 2, 2, 2])
     s = MatrixSet.from_list([np.eye(2), np.diag([0.5, 1.0])])
-    with pytest.warns(UserWarning):
-        lps = limit_points(s, seq, cylinder_len=1, horizon=4, cluster_tol=1e-4)
+    lps = limit_points(s, seq, cylinder_len=1, horizon=4, cluster_tol=1e-4)
     with pytest.raises(IdempotentNotFoundError) as exc:
         find_idempotent(lps)
     assert exc.value.defect == np.inf
@@ -1023,7 +1022,7 @@ def test_sequence_split_agrees_with_periodic_split():
 
 
 def test_sequence_split_quadratic_gap():
-    seq = SwitchingSequence.quadratic_gap(4, zero_symbol=1, one_symbol=2)
+    seq = SwitchingSequence.quadratic_gap(4)
     fam = MatrixSet.from_list([np.eye(2), np.diag([0.5, 1.0])])
     split = sequence_split(limit_points(fam, seq, cylinder_len=1, horizon=255))
     assert np.allclose(split.idempotent, np.diag([0.0, 1.0]), atol=1e-12)
@@ -1093,9 +1092,7 @@ def test_verify_splitting_center_scores_match_per_row_loop(name, budget, monkeyp
     returns = return_times(seq, 1, symbols.size).times
     times = returns[_checkpoint(returns.size)]
     assert (times.size == 0) == (name == "no_return")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="no return times")
-        limits = limit_points(s, seq, 1, symbols.size)
+    limits = limit_points(s, seq, 1, symbols.size)
     d = s.dim
     full = np.linalg.qr(np.random.default_rng(44).normal(size=(d, d)))[0]
     for c in range(d + 1):  # a center of every dimension, 0 included
@@ -1122,9 +1119,7 @@ def test_verify_splitting_reads_the_limit_points_it_is_given(name):
     basis = np.linalg.qr(np.random.default_rng(45).normal(size=(d, d)))[0]
     split = Splitting(np.eye(d), 0.0, Subspace(d, basis[1:]), Subspace(d, basis[:1]), "test")
     for cylinder_len, horizon in ((1, symbols.size), (2, symbols.size - 7)):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="no return times")
-            limits = limit_points(s, seq, cylinder_len, horizon)
+        limits = limit_points(s, seq, cylinder_len, horizon)
         ev = verify_splitting(split, limits, preextremal_depth=2)
         assert (ev.horizon, ev.cylinder_len) == (horizon, cylinder_len)
         assert ev.return_count == limits.return_times.size

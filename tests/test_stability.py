@@ -188,6 +188,11 @@ def test_greedy_search_steers_push_pull_system():
     # replaying the returned word reproduces the final norm
     replay = np.array([0.0, 1.0]) @ word_product(s, res.word)
     assert np.linalg.norm(replay) == pytest.approx(res.final_norm, rel=1e-9)
+    # a start vector whose squares underflow is still nonzero, and below eps
+    tiny = greedy_pointwise_search(s, [1e-300, 0.0], lookahead=2, max_steps=40, eps=1e-4)
+    assert tiny.success and tiny.steps == 0
+    with pytest.raises(ValueError, match="nonzero"):
+        greedy_pointwise_search(s, [0.0, 0.0], lookahead=2, max_steps=40, eps=1e-4)
 
 
 def test_greedy_search_stalls_on_expanding_family():
